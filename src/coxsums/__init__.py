@@ -43,6 +43,7 @@ from .powersums import (
     powersum_closed,
     powersum_direct,
     powersum_todd,
+    powersum_todd_upto,
 )
 from .series import TruncatedSeries
 from .todd import (
@@ -107,6 +108,7 @@ __all__ = [
     "powersum_closed",
     "powersum_direct",
     "powersum_todd",
+    "powersum_todd_upto",
     "run_all",
     "t_transform",
     "todd_closed",

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from .catalog import (
     parse_type,
 )
 from . import verify as _verify
-from .errors import CoxError
+from .errors import CoxError, InternalMismatch
 
 FORMATS = ("pretty", "json", "csv", "latex")
 
@@ -321,23 +320,26 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise CoxError("jobs must be >= 1")
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("COX_SEED", "42")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise CoxError(f"COX_SEED must be an integer, got {text!r}") from None
     suites = None if args.suite == "all" else [args.suite]
     tasks = _verify.build_tasks(
         max_rank=args.max_rank,
         max_m=args.max_m,
         n_max=args.n_max,
-        seed=args.seed,
+        seed=seed,
         suites=suites,
     )
     print(
         f"verify: suites={args.suite} max-rank={args.max_rank} "
-        f"max-m={args.max_m} n-max={args.n_max} seed={args.seed}"
+        f"max-m={args.max_m} n-max={args.n_max} seed={seed}"
     )
-    if args.jobs == 1:
-        reports = [task() for _, _, task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda task: task[2](), tasks))
+    reports = _verify.run_tasks(tasks)
     single_suite = suites is not None
     by_suite: dict[str, list] = {}
     for report in reports:
@@ -432,9 +434,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-m", type=int, default=30)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument(
-        "--seed", type=int, default=int(os.environ.get("COX_SEED", "42"))
+        "--seed", type=int, default=None,
+        help="seed of the randomized todd-symm check (default: $COX_SEED, else 42)",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility and checked to be >= 1; "
+        "checks always run one after another",
+    )
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -449,7 +456,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CoxError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        # Two internal routes that disagree are a failed verification.
+        return 1 if isinstance(e, InternalMismatch) else 2
     except Exception as e:  # exit codes are pinned to {0, 1, 2}
         print(f"internal error: {e!r}", file=sys.stderr)
         return 2

@@ -47,10 +47,10 @@ def powersum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     return PowerSumResult(normalize(t), n, value, "direct")
 
 
-def powersum_todd(
+def powersum_todd_upto(
     t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
-) -> PowerSumResult:
-    """sum(m_i**n) as n! * r * Td_n of the gamma series."""
+) -> tuple[Fraction, ...]:
+    """sum(m_i**k) = k! * r * Td_k for k = 0..n, from one gamma series."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if p < 1:
@@ -58,7 +58,14 @@ def powersum_todd(
     ps = _params(t, params)
     g = _todd.gamma_series(ps, p, max(n, 2))
     td = _todd.todd_values(g, n)
-    value = factorial(n) * ps.r * td.values[n]
+    return tuple(factorial(k) * ps.r * td.values[k] for k in range(n + 1))
+
+
+def powersum_todd(
+    t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
+) -> PowerSumResult:
+    """sum(m_i**n) as n! * r * Td_n of the gamma series."""
+    value = powersum_todd_upto(t, n, p, params)[n]
     return PowerSumResult(normalize(t), n, value, "todd")
 
 

@@ -6,16 +6,17 @@ with both side values.  Checks accept their inputs (parameter sets,
 exponent lists, evaluators) as optional arguments so tests can inject a
 corrupted constant and prove the suite is able to fail.
 
-``build_tasks`` lays out every sub-check of every suite in a fixed
-catalog order; ``run_all`` executes them sequentially.  Tasks are pure,
-so a caller may execute them concurrently and reassemble the reports by
-index.
+``build_tasks`` lays out every sub-check of the selected suites in a
+fixed catalog order, from one table that maps each suite name to its
+checks; ``run_tasks`` executes them in that order, and a check that
+raises becomes a failed report.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from math import comb, factorial
 from random import Random
@@ -36,22 +37,6 @@ from .catalog import (
 from .errors import ConstantTermNotOne, NotAPolynomial, WrongFamily
 from .intpoly import IntPolynomial, poly_from_factors
 from .series import TruncatedSeries
-
-SUITE_NAMES = (
-    "expsum",
-    "multiset",
-    "gamma",
-    "h-relation",
-    "beta",
-    "symmetry",
-    "todd-symm",
-    "kostant",
-    "t-transform",
-    "specializations",
-    "gamma34",
-    "methods",
-)
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -420,19 +405,24 @@ def _default_t_rows(order: int) -> list[tuple[str, TruncatedSeries, TruncatedSer
     ]
 
 
+def check_t_example(
+    label: str, source: TruncatedSeries, expected: TruncatedSeries
+) -> CheckReport:
+    """One T-transformation sequence pair: T(source) equals expected."""
+    got = t_transform(source)
+    failures = []
+    if got != expected:
+        failures.append(f"T(a) = {got.coefficients[:6]}..., expected {expected.coefficients[:6]}...")
+    return _report("t-transform", label, failures)
+
+
 def check_t_examples(
     order: int = 20,
     rows: list[tuple[str, TruncatedSeries, TruncatedSeries]] | None = None,
 ) -> list[CheckReport]:
     """The three tabulated T-transformation sequence pairs."""
-    reports = []
-    for label, source, expected in rows if rows is not None else _default_t_rows(order):
-        got = t_transform(source)
-        failures = []
-        if got != expected:
-            failures.append(f"T(a) = {got.coefficients[:6]}..., expected {expected.coefficients[:6]}...")
-        reports.append(_report("t-transform", label, failures))
-    return reports
+    rows = rows if rows is not None else _default_t_rows(order)
+    return [check_t_example(*row) for row in rows]
 
 
 # -- gamma coefficient formulas --------------------------------------------
@@ -541,6 +531,7 @@ def check_methods(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     resolved = _resolve(t, None, params)
+    todd = {p: _powersums.powersum_todd_upto(t, n_max, p, resolved) for p in ps_values}
     failures = []
     for n in range(n_max + 1):
         direct = _direct_sum(t, n, exps)
@@ -548,7 +539,7 @@ def check_methods(
             failures.append(f"n={n}: direct sum {direct} is not a nonnegative integer")
             break
         for p in ps_values:
-            todd_value = _powersums.powersum_todd(t, n, p, params=resolved).value
+            todd_value = todd[p][n]
             if todd_value != direct:
                 failures.append(f"n={n}, p={p}: todd {todd_value} != direct {direct}")
                 break
@@ -603,21 +594,69 @@ def check_s4_nonuniversality() -> CheckReport:
 
 # -- suite orchestration -----------------------------------------------------
 
+Spec = tuple[str, Callable[[], CheckReport]]
 Task = tuple[str, str, Callable[[], CheckReport]]
 
 
-def _per_type_profile_tasks(
-    suite: str,
-    types: Sequence[CoxeterType],
-    fn: Callable[..., CheckReport],
-) -> list[Task]:
-    tasks: list[Task] = []
-    for t in types:
-        for prof in applicable_profiles(t):
-            tasks.append(
-                (suite, _subject(t, prof), lambda t=t, prof=prof: fn(t, prof))
-            )
-    return tasks
+def _per_profile(types: Sequence[CoxeterType], check: Callable[..., CheckReport]) -> list[Spec]:
+    return [
+        (_subject(t, prof), partial(check, t, prof))
+        for t in types
+        for prof in applicable_profiles(t)
+    ]
+
+
+def _t_transform_specs(types: Sequence[CoxeterType], n_max: int, seed: int) -> list[Spec]:
+    rows = [(row[0], partial(check_t_example, *row)) for row in _default_t_rows(20)]
+    return rows + [("T**k integrality (k<=5)", partial(check_t_integrality, 5, 30))]
+
+
+def _specialization_specs(types: Sequence[CoxeterType], n_max: int, seed: int) -> list[Spec]:
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return [
+        (_subject(t), partial(check_gamma_specializations, t, n_max))
+        for t in types
+        if normalize(t).family in ("A", "C")
+    ]
+
+
+def _methods_specs(types: Sequence[CoxeterType], n_max: int, seed: int) -> list[Spec]:
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    specs = [(_subject(t), partial(check_methods, t, n_max)) for t in types]
+    return specs + [("A9 vs D6 (S4 not universal in h, gamma)", check_s4_nonuniversality)]
+
+
+# Suite name -> (types, n_max, seed) -> [(subject, check)], in report order.
+# Builders name the check_* functions in their bodies, so a check patched
+# on this module after import is the one that runs.
+_SUITES: dict[str, Callable[[Sequence[CoxeterType], int, int], list[Spec]]] = {
+    "expsum": lambda types, n_max, seed: _per_profile(types, check_expsum),
+    "multiset": lambda types, n_max, seed: _per_profile(types, check_multiset_laws),
+    "gamma": lambda types, n_max, seed: _per_profile(types, check_gamma_formula),
+    "h-relation": lambda types, n_max, seed: _per_profile(types, check_h_relation),
+    "beta": lambda types, n_max, seed: _per_profile(types, check_beta_formula),
+    "symmetry": lambda types, n_max, seed: [
+        (_subject(t), partial(check_symmetry_identities, t, 4, 4)) for t in types
+    ],
+    "todd-symm": lambda types, n_max, seed: [
+        (f"(a={a}, b={total - a})", partial(check_todd_symmetry, a, total - a, 50, seed))
+        for total in range(9)
+        for a in range(total + 1)
+    ],
+    "kostant": lambda types, n_max, seed: [
+        (_subject(t), partial(check_de_kostant, t)) for t in types if t.family in ("D", "E")
+    ],
+    "t-transform": _t_transform_specs,
+    "specializations": _specialization_specs,
+    "gamma34": lambda types, n_max, seed: [
+        (f"{_subject(t)} (p={p})", partial(check_gamma34, t, p)) for t in types for p in (1, 2)
+    ],
+    "methods": _methods_specs,
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def build_tasks(
@@ -627,93 +666,31 @@ def build_tasks(
     seed: int = 42,
     suites: Sequence[str] | None = None,
 ) -> list[Task]:
-    """All sub-checks of the selected suites, in deterministic order."""
+    """All sub-checks of the selected suites, in deterministic order.
+
+    Arguments a suite cannot run with raise here, before any check runs."""
     selected = tuple(suites) if suites is not None else SUITE_NAMES
     for name in selected:
-        if name not in SUITE_NAMES:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
     types = catalog(max_rank, max_m)
-    tasks: list[Task] = []
-    for suite in SUITE_NAMES:
-        if suite not in selected:
-            continue
-        if suite == "expsum":
-            tasks += _per_type_profile_tasks(suite, types, check_expsum)
-        elif suite == "multiset":
-            tasks += _per_type_profile_tasks(suite, types, check_multiset_laws)
-        elif suite == "gamma":
-            tasks += _per_type_profile_tasks(suite, types, check_gamma_formula)
-        elif suite == "h-relation":
-            tasks += _per_type_profile_tasks(suite, types, check_h_relation)
-        elif suite == "beta":
-            tasks += _per_type_profile_tasks(suite, types, check_beta_formula)
-        elif suite == "symmetry":
-            for t in types:
-                tasks.append(
-                    (suite, _subject(t), lambda t=t: check_symmetry_identities(t, 4, 4))
-                )
-        elif suite == "todd-symm":
-            for total in range(9):
-                for a in range(total + 1):
-                    b = total - a
-                    tasks.append(
-                        (
-                            suite,
-                            f"(a={a}, b={b})",
-                            lambda a=a, b=b: check_todd_symmetry(a, b, 50, seed),
-                        )
-                    )
-        elif suite == "kostant":
-            for t in types:
-                if t.family in ("D", "E"):
-                    tasks.append((suite, _subject(t), lambda t=t: check_de_kostant(t)))
-        elif suite == "t-transform":
-            for i, (label, source, expected) in enumerate(_default_t_rows(20)):
-                tasks.append(
-                    (
-                        suite,
-                        label,
-                        lambda row=(label, source, expected): check_t_examples(
-                            rows=[row]
-                        )[0],
-                    )
-                )
-            tasks.append(
-                (suite, "T**k integrality (k<=5)", lambda: check_t_integrality(5, 30))
-            )
-        elif suite == "specializations":
-            for t in types:
-                if normalize(t).family in ("A", "C"):
-                    tasks.append(
-                        (
-                            suite,
-                            _subject(t),
-                            lambda t=t: check_gamma_specializations(t, n_max),
-                        )
-                    )
-        elif suite == "gamma34":
-            for t in types:
-                for p in (1, 2):
-                    tasks.append(
-                        (
-                            suite,
-                            f"{_subject(t)} (p={p})",
-                            lambda t=t, p=p: check_gamma34(t, p),
-                        )
-                    )
-        elif suite == "methods":
-            for t in types:
-                tasks.append(
-                    (suite, _subject(t), lambda t=t: check_methods(t, n_max))
-                )
-            tasks.append(
-                (
-                    suite,
-                    "A9 vs D6 (S4 not universal in h, gamma)",
-                    check_s4_nonuniversality,
-                )
-            )
-    return tasks
+    return [
+        (suite, subject, check)
+        for suite in SUITE_NAMES
+        if suite in selected
+        for subject, check in _SUITES[suite](types, n_max, seed)
+    ]
+
+
+def run_tasks(tasks: Sequence[Task]) -> list[CheckReport]:
+    """Run tasks in order; a check that raises becomes a failed report."""
+    reports = []
+    for suite, subject, check in tasks:
+        try:
+            reports.append(check())
+        except Exception as e:
+            reports.append(CheckReport(suite, subject, False, f"raised {e!r}"))
+    return reports
 
 
 def run_all(
@@ -724,4 +701,4 @@ def run_all(
     suites: Sequence[str] | None = None,
 ) -> list[CheckReport]:
     """Run every selected suite sequentially; deterministic given the seed."""
-    return [task() for _, _, task in build_tasks(max_rank, max_m, n_max, seed, suites)]
+    return run_tasks(build_tasks(max_rank, max_m, n_max, seed, suites))

@@ -137,6 +137,23 @@ class TestHeights:
         code, _, err = run(capsys, "heights", "A2", "-n", "5", "--method", "closed")
         assert code == 2 and err
 
+    def test_route_disagreement_exits_one(self, capsys, monkeypatch):
+        import dataclasses
+
+        import coxsums.powersums as powersums_module
+
+        real = powersums_module.dual_partition
+
+        def shifted(exps):
+            dual = real(exps)
+            counts = (dual.counts[0] + 1,) + tuple(dual.counts[1:])
+            return dataclasses.replace(dual, counts=counts)
+
+        monkeypatch.setattr(powersums_module, "dual_partition", shifted)
+        code, _, err = run(capsys, "heights", "A3", "-n", "2")
+        assert code == 1
+        assert err.startswith("error: height sum routes disagree")
+
 
 class TestTable:
     def test_csv_header(self, capsys):
@@ -224,6 +241,26 @@ class TestVerify:
         )
         assert "seed=9" in out
 
+    def test_seed_environment_ignored_by_other_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("COX_SEED", "abc")
+        code, out, _ = run(capsys, "info", "E8")
+        assert code == 0 and "type: E8" in out
+
+    def test_bad_seed_environment_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COX_SEED", "abc")
+        code, out, err = run(capsys, "verify", "--suite", "kostant")
+        assert code == 2
+        assert err.startswith("error: ") and "COX_SEED" in err
+        assert out == ""
+
+    def test_seed_flag_ignores_bad_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("COX_SEED", "abc")
+        code, out, _ = run(
+            capsys, "verify", "--suite", "kostant", "--max-rank", "4", "--max-m", "3",
+            "--seed", "9",
+        )
+        assert code == 0 and "seed=9" in out
+
     def test_bad_suite_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nope")
         assert code == 2
@@ -241,6 +278,49 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in out and "injected fault" in out
+
+    def test_raising_check_is_a_failure_and_the_sweep_goes_on(self, capsys, monkeypatch):
+        import coxsums.verify as verify_module
+
+        def boom(t, profile=None, params=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify_module, "check_gamma_formula", boom)
+        code, out, _ = run(
+            capsys, "verify", "--max-rank", "2", "--max-m", "3", "--n-max", "2"
+        )
+        assert code == 1
+        assert "gamma: FAIL (6/6 checks failed)" in out
+        assert "  witness: A1 [standard]: raised RuntimeError('boom')" in out
+        for later in ("h-relation", "methods"):
+            assert f"{later}: PASS" in out
+        assert out.splitlines()[-1] == "6 check(s) failed"
+
+    @pytest.mark.parametrize(
+        "suite, n_max, message",
+        [("all", "0", ">= 1"), ("all", "-1", ">= 1"), ("methods", "-1", ">= 0")],
+    )
+    def test_bad_n_max_is_rejected_before_any_check(
+        self, capsys, monkeypatch, suite, n_max, message
+    ):
+        import coxsums.verify as verify_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify_module, "check_expsum", never)
+        monkeypatch.setattr(verify_module, "check_methods", never)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", n_max)
+        assert code == 2
+        assert err == f"error: n_max must be {message}\n"
+        assert out == ""
+
+    def test_methods_alone_accepts_n_max_zero(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "methods", "--max-rank", "3", "--max-m", "4",
+            "--n-max", "0",
+        )
+        assert code == 0 and "all checks passed" in out
 
 
 class TestUsage:

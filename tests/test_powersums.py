@@ -15,6 +15,7 @@ from coxsums import (
     powersum_closed,
     powersum_direct,
     powersum_todd,
+    powersum_todd_upto,
 )
 from coxsums.errors import UnsupportedDegree
 
@@ -116,10 +117,12 @@ class TestHeightSums:
 class TestSweeps:
     def test_methods_agree_small_sweep(self):
         for t in catalog(6, 10):
+            upto = {p: powersum_todd_upto(t, 8, p) for p in (1, 2, 3)}
             for n in range(9):
                 direct = powersum_direct(t, n).value
                 for p in (1, 2, 3):
                     assert powersum_todd(t, n, p).value == direct, (t.name, n, p)
+                    assert upto[p][n] == direct, (t.name, n, p)
                 if n <= 5:
                     assert powersum_closed(t, n).value == direct, (t.name, n)
                 if n <= 4:

@@ -1,6 +1,7 @@
 """Verifier suites: they pass on the real tables and fail under injected faults."""
 
 import dataclasses
+import re
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -315,6 +316,12 @@ class TestMethodsSuite:
             parse_type("A2"), n_max=4, exps=ExponentList((1, 3))
         )
         assert not report.passed and report.witness
+
+    def test_fails_with_corrupt_params_on_the_todd_route(self):
+        bad = corrupt(parameters(parse_type("E8")), V_plus=(F(20), F(25)))
+        report = check_methods(parse_type("E8"), n_max=6, params=bad)
+        assert not report.passed
+        assert re.fullmatch(r"n=\d+, p=\d+: todd \S+ != direct \S+", report.witness)
 
 
 class TestRunAll:
