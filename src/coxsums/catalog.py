@@ -26,6 +26,7 @@ named family (including H2) uses ``standard``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -213,8 +214,8 @@ class DualPartition:
 
 
 def dual_partition(e: ExponentList) -> DualPartition:
-    h = e.coxeter_number
-    counts = tuple(sum(1 for m in e.values if m >= j) for j in range(1, h))
+    h, r = e.coxeter_number, e.rank
+    counts = tuple(r - bisect_left(e.values, j) for j in range(1, h))
     return DualPartition(counts)
 
 
@@ -403,9 +404,4 @@ def catalog(max_rank: int, max_m: int) -> list[CoxeterType]:
         raw.append(CoxeterType("G", 2))
     raw.extend(CoxeterType("H", n) for n in (2, 3, 4) if n <= max_rank)
     raw.extend(CoxeterType("I2", m) for m in range(3, max_m + 1))
-    out: list[CoxeterType] = []
-    for t in raw:
-        t = normalize(t)
-        if t not in out:
-            out.append(t)
-    return out
+    return list(dict.fromkeys(normalize(t) for t in raw))

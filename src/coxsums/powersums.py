@@ -117,10 +117,7 @@ def heightsum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     exps = exponents(t)
     by_faulhaber = sum((_todd.faulhaber(n, m) for m in exps.values), Fraction(0))
     dual = dual_partition(exps)
-    by_dual = sum(
-        (Fraction(k) * Fraction(j) ** n for j, k in enumerate(dual.counts, start=1)),
-        Fraction(0),
-    )
+    by_dual = sum(k * j**n for j, k in enumerate(dual.counts, start=1))
     if by_faulhaber != by_dual:
         raise InternalMismatch(
             f"height sum routes disagree for {t}: {by_faulhaber} vs {by_dual}"

@@ -5,9 +5,9 @@ as `Fraction`s and nothing beyond; every operation is exact and pure.
 Binary operations between two series truncate to the shorter operand, so
 the result never pretends to more precision than its inputs.
 
-Reciprocals and rational powers are routed through the formal log/exp
-pair: one code path serves division, square roots, p-th roots and
-arbitrary rational exponents, always on the branch with constant term 1.
+Reciprocals come from the recurrence
+b_k = -(a_1 b_{k-1} + ... + a_k b_0) / a_0, and rational powers go through
+the formal log/exp pair, always on the branch with constant term 1.
 """
 
 from __future__ import annotations
@@ -146,11 +146,14 @@ class TruncatedSeries:
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be nonzero."""
-        c0 = self[0]
-        if c0 == 0:
+        a = self._coeffs
+        if a[0] == 0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        unit = self * (1 / c0)
-        return (-unit.log()).exp() * (1 / c0)
+        out = [1 / a[0]]
+        for k in range(1, len(a)):
+            acc = sum((a[j] * out[k - j] for j in range(1, k + 1)), Fraction(0))
+            out.append(-acc * out[0])
+        return TruncatedSeries(out)
 
     def pow(self, exponent: Scalar) -> "TruncatedSeries":
         """Raise to a rational power on the branch with constant term 1."""

@@ -5,27 +5,29 @@ The gamma series of a parameter set is
     prod(1 - v*t, v in V-) / prod(1 - v*t, v in V+) * ((1+p*t)/(1-p*t))**(1/p)
 
 for a free positive integer p; its coefficients gamma_n feed the Todd
-polynomials.  Td_n is evaluated for arbitrary n without symbolic roots:
-Newton's identities turn the gamma_n (elementary symmetric functions of
-virtual roots x_j) into power sums P_k, and
+polynomials.  It is built from the p-factor's D-finite recurrence with one
+in-place pass per factor (1 - v*t).  Td_n is evaluated for arbitrary n
+without symbolic roots: Newton's identities turn the gamma_n (elementary
+symmetric functions of virtual roots x_j) into power sums P_k, and
 
     sum_n Td_n t**n = exp(sum_k lambda_k P_k t**k)
 
-where lambda_k is the t**k coefficient of log(t / (1 - exp(-t))).
+where lambda_k = -B_k / (k * k!) is the t**k coefficient of log(t / (1 - exp(-t))).
 
 Sign conventions, fixed once here: the Todd factor t/(1-exp(-t)) has
-linear coefficient +1/2 (the B_1 = +1/2 orientation), while the
-Bernoulli polynomials B_n(x) below use the classical B_1 = -1/2, as
-Faulhaber's formula expects.  Both are generated exactly from factorial
-series; neither is hard-coded.
+linear coefficient +1/2 (lambda_1 = -B_1 = +1/2), while the Bernoulli
+numbers B_n and polynomials B_n(x) use the classical B_1 = -1/2, as
+Faulhaber's formula expects.  The B_n come exactly from the reciprocal
+of a factorial series; none is hard-coded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .catalog import ParameterSet
@@ -59,9 +61,15 @@ def p_factor(p: int, order: int) -> TruncatedSeries:
     """Expansion of ((1+p*t)/(1-p*t))**(1/p)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    num = TruncatedSeries([1, p], order=order)
-    den = TruncatedSeries([1, -p], order=order)
-    return (num * den.inverse()).pow(Fraction(1, p))
+    return p_factor_general([(p, Fraction(1, p))], 1, order)
+
+
+def _quotient_power(pi: Fraction, mu: Fraction, order: int) -> TruncatedSeries:
+    """((1+pi*t)/(1-pi*t))**mu by (k+1) f_{k+1} = 2 pi mu f_k + pi**2 (k-1) f_{k-1}."""
+    f = [Fraction(1), 2 * pi * mu]
+    for k in range(1, order):
+        f.append((2 * pi * mu * f[k] + pi * pi * (k - 1) * f[k - 1]) / (k + 1))
+    return TruncatedSeries(f, order=order)
 
 
 def p_factor_general(
@@ -76,12 +84,8 @@ def p_factor_general(
     weight = sum((pi * mu for pi, mu in pairs), Fraction(0))
     if weight != m1:
         raise ConstraintViolated(f"sum(pi*mu) = {weight}, expected {m1}")
-    out = TruncatedSeries.constant(1, order)
-    for pi, mu in pairs:
-        num = TruncatedSeries([1, pi], order=order)
-        den = TruncatedSeries([1, -pi], order=order)
-        out = out * (num * den.inverse()).pow(mu)
-    return out
+    factors = [_quotient_power(pi, mu, order) for pi, mu in pairs]
+    return reduce(mul, factors or [TruncatedSeries.constant(1, order)])
 
 
 @lru_cache(maxsize=None)
@@ -89,14 +93,14 @@ def gamma_series(params: ParameterSet, p: int, order: int) -> GammaSeries:
     """Gamma series of a parameter set, from its V+/V- multisets."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    num = TruncatedSeries.constant(1, order)
-    for v in params.V_minus:
-        num = num * TruncatedSeries([1, -v], order=order)
-    den = TruncatedSeries.constant(1, order)
-    for v in params.V_plus:
-        den = den * TruncatedSeries([1, -v], order=order)
-    series = num * den.inverse() * p_factor(p, order)
-    return GammaSeries(series, p)
+    c = list(p_factor(p, order).coefficients)
+    for v in params.V_plus:  # times 1/(1 - v*t)
+        for k in range(1, order + 1):
+            c[k] += v * c[k - 1]
+    for v in params.V_minus:  # times (1 - v*t)
+        for k in range(order, 0, -1):
+            c[k] -= v * c[k - 1]
+    return GammaSeries(TruncatedSeries(c), p)
 
 
 def x_sequence(params: ParameterSet, n_max: int) -> list[Fraction]:
@@ -135,11 +139,10 @@ def gamma_series_xn(params: ParameterSet, p: int, order: int) -> GammaSeries:
 
 @lru_cache(maxsize=None)
 def _todd_factor_log(order: int) -> TruncatedSeries:
-    """log of t/(1-exp(-t)) as a series in t."""
-    denom = TruncatedSeries(
-        [Fraction((-1) ** k, factorial(k + 1)) for k in range(order + 1)]
-    )
-    return denom.inverse().log()
+    """log of t/(1-exp(-t)), whose derivative is -sum_{k>=1} B_k t**(k-1) / k!."""
+    b = _bernoulli_numbers(order)
+    lam = [-b[k] / (k * factorial(k)) for k in range(1, order + 1)]
+    return TruncatedSeries([0] + lam)
 
 
 def _newton_power_sums(e: Sequence[Fraction], n_max: int) -> list[Fraction]:

@@ -128,6 +128,10 @@ class TestDualPartition:
     def test_examples(self, text, counts):
         assert dual_partition(exponents(parse_type(text))).counts == counts
 
+    def test_large_dihedral(self):
+        counts = dual_partition(exponents(CoxeterType("I2", 10**5))).counts
+        assert counts == (2,) + (1,) * (10**5 - 2)
+
     def test_total_is_number_of_positive_roots(self):
         for t in catalog(10, 20):
             dp = dual_partition(exponents(t))
@@ -264,6 +268,10 @@ class TestCatalog:
         names = [t.name for t in types]
         assert names[:3] == ["A1", "A2", "A3"]
         assert "I2(30)" in names and "I2(6)" not in names
+        wide = catalog(300, 300)
+        assert len(wide) == len(set(wide)) == 1198
+        families = ["A", "C", "D", "E", "F", "G", "H", "I2"]
+        assert wide == sorted(wide, key=lambda t: (families.index(t.family), t.index))
 
     def test_deterministic(self):
         assert catalog(9, 17) == catalog(9, 17)

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxsums import (
     catalog,
@@ -147,3 +149,21 @@ class TestSweeps:
             assert ps.gamma == ps.h * ps.h, t.name
             want = F(ps.r * (ps.h * ps.h + ps.h), 6)
             assert heightsum_direct(t, 1).value == want, t.name
+
+
+# Types whose table leaves beta free: the A, C/B, G2, H2, H3 and I2 families.
+FREE_BETA_TYPES = (
+    "A1", "A2", "A4", "C2", "C3", "C5", "G2", "H2", "H3", "I2(7)", "I2(10)",
+)
+
+
+@settings(max_examples=64, deadline=None)
+@given(
+    st.sampled_from(FREE_BETA_TYPES),
+    st.fractions(min_value=0, max_value=40, max_denominator=12).filter(bool),
+    st.sampled_from((1, 2)),
+)
+def test_property_todd_equals_direct_for_any_free_beta(label, beta, p):
+    t = parse_type(label)
+    got = powersum_todd_upto(t, 10, p, parameters(t, beta=beta))
+    assert got == tuple(powersum_direct(t, n).value for n in range(11))

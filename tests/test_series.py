@@ -165,6 +165,14 @@ def test_property_inverse_roundtrip(tail):
 
 
 @settings(max_examples=40, deadline=None)
+@given(rationals.filter(bool), st.lists(rationals, min_size=8, max_size=8))
+def test_property_inverse_matches_log_exp_route(head, tail):
+    a = TruncatedSeries([head] + tail)
+    unit = a * (1 / head)
+    assert a.inverse() == (-unit.log()).exp() * (1 / head)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     st.lists(rationals, min_size=5, max_size=5),
     st.lists(rationals, min_size=5, max_size=5),

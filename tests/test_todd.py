@@ -1,8 +1,11 @@
 """Gamma series, Todd values, Bernoulli polynomials, Faulhaber sums."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxsums import (
     GammaSeries,
@@ -22,6 +25,17 @@ from coxsums import (
     x_sequence,
 )
 from coxsums.errors import ConstraintViolated, UnsupportedDegree
+from coxsums.todd import _todd_factor_log
+
+
+def quotient_power_by_log_exp(pi, mu, order):
+    """((1+pi*t)/(1-pi*t))**mu through inverse and the formal log/exp."""
+    num = TruncatedSeries([1, pi], order=order)
+    den = TruncatedSeries([1, -pi], order=order)
+    return (num * den.inverse()).pow(mu)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
 class TestPFactor:
@@ -58,6 +72,10 @@ class TestPFactor:
         with pytest.raises(ValueError):
             p_factor(0, 5)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_matches_log_exp_route(self, p):
+        assert p_factor(p, 40) == quotient_power_by_log_exp(p, F(1, p), 40)
+
 
 class TestPFactorGeneral:
     def test_single_factor_reductions(self):
@@ -77,6 +95,15 @@ class TestPFactorGeneral:
             p_factor_general([(1, 1), (2, 1)], 1, 6)
         with pytest.raises(ConstraintViolated):
             p_factor_general([], 1, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rationals, small_rationals, st.integers(min_value=0, max_value=12))
+def test_property_p_factor_general_matches_log_exp_route(pi, mu, order):
+    rest = 1 - pi * mu
+    got = p_factor_general([(pi, mu), (1, rest)], 1, order)
+    want = quotient_power_by_log_exp(pi, mu, order)
+    assert got == want * quotient_power_by_log_exp(1, rest, order)
 
 
 class TestGammaSeries:
@@ -109,6 +136,19 @@ class TestGammaSeries:
                 assert (
                     gamma_series(ps, p, 12).series == gamma_series_xn(ps, p, 12).series
                 ), (t.name, p)
+
+    @pytest.mark.parametrize("label", ["E8", "H4", "I2(7)"])
+    def test_matches_quotient_of_products(self, label):
+        ps = parameters(parse_type(label))
+        for p in (1, 2, 3):
+            num = TruncatedSeries.constant(1, 30)
+            for v in ps.V_minus:
+                num = num * TruncatedSeries([1, -v], order=30)
+            den = TruncatedSeries.constant(1, 30)
+            for v in ps.V_plus:
+                den = den * TruncatedSeries([1, -v], order=30)
+            want = num * den.inverse() * p_factor(p, 30)
+            assert gamma_series(ps, p, 30).series == want, (label, p)
 
     def test_minimum_order(self):
         with pytest.raises(ValueError):
@@ -191,6 +231,10 @@ class TestToddValues:
         g = gamma_series(parameters(parse_type("A2")), 1, 3)
         with pytest.raises(ValueError):
             todd_values(g, 4)
+
+    def test_log_coefficients_match_log_of_inverse(self):
+        denom = TruncatedSeries([F((-1) ** k, factorial(k + 1)) for k in range(41)])
+        assert _todd_factor_log(40) == denom.inverse().log()
 
 
 class TestToddClosed:
