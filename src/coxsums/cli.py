@@ -15,8 +15,10 @@ plain numbers) so no value ever passes through floating point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +37,11 @@ from . import verify as _verify
 from .errors import CoxError, InternalMismatch
 
 FORMATS = ("pretty", "json", "csv", "latex")
+
+# Fraction("1e<k>") computes 10**|k|, which for |k| in the billions runs for
+# hours; --beta refuses decimal exponents beyond Python's default limit on
+# int-string digits.
+_MAX_BETA_EXPONENT = 4300
 
 
 def _rational(value: Fraction | int):
@@ -145,6 +152,10 @@ class OutputDocument:
 def _parse_beta(text: str | None) -> Fraction | None:
     if text is None:
         return None
+    match = re.search(r"[eE][-+]?([\d_]*)", text)
+    digits = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(digits) > len(str(_MAX_BETA_EXPONENT)) or int(digits or 0) > _MAX_BETA_EXPONENT:
+        raise CoxError(f"bad rational {text!r}: exponent beyond +-{_MAX_BETA_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
@@ -309,8 +320,8 @@ def _cmd_table(args) -> int:
             "A": ps.A,
             "B": ps.B,
         }
-        for n in range(args.n_max + 1):
-            row[f"S{n}"] = _powersums.powersum_direct(t, n).value
+        sums = _powersums.exponent_power_sums(exponents(t), args.n_max)
+        row.update((f"S{n}", s) for n, s in enumerate(sums))
         rows.append(row)
     doc = OutputDocument(columns, rows)
     print(doc.render(args.format))
@@ -381,6 +392,7 @@ def _add_profile_beta(parser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cox",

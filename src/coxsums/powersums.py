@@ -2,10 +2,10 @@
 
 Three routes compute sum(m_i**n): direct summation over the exponents,
 the Todd route n! * r * Td_n(gamma_1..gamma_n), and closed forms in
-(r, h, gamma, alpha, beta) for n <= 5.  Height power sums use the
-exponents only, through sum_i (1**n + ... + m_i**n); actual roots are
-never constructed, so the noncrystallographic types evaluate the same
-formulas (their CLI output is labeled a formal height sum).
+(r, h, gamma, alpha, beta) for n <= 5.  Height power sums come from the
+S_k = sum(m_i**k) by Faulhaber's formula for sum_i (1**n + ... + m_i**n);
+roots are never constructed, so the noncrystallographic types evaluate
+the same formulas (their CLI output is labeled a formal height sum).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from math import factorial
 from . import todd as _todd
 from .catalog import (
     CoxeterType,
+    ExponentList,
     ParameterSet,
     dual_partition,
     exponents,
@@ -38,12 +39,18 @@ def _params(t: CoxeterType, params: ParameterSet | None) -> ParameterSet:
     return params if params is not None else parameters(t)
 
 
+def exponent_power_sums(exps: ExponentList, n: int) -> list[int]:
+    """S_0 .. S_n, where S_k = sum(m_i**k) over the exponents."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return [sum(m**k for m in exps.values) for k in range(n + 1)]
+
+
 def powersum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     """sum(m_i**n) by direct exponentiation over the exponent list."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    exps = exponents(t)
-    value = sum((Fraction(m) ** n for m in exps.values), Fraction(0))
+    value = Fraction(sum(m**n for m in exponents(t).values))
     return PowerSumResult(normalize(t), n, value, "direct")
 
 
@@ -106,23 +113,26 @@ def powersum_closed(
     return PowerSumResult(normalize(t), n, value, "closed")
 
 
-def heightsum_direct(t: CoxeterType, n: int) -> PowerSumResult:
-    """sum over positive roots of ht**n, as sum_i faulhaber(n, m_i).
-
-    A second route through the dual partition (k_j roots of height j)
-    is computed alongside; any disagreement is a logic bug.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    exps = exponents(t)
-    by_faulhaber = sum((_todd.faulhaber(n, m) for m in exps.values), Fraction(0))
+def exponent_heightsum(exps: ExponentList, n: int, sums: list[int]) -> Fraction:
+    """sum over positive roots of ht**n by Faulhaber's formula over S_0..S_{n+1},
+    checked against the dual partition (k_j roots of height j)."""
+    by_faulhaber = _todd.faulhaber_sum(n, sums)
     dual = dual_partition(exps)
     by_dual = sum(k * j**n for j, k in enumerate(dual.counts, start=1))
     if by_faulhaber != by_dual:
         raise InternalMismatch(
-            f"height sum routes disagree for {t}: {by_faulhaber} vs {by_dual}"
+            f"height sum routes disagree for {exps.values}: {by_faulhaber} vs {by_dual}"
         )
-    return PowerSumResult(normalize(t), n, by_faulhaber, "direct")
+    return by_faulhaber
+
+
+def heightsum_direct(t: CoxeterType, n: int) -> PowerSumResult:
+    """sum over positive roots of ht**n, from the exponents of t."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    exps = exponents(t)
+    value = exponent_heightsum(exps, n, exponent_power_sums(exps, n + 1))
+    return PowerSumResult(normalize(t), n, value, "direct")
 
 
 def heightsum_closed(

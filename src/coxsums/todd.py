@@ -16,9 +16,9 @@ where lambda_k = -B_k / (k * k!) is the t**k coefficient of log(t / (1 - exp(-t)
 
 Sign conventions, fixed once here: the Todd factor t/(1-exp(-t)) has
 linear coefficient +1/2 (lambda_1 = -B_1 = +1/2), while the Bernoulli
-numbers B_n and polynomials B_n(x) use the classical B_1 = -1/2, as
-Faulhaber's formula expects.  The B_n come exactly from the reciprocal
-of a factorial series; none is hard-coded.
+numbers B_n and polynomials B_n(x) use the classical B_1 = -1/2.  All
+B_n come exactly from one table grown by sum_{k<=m} C(m+1, k) B_k = 0,
+which the Todd factor and Faulhaber's formula share; none is hard-coded.
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ def gamma_series_xn(params: ParameterSet, p: int, order: int) -> GammaSeries:
     return GammaSeries(quad * xs * p_factor(p, order), p)
 
 
-@lru_cache(maxsize=None)
 def _todd_factor_log(order: int) -> TruncatedSeries:
     """log of t/(1-exp(-t)), whose derivative is -sum_{k>=1} B_k t**(k-1) / k!."""
     b = _bernoulli_numbers(order)
@@ -197,12 +196,15 @@ def todd_closed(n: int, c: Sequence[Rational]) -> Fraction:
     return (-(c1**3) * c2 + 3 * c1 * c2**2 + c1**2 * c3 - c1 * c4) / 1440
 
 
-@lru_cache(maxsize=None)
+_BERNOULLI = [Fraction(1)]  # B_0, B_1, ... (B_1 = -1/2); only ever appended to
+
+
 def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
     """B_0 .. B_n in the classical convention (B_1 = -1/2)."""
-    denom = TruncatedSeries([Fraction(1, factorial(k + 1)) for k in range(n + 1)])
-    series = denom.inverse()  # t / (exp(t) - 1)
-    return tuple(series[k] * factorial(k) for k in range(n + 1))
+    b = _BERNOULLI
+    for m in range(len(b), n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return tuple(b[: n + 1])
 
 
 def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
@@ -213,17 +215,18 @@ def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(comb(n, k) * numbers[n - k] for k in range(n + 1))
 
 
-def _eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def faulhaber_sum(n: int, sums: Sequence[int]) -> Fraction:
+    """sum_i (1**n + 2**n + ... + x_i**n) from the power sums S_j = sum_i x_i**j.
+
+    Faulhaber's formula (1/(n+1)) sum_{k<=n} C(n+1, k) B_k S_{n+1-k} with
+    B_1 taken as +1/2; reads S_1 .. S_{n+1}.
+    """
+    b = [-x if k == 1 else x for k, x in enumerate(_bernoulli_numbers(n))]
+    return sum(comb(n + 1, k) * b[k] * sums[n + 1 - k] for k in range(n + 1)) / (n + 1)
 
 
 def faulhaber(n: int, r: int) -> Fraction:
-    """The power sum 1**n + 2**n + ... + r**n, by Bernoulli's formula."""
+    """The power sum 1**n + 2**n + ... + r**n, by Faulhaber's formula."""
     if n < 0 or r < 0:
         raise ValueError("n and r must be >= 0")
-    poly = bernoulli_polynomial(n + 1)
-    value = (_eval_poly(poly, Fraction(r + 1)) - _eval_poly(poly, Fraction(1))) / (n + 1)
-    return value
+    return faulhaber_sum(n, [r**j for j in range(n + 2)])

@@ -221,17 +221,16 @@ def check_symmetry_identities(
         raise ValueError("a_max and b_max must be >= 0")
     el = _exps(t, exps)
     h = el.coxeter_number
-    top = a_max + b_max
-    sums = [sum(Fraction(m) ** k for m in el.values) for k in range(top + 1)]
+    sums = _powersums.exponent_power_sums(el, a_max + b_max)
     failures = []
     for a in range(a_max + 1):
         for b in range(b_max + 1):
             lhs = sum(
-                (-1) ** (a - j) * comb(a, j) * Fraction(h) ** j * sums[a + b - j]
+                (-1) ** (a - j) * comb(a, j) * h**j * sums[a + b - j]
                 for j in range(a + 1)
             )
             rhs = sum(
-                (-1) ** (b - j) * comb(b, j) * Fraction(h) ** j * sums[a + b - j]
+                (-1) ** (b - j) * comb(b, j) * h**j * sums[a + b - j]
                 for j in range(b + 1)
             )
             if lhs != rhs:
@@ -325,9 +324,9 @@ def check_de_kostant(
 def t_transform(f: TruncatedSeries, iterations: int = 1, ell: int = 2) -> TruncatedSeries:
     """Apply f(t) -> f(ell*t)**(1/ell) the given number of times.
 
-    Computed by the coefficient recursion (for ell = 2:
-    b_n = 2**(n-1) a_n - (1/2) sum b_j b_{n-j}), not through series_pow,
-    so integrality of intermediate coefficients is observable.
+    Computed by J.C.P. Miller's power recurrence on g(t) = f(ell*t), one
+    O(n**2) pass per iteration:
+    k b_k = sum_{j=1..k} ((1 + 1/ell) j - k) g_j b_{k-j}.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
@@ -342,15 +341,11 @@ def t_transform(f: TruncatedSeries, iterations: int = 1, ell: int = 2) -> Trunca
 def _t_once(f: TruncatedSeries, ell: int) -> TruncatedSeries:
     if f[0] != 1:
         raise ConstantTermNotOne("T needs a series with constant term 1")
-    n = f.order
-    b = [Fraction(1)] + [Fraction(0)] * n
-    for k in range(1, n + 1):
-        # coefficient of t**k in (b_0 + ... + b_{k-1} t**(k-1))**ell
-        partial = TruncatedSeries(b[:k], order=k)
-        power = TruncatedSeries.constant(1, k)
-        for _ in range(ell):
-            power = power * partial
-        b[k] = (Fraction(ell) ** k * f[k] - power[k]) / ell
+    g = [ell**j * c for j, c in enumerate(f.coefficients)]
+    slope = 1 + Fraction(1, ell)
+    b = [Fraction(1)]
+    for k in range(1, f.order + 1):
+        b.append(sum((slope * j - k) * g[j] * b[k - j] for j in range(1, k + 1)) / k)
     return TruncatedSeries(b)
 
 
@@ -508,18 +503,6 @@ def check_gamma34(
 # -- cross-method power sums ------------------------------------------------
 
 
-def _direct_sum(t: CoxeterType, n: int, exps: ExponentList | None) -> Fraction:
-    if exps is None:
-        return _powersums.powersum_direct(t, n).value
-    return sum((Fraction(m) ** n for m in exps.values), Fraction(0))
-
-
-def _direct_heights(t: CoxeterType, n: int, exps: ExponentList | None) -> Fraction:
-    if exps is None:
-        return _powersums.heightsum_direct(t, n).value
-    return sum((_todd.faulhaber(n, m) for m in exps.values), Fraction(0))
-
-
 def check_methods(
     t: CoxeterType,
     n_max: int = 12,
@@ -531,10 +514,13 @@ def check_methods(
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     resolved = _resolve(t, None, params)
+    el = _exps(t, exps)
+    sums = _powersums.exponent_power_sums(el, max(n_max, 5))
+    heights = [_powersums.exponent_heightsum(el, n, sums) for n in range(5)]
     todd = {p: _powersums.powersum_todd_upto(t, n_max, p, resolved) for p in ps_values}
     failures = []
     for n in range(n_max + 1):
-        direct = _direct_sum(t, n, exps)
+        direct = sums[n]
         if direct.denominator != 1 or direct < 0:
             failures.append(f"n={n}: direct sum {direct} is not a nonnegative integer")
             break
@@ -552,9 +538,8 @@ def check_methods(
                 break
         if n <= 4:
             hclosed = _powersums.heightsum_closed(t, n, params=resolved).value
-            hdirect = _direct_heights(t, n, exps)
-            if hclosed != hdirect:
-                failures.append(f"heights n={n}: closed {hclosed} != direct {hdirect}")
+            if hclosed != heights[n]:
+                failures.append(f"heights n={n}: closed {hclosed} != direct {heights[n]}")
                 break
     tn = normalize(t)
     if not failures and tn.family in ("A", "D", "E"):
@@ -564,9 +549,8 @@ def check_methods(
             failures.append(f"gamma = {resolved.gamma} != h**2 = {h * h}")
         else:
             want = Fraction(r * (h * h + h), 6)
-            got = _direct_heights(t, 1, exps)
-            if got != want:
-                failures.append(f"height sum {got} != r(h**2+h)/6 = {want}")
+            if heights[1] != want:
+                failures.append(f"height sum {heights[1]} != r(h**2+h)/6 = {want}")
     return _report("methods", _subject(t), failures)
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -51,6 +52,20 @@ class TestInfo:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("beta, shown", [("7/2", "7/2"), ("1e3", 1000)])
+    def test_rational_beta_forms(self, capsys, beta, shown):
+        code, out, _ = run(capsys, "info", "A2", "--beta", beta, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["beta"] == shown
+
+    @pytest.mark.parametrize("beta", ["1e999999999", "1e-999999999"])
+    def test_huge_beta_exponent_is_refused_before_parsing(self, capsys, beta):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "info", "A2", "--beta", beta)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err.startswith(f"error: bad rational {beta!r}")
+
     def test_out_of_range_type(self, capsys):
         code, _, err = run(capsys, "info", "E9")
         assert code == 2 and err
@@ -80,6 +95,12 @@ class TestPowersum:
         rows = json.loads(out)
         assert [row["method"] for row in rows] == ["direct", "todd", "closed"]
         assert all(row["value"] == 2360 for row in rows)
+
+    def test_second_call_gets_fresh_defaults(self, capsys):
+        run(capsys, "powersum", "E8", "-n", "2", "--format", "json")
+        code, out, _ = run(capsys, "powersum", "E8", "-n", "2")
+        assert code == 0
+        assert out.splitlines()[0].split() == ["type", "n", "method", "p", "value"]
 
     def test_closed_method(self, capsys):
         code, out, _ = run(

@@ -20,6 +20,7 @@ from coxsums import (
     powersum_todd_upto,
 )
 from coxsums.errors import UnsupportedDegree
+from coxsums.powersums import exponent_power_sums
 
 
 class TestDirect:
@@ -114,6 +115,18 @@ class TestHeightSums:
             for n in range(5):
                 want = sum(k * j**n for j, k in enumerate(dual.counts, start=1))
                 assert heightsum_direct(t, n).value == want, (label, n)
+
+
+def test_power_and_height_sums_match_brute_force_int_sums():
+    for t in catalog(12, 30):
+        exps = exponents(t).values
+        sums = exponent_power_sums(exponents(t), 8)
+        for n in range(9):
+            want = sum(m**n for m in exps)
+            assert sums[n] == want, (t.name, n)
+            assert powersum_direct(t, n).value == want, (t.name, n)
+            heights = sum(j**n for m in exps for j in range(1, m + 1))
+            assert heightsum_direct(t, n).value == heights, (t.name, n)
 
 
 class TestSweeps:

@@ -25,7 +25,8 @@ from coxsums import (
     x_sequence,
 )
 from coxsums.errors import ConstraintViolated, UnsupportedDegree
-from coxsums.todd import _todd_factor_log
+from coxsums import todd as todd_module
+from coxsums.todd import _bernoulli_numbers, _todd_factor_log
 
 
 def quotient_power_by_log_exp(pi, mu, order):
@@ -262,6 +263,14 @@ class TestBernoulliFaulhaber:
         assert bernoulli_polynomial(6) == (
             F(1, 42), F(0), F(-1, 2), F(0), F(5, 2), F(-3), F(1),
         )
+
+    def test_numbers_asked_out_of_order_match_factorial_series(self, monkeypatch):
+        monkeypatch.setattr(todd_module, "_BERNOULLI", [F(1)])
+        denom = TruncatedSeries([F(1, factorial(k + 1)) for k in range(151)])
+        series = denom.inverse()  # t / (exp(t) - 1)
+        want = tuple(series[k] * factorial(k) for k in range(151))
+        for n in (5, 150, 3):
+            assert _bernoulli_numbers(n) == want[: n + 1]
 
     def test_faulhaber_examples(self):
         assert faulhaber(1, 4) == 10
