@@ -166,6 +166,18 @@ class IntPolynomial:
         return out
 
 
+def one_minus_power_product(vs: Iterable[int]) -> IntPolynomial:
+    """prod(1 - q**v, v in vs), one in-place pass c_k -= c_{k-v} per factor."""
+    c = [1]
+    for v in vs:
+        if v < 1:
+            raise ValueError("exponent must be >= 1")
+        c += [0] * v
+        for k in range(len(c) - 1, v - 1, -1):
+            c[k] -= c[k - v]
+    return IntPolynomial(c)
+
+
 def poly_from_factors(
     m1_shift: int, v_plus: Iterable[int], v_minus: Iterable[int]
 ) -> IntPolynomial:
@@ -175,10 +187,5 @@ def poly_from_factors(
     """
     if m1_shift < 1:
         raise ValueError("shift exponent must be >= 1")
-    numerator = IntPolynomial.monomial(m1_shift)
-    for v in v_plus:
-        numerator = numerator * IntPolynomial.one_minus_power(v)
-    denominator = IntPolynomial([1])
-    for v in v_minus:
-        denominator = denominator * IntPolynomial.one_minus_power(v)
-    return numerator.exact_div(denominator)
+    numerator = IntPolynomial.monomial(m1_shift) * one_minus_power_product(v_plus)
+    return numerator.exact_div(one_minus_power_product(v_minus))

@@ -6,8 +6,9 @@ Binary operations between two series truncate to the shorter operand, so
 the result never pretends to more precision than its inputs.
 
 Reciprocals come from the recurrence
-b_k = -(a_1 b_{k-1} + ... + a_k b_0) / a_0, and rational powers go through
-the formal log/exp pair, always on the branch with constant term 1.
+b_k = -(a_1 b_{k-1} + ... + a_k b_0) / a_0, and rational powers from J.C.P.
+Miller's recurrence, always on the branch with constant term 1.  The formal
+log and exp stay public; no other operation goes through them.
 """
 
 from __future__ import annotations
@@ -156,10 +157,16 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def pow(self, exponent: Scalar) -> "TruncatedSeries":
-        """Raise to a rational power on the branch with constant term 1."""
-        if self[0] != 1:
-            raise ConstantTermNotOne(f"pow needs constant term 1, got {self[0]}")
-        e = Fraction(exponent)
-        if e == 0:
-            return TruncatedSeries.constant(1, self.order)
-        return (e * self.log()).exp()
+        """Raise to a rational power on the branch with constant term 1.
+
+        J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): b_0 = 1 and
+        k b_k = sum_{j=1..k} ((e+1) j - k) a_j b_{k-j}.
+        """
+        a = self._coeffs
+        if a[0] != 1:
+            raise ConstantTermNotOne(f"pow needs constant term 1, got {a[0]}")
+        e1 = Fraction(exponent) + 1
+        b = [Fraction(1)]
+        for k in range(1, len(a)):
+            b.append(sum((e1 * j - k) * a[j] * b[k - j] for j in range(1, k + 1)) / k)
+        return TruncatedSeries(b)

@@ -7,12 +7,13 @@ The gamma series of a parameter set is
 for a free positive integer p; its coefficients gamma_n feed the Todd
 polynomials.  It is built from the p-factor's D-finite recurrence with one
 in-place pass per factor (1 - v*t).  Td_n is evaluated for arbitrary n
-without symbolic roots: Newton's identities turn the gamma_n (elementary
-symmetric functions of virtual roots x_j) into power sums P_k, and
+without symbolic roots: with P_k the power sums of virtual roots x_j whose
+elementary symmetric functions are the gamma_n,
 
     sum_n Td_n t**n = exp(sum_k lambda_k P_k t**k)
 
 where lambda_k = -B_k / (k * k!) is the t**k coefficient of log(t / (1 - exp(-t))).
+One pass over k gives P_k by Newton's identity, then k Td_k = sum_j j lambda_j P_j Td_{k-j}.
 
 Sign conventions, fixed once here: the Todd factor t/(1-exp(-t)) has
 linear coefficient +1/2 (lambda_1 = -B_1 = +1/2), while the Bernoulli
@@ -56,7 +57,13 @@ class ToddValues:
     values: tuple[Fraction, ...]
 
 
-@lru_cache(maxsize=None)
+# Entries kept by each of the p_factor and gamma_series caches.  --beta admits
+# any rational and -p/-n any integer, so the keys are unbounded; a default
+# verify sweep uses 320 gamma_series keys and 11 p_factor keys.
+_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def p_factor(p: int, order: int) -> TruncatedSeries:
     """Expansion of ((1+p*t)/(1-p*t))**(1/p)."""
     if p < 1:
@@ -88,7 +95,7 @@ def p_factor_general(
     return reduce(mul, factors or [TruncatedSeries.constant(1, order)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def gamma_series(params: ParameterSet, p: int, order: int) -> GammaSeries:
     """Gamma series of a parameter set, from its V+/V- multisets."""
     if order < 2:
@@ -144,17 +151,6 @@ def _todd_factor_log(order: int) -> TruncatedSeries:
     return TruncatedSeries([0] + lam)
 
 
-def _newton_power_sums(e: Sequence[Fraction], n_max: int) -> list[Fraction]:
-    """Power sums P_1..P_n from elementary symmetric functions e_1..e_n."""
-    p = [Fraction(0)] * (n_max + 1)
-    for k in range(1, n_max + 1):
-        acc = (-1) ** (k - 1) * k * e[k]
-        for i in range(1, k):
-            acc += (-1) ** (i - 1) * e[i] * p[k - i]
-        p[k] = acc
-    return p
-
-
 def todd_values(g: GammaSeries | TruncatedSeries, n_max: int) -> ToddValues:
     """Td_0 .. Td_n evaluated at the gamma coefficients of g."""
     series = g.series if isinstance(g, GammaSeries) else g
@@ -162,12 +158,18 @@ def todd_values(g: GammaSeries | TruncatedSeries, n_max: int) -> ToddValues:
         raise ValueError("n_max must be >= 0")
     if n_max > series.order:
         raise ValueError("n_max exceeds the order of the gamma series")
-    power_sums = _newton_power_sums(series.coefficients, n_max)
+    # (-1)**(i-1) gamma_i, so that Newton's identity is a plain sum.
+    e = [c if i % 2 else -c for i, c in enumerate(series.coefficients[: n_max + 1])]
     lam = _todd_factor_log(n_max)
-    arg = TruncatedSeries(
-        [Fraction(0)] + [lam[k] * power_sums[k] for k in range(1, n_max + 1)]
-    )
-    return ToddValues(arg.exp().coefficients)
+    power = [Fraction(0)] * (n_max + 1)
+    weighted = []  # (j, j * lambda_j * P_j), skipping lambda_j = 0 (odd j >= 3)
+    td = [Fraction(1)]
+    for k in range(1, n_max + 1):
+        power[k] = k * e[k] + sum(e[i] * power[k - i] for i in range(1, k))
+        if lam[k]:
+            weighted.append((k, k * lam[k] * power[k]))
+        td.append(sum(w * td[k - j] for j, w in weighted) / k)
+    return ToddValues(tuple(td))
 
 
 def todd_closed(n: int, c: Sequence[Rational]) -> Fraction:

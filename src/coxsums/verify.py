@@ -35,7 +35,7 @@ from .catalog import (
     parameters,
 )
 from .errors import ConstantTermNotOne, NotAPolynomial, WrongFamily
-from .intpoly import IntPolynomial, poly_from_factors
+from .intpoly import IntPolynomial, one_minus_power_product
 from .series import TruncatedSeries
 
 @dataclass(frozen=True)
@@ -106,27 +106,21 @@ def check_expsum(
         vp = [int(v) for v in plus.elements()]
         vm = [int(v) for v in minus.elements()]
         lhs = IntPolynomial.from_exponents(el.values)
+        numerator = IntPolynomial.monomial(1) * one_minus_power_product(vp)
+        denominator = one_minus_power_product(vm)
         # Cross-multiplied form, always defined.
-        left = lhs * _product_poly(vm)
-        right = IntPolynomial.monomial(1) * _product_poly(vp)
-        if left != right:
-            failures.append(f"sum(q**m_i)*prod(V-) = {left} but q*prod(V+) = {right}")
+        left = lhs * denominator
+        if left != numerator:
+            failures.append(f"sum(q**m_i)*prod(V-) = {left} but q*prod(V+) = {numerator}")
         else:
             try:
-                quotient = poly_from_factors(1, vp, vm)
+                quotient = numerator.exact_div(denominator)
             except NotAPolynomial as e:
                 failures.append(str(e))
             else:
                 if quotient != lhs:
                     failures.append(f"division gives {quotient}, exponents give {lhs}")
     return _report("expsum", _subject(t, profile), failures)
-
-
-def _product_poly(vs: Sequence[int]) -> IntPolynomial:
-    out = IntPolynomial([1])
-    for v in vs:
-        out = out * IntPolynomial.one_minus_power(v)
-    return out
 
 
 def check_multiset_laws(
@@ -324,9 +318,8 @@ def check_de_kostant(
 def t_transform(f: TruncatedSeries, iterations: int = 1, ell: int = 2) -> TruncatedSeries:
     """Apply f(t) -> f(ell*t)**(1/ell) the given number of times.
 
-    Computed by J.C.P. Miller's power recurrence on g(t) = f(ell*t), one
-    O(n**2) pass per iteration:
-    k b_k = sum_{j=1..k} ((1 + 1/ell) j - k) g_j b_{k-j}.
+    Each iteration is g.pow(1/ell) with g(t) = f(ell*t), one O(n**2) pass of
+    Miller's power recurrence.
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
@@ -341,12 +334,8 @@ def t_transform(f: TruncatedSeries, iterations: int = 1, ell: int = 2) -> Trunca
 def _t_once(f: TruncatedSeries, ell: int) -> TruncatedSeries:
     if f[0] != 1:
         raise ConstantTermNotOne("T needs a series with constant term 1")
-    g = [ell**j * c for j, c in enumerate(f.coefficients)]
-    slope = 1 + Fraction(1, ell)
-    b = [Fraction(1)]
-    for k in range(1, f.order + 1):
-        b.append(sum((slope * j - k) * g[j] * b[k - j] for j in range(1, k + 1)) / k)
-    return TruncatedSeries(b)
+    g = TruncatedSeries([ell**j * c for j, c in enumerate(f.coefficients)])
+    return g.pow(Fraction(1, ell))
 
 
 def check_t_integrality(

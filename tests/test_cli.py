@@ -127,6 +127,17 @@ class TestPowersum:
         code, _, err = run(capsys, "powersum", "A2", "-n", "2", "--p", "0")
         assert code == 2 and err
 
+    def test_distinct_betas_keep_caches_bounded(self, capsys):
+        from coxsums import todd
+
+        for k in range(1, 601):
+            code, _, _ = run(
+                capsys, "powersum", "A2", "-n", "2", "--method", "todd", "--beta", f"{k}/7"
+            )
+            assert code == 0
+        for cached in (todd.gamma_series, todd.p_factor):
+            assert cached.cache_info().currsize <= todd._CACHE_SIZE
+
     def test_mismatch_exits_one(self, capsys, monkeypatch):
         import coxsums.powersums as powersums_module
 

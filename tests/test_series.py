@@ -5,7 +5,7 @@ from math import factorial, gcd
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxsums import TruncatedSeries
@@ -155,6 +155,15 @@ def test_property_exp_log_inverse_pair(tail):
 def test_property_pow_additivity(tail, u, v):
     a = TruncatedSeries([F(1)] + tail)
     assert a.pow(u + v) == a.pow(u) * a.pow(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=0, max_size=8), rationals)
+@example([F(3), F(-1, 2), F(0), F(5)], F(0))
+@example([F(2), F(1, 3), F(-4)], F(-5, 2))
+def test_property_pow_matches_log_exp_route(tail, e):
+    a = TruncatedSeries([F(1)] + tail)
+    assert a.pow(e) == (e * a.log()).exp()
 
 
 @settings(max_examples=40, deadline=None)

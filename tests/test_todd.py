@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coxsums import (
     GammaSeries,
     TruncatedSeries,
+    applicable_profiles,
     bernoulli_polynomial,
     catalog,
     faulhaber,
@@ -232,6 +233,28 @@ class TestToddValues:
         g = gamma_series(parameters(parse_type("A2")), 1, 3)
         with pytest.raises(ValueError):
             todd_values(g, 4)
+
+    def test_matches_exp_of_closed_form_power_sums(self):
+        # log gamma = (1/p) log((1+pt)/(1-pt)) - sum_{V+} log(1-vt) + sum_{V-} log(1-vt)
+        # gives the virtual roots' power sums without Newton's identities.
+        order = 30
+        lam = _todd_factor_log(order)
+        for t in catalog(12, 30):
+            for prof in applicable_profiles(t):
+                ps = parameters(t, prof)
+                for p in (1, 2, 3):
+                    power = [
+                        (-1) ** (k - 1)
+                        * (
+                            (2 * p ** (k - 1) if k % 2 else 0)
+                            + sum(v**k for v in ps.V_plus)
+                            - sum(v**k for v in ps.V_minus)
+                        )
+                        for k in range(1, order + 1)
+                    ]
+                    arg = TruncatedSeries([0] + [lam[k] * pk for k, pk in enumerate(power, 1)])
+                    got = todd_values(gamma_series(ps, p, order), order).values
+                    assert got == arg.exp().coefficients, (t.name, prof, p)
 
     def test_log_coefficients_match_log_of_inverse(self):
         denom = TruncatedSeries([F((-1) ** k, factorial(k + 1)) for k in range(41)])
