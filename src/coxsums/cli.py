@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -43,10 +44,17 @@ FORMATS = ("pretty", "json", "csv", "latex")
 # int-string digits.
 _MAX_BETA_EXPONENT = 4300
 
+# Every output format renders integers (numerators and denominators) of up
+# to this many decimal digits, and refuses larger ones by bit length first.
+_MAX_OUTPUT_DIGITS = 100_000
+_MAX_OUTPUT_BITS = int(_MAX_OUTPUT_DIGITS / math.log10(2))  # 2**bits <= 10**digits
+
 
 def _rational(value: Fraction | int):
     """JSON-facing value: plain int when integral, 'a/b' string otherwise."""
     f = Fraction(value)
+    if max(f.numerator.bit_length(), f.denominator.bit_length()) > _MAX_OUTPUT_BITS:
+        raise CoxError(f"a value exceeds the output bound of {_MAX_OUTPUT_DIGITS} digits")
     if f.denominator == 1:
         return int(f)
     return f"{f.numerator}/{f.denominator}"
@@ -67,13 +75,20 @@ class OutputDocument:
     kv_pretty: bool = False  # render pretty format as key: value lines
 
     def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self._render_json()
-        if fmt == "csv":
-            return self._render_csv()
-        if fmt == "latex":
-            return self._render_latex()
-        return self._render_pretty()
+        # _rational bounds every integer, so lift the interpreter's
+        # int-to-str digit limit to that bound while rendering.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(_MAX_OUTPUT_DIGITS)
+        try:
+            if fmt == "json":
+                return self._render_json()
+            if fmt == "csv":
+                return self._render_csv()
+            if fmt == "latex":
+                return self._render_latex()
+            return self._render_pretty()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def _json_value(self, value):
         if isinstance(value, (Fraction, int)):

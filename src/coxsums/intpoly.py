@@ -1,88 +1,87 @@
-"""Dense integer-coefficient polynomials in one variable q.
+"""Sparse integer-coefficient polynomials in one variable q.
 
-Coefficients are stored with no trailing zeros; the zero polynomial is
-the empty tuple.  Division is exact long division over the integers --
-a nonzero remainder (or a non-integer quotient step) is an error, never
-a rounding.
+A polynomial is a map from degree to nonzero coefficient, kept in
+increasing degree order; the zero polynomial is the empty map.  Every
+operation works on the terms only, so q - q**(10**6) costs two terms,
+not a million.  Division is exact long division over the integers, top
+term by top term -- a nonzero remainder (or a non-integer quotient
+step) is an error, never a rounding.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from typing import Iterable
 
 from .errors import NotAPolynomial
 
 
 class IntPolynomial:
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_terms",)
 
     def __init__(self, coefficients: Iterable[int] = ()):
+        """The polynomial with the given dense coefficient list c_0, c_1, ..."""
         coeffs = list(coefficients)
         for c in coeffs:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise TypeError(f"integer coefficient expected, got {c!r}")
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        self._terms = {n: c for n, c in enumerate(coeffs) if c}
+
+    @classmethod
+    def _from_terms(cls, terms: dict[int, int]) -> "IntPolynomial":
+        poly = cls.__new__(cls)
+        poly._terms = {n: terms[n] for n in sorted(terms) if terms[n]}
+        return poly
 
     @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "IntPolynomial":
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        return cls([0] * degree + [coeff])
-
-    @classmethod
-    def one_minus_power(cls, v: int) -> "IntPolynomial":
-        """The factor 1 - q**v."""
-        if v < 1:
-            raise ValueError("exponent must be >= 1")
-        return cls([1] + [0] * (v - 1) + [-1])
+        return cls._from_terms({degree: coeff})
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "IntPolynomial":
         """Sum of q**e over a multiset of nonnegative exponents."""
-        exps = list(exponents)
-        if not exps:
-            return cls()
-        coeffs = [0] * (max(exps) + 1)
-        for e in exps:
-            if e < 0:
-                raise ValueError("exponents must be >= 0")
-            coeffs[e] += 1
-        return cls(coeffs)
+        counts = Counter(exponents)
+        if any(e < 0 for e in counts):
+            raise ValueError("exponents must be >= 0")
+        return cls._from_terms(counts)
 
     @property
     def coefficients(self) -> tuple[int, ...]:
-        return self._coeffs
+        """Dense coefficients c_0..c_degree, with no trailing zeros."""
+        dense = [0] * (self.degree + 1)
+        for n, c in self._terms.items():
+            dense[n] = c
+        return tuple(dense)
 
     @property
     def degree(self) -> int:
-        return len(self._coeffs) - 1  # -1 for the zero polynomial
+        return next(reversed(self._terms), -1)  # -1 for the zero polynomial
 
     def coefficient(self, n: int) -> int:
-        return self._coeffs[n] if 0 <= n < len(self._coeffs) else 0
+        return self._terms.get(n, 0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(tuple(self._terms.items()))
 
     def __repr__(self) -> str:
-        return f"IntPolynomial({list(self._coeffs)})"
+        return f"IntPolynomial({list(self.coefficients)})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._terms:
             return "0"
         parts = []
-        for n, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
+        for n, c in self._terms.items():
             mag = abs(c)
             if n == 0:
                 term = str(mag)
@@ -96,61 +95,60 @@ class IntPolynomial:
             text += f" {sign} {term}"
         return text
 
+    def _combine(self, other: "IntPolynomial", sign: int) -> "IntPolynomial":
+        terms = dict(self._terms)
+        for n, c in other._terms.items():
+            terms[n] = terms.get(n, 0) + sign * c
+        return IntPolynomial._from_terms(terms)
+
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return IntPolynomial(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return IntPolynomial(
-            [self.coefficient(i) - other.coefficient(i) for i in range(n)]
-        )
+        return self._combine(other, -1)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if not self or not other:
-            return IntPolynomial()
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b:
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        terms: dict[int, int] = {}
+        for i, a in self._terms.items():
+            for j, b in other._terms.items():
+                terms[i + j] = terms.get(i + j, 0) + a * b
+        return IntPolynomial._from_terms(terms)
 
     def exact_div(self, divisor: "IntPolynomial") -> "IntPolynomial":
         """Exact quotient self / divisor, or NotAPolynomial."""
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return IntPolynomial()
-        rem = list(self._coeffs)
-        div = divisor._coeffs
-        lead = div[-1]
         dd = divisor.degree
-        if self.degree < dd:
-            raise NotAPolynomial(f"({self}) is not divisible by ({divisor})")
-        quot = [0] * (self.degree - dd + 1)
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + dd]
-            if c % lead != 0:
+        lead = divisor._terms[dd]
+        rem = dict(self._terms)
+        # Max-heap of the remainder's degrees; entries whose term has since
+        # cancelled are skipped when they surface.
+        heap = [-n for n in rem]
+        heapq.heapify(heap)
+        quot: dict[int, int] = {}
+        while rem:
+            top = -heapq.heappop(heap)
+            if top not in rem:
+                continue
+            c = rem[top]
+            if top < dd or c % lead != 0:
                 raise NotAPolynomial(f"({self}) is not divisible by ({divisor})")
-            q = c // lead
+            k, q = top - dd, c // lead
             quot[k] = q
-            if q:
-                for j, b in enumerate(div):
-                    rem[k + j] -= q * b
-        if any(rem):
-            raise NotAPolynomial(f"({self}) is not divisible by ({divisor})")
-        return IntPolynomial(quot)
+            for j, b in divisor._terms.items():
+                n = k + j
+                if n not in rem:
+                    heapq.heappush(heap, -n)
+                c = rem.pop(n, 0) - q * b
+                if c:
+                    rem[n] = c
+        return IntPolynomial._from_terms(quot)
 
     def exponents(self) -> list[int]:
         """Degrees with nonzero coefficient, with multiplicity when possible.
@@ -159,7 +157,7 @@ class IntPolynomial:
         every degree (sums of monomials q**e).
         """
         out: list[int] = []
-        for n, c in enumerate(self._coeffs):
+        for n, c in self._terms.items():
             if c < 0:
                 raise ValueError("polynomial is not a sum of monomials")
             out.extend([n] * c)
@@ -167,15 +165,13 @@ class IntPolynomial:
 
 
 def one_minus_power_product(vs: Iterable[int]) -> IntPolynomial:
-    """prod(1 - q**v, v in vs), one in-place pass c_k -= c_{k-v} per factor."""
-    c = [1]
+    """prod(1 - q**v, v in vs), a product of two-term factors."""
+    product = IntPolynomial([1])
     for v in vs:
         if v < 1:
             raise ValueError("exponent must be >= 1")
-        c += [0] * v
-        for k in range(len(c) - 1, v - 1, -1):
-            c[k] -= c[k - v]
-    return IntPolynomial(c)
+        product = product * IntPolynomial._from_terms({0: 1, v: -1})
+    return product
 
 
 def poly_from_factors(

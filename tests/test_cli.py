@@ -1,6 +1,7 @@
 """CLI behavior: formats, exit codes, determinism."""
 
 import json
+import sys
 import time
 
 import pytest
@@ -13,6 +14,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def decimal(n: int) -> str:
+    """str(n) with no limit on the number of digits."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestInfo:
@@ -65,6 +76,11 @@ class TestInfo:
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
         assert err.startswith(f"error: bad rational {beta!r}")
+
+    def test_beta_beyond_4300_digits_renders(self, capsys):
+        code, out, err = run(capsys, "info", "A1", "--beta", "1e4300")
+        assert code == 0 and not err
+        assert f"beta: {decimal(10**4300)}" in out.splitlines()
 
     def test_out_of_range_type(self, capsys):
         code, _, err = run(capsys, "info", "E9")
@@ -126,6 +142,29 @@ class TestPowersum:
     def test_bad_p(self, capsys):
         code, _, err = run(capsys, "powersum", "A2", "-n", "2", "--p", "0")
         assert code == 2 and err
+
+    def test_value_beyond_4300_digits_renders(self, capsys):
+        code, out, err = run(capsys, "powersum", "E8", "-n", "20000", "--method", "direct")
+        assert code == 0 and not err
+        expected = sum(m**20000 for m in (1, 7, 11, 13, 17, 19, 23, 29))
+        assert out.split()[-1] == decimal(expected)
+
+    def test_value_beyond_output_bound_is_refused_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "powersum", "E8", "-n", "100000", "--method", "direct")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == "error: a value exceeds the output bound of 100000 digits\n"
+
+    @pytest.mark.parametrize("n", ["20000", "100000"])
+    def test_digit_limit_restored(self, capsys, n):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            run(capsys, "powersum", "E8", "-n", n, "--method", "direct")
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
 
     def test_distinct_betas_keep_caches_bounded(self, capsys):
         from coxsums import todd
@@ -233,6 +272,27 @@ class TestVerify:
         assert code == 0
         assert "expsum A1 [standard]: PASS" in out
         assert "all checks passed" in out
+
+    def test_default_output_is_pinned(self, capsys, monkeypatch):
+        monkeypatch.delenv("COX_SEED", raising=False)
+        code, out, err = run(capsys, "verify")
+        assert code == 0 and not err
+        assert out == (
+            "verify: suites=all max-rank=12 max-m=30 n-max=12 seed=42\n"
+            "expsum: PASS (65 checks)\n"
+            "multiset: PASS (65 checks)\n"
+            "gamma: PASS (65 checks)\n"
+            "h-relation: PASS (65 checks)\n"
+            "beta: PASS (65 checks)\n"
+            "symmetry: PASS (64 checks)\n"
+            "todd-symm: PASS (45 checks)\n"
+            "kostant: PASS (12 checks)\n"
+            "t-transform: PASS (4 checks)\n"
+            "specializations: PASS (23 checks)\n"
+            "gamma34: PASS (128 checks)\n"
+            "methods: PASS (65 checks)\n"
+            "all checks passed\n"
+        )
 
     def test_full_small_sweep(self, capsys):
         code, out, _ = run(

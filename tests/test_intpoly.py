@@ -3,9 +3,12 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxsums import IntPolynomial, poly_from_factors
 from coxsums.errors import NotAPolynomial
+from coxsums.intpoly import one_minus_power_product
 
 
 def naive_mul(a, b):
@@ -24,6 +27,12 @@ def test_canonical_form():
     assert not IntPolynomial()
     assert IntPolynomial().degree == -1
     assert IntPolynomial([0, 1]).degree == 1
+    p = IntPolynomial([0, -2, 0, 0, 3, 0])
+    assert p.coefficients == (0, -2, 0, 0, 3)
+    assert repr(p) == "IntPolynomial([0, -2, 0, 0, 3])"
+    assert str(p) == "-2q + 3q^4"
+    assert p == IntPolynomial.monomial(1, -2) + IntPolynomial.monomial(4, 3)
+    assert hash(p) == hash(IntPolynomial(p.coefficients))
 
 
 def test_rejects_non_integers():
@@ -38,12 +47,6 @@ def test_from_exponents_multiset():
     assert p.coefficients == (0, 1, 0, 2, 0, 1)
     assert p.exponents() == [1, 3, 3, 5]
     assert str(p) == "q + 2q^3 + q^5"
-
-
-def test_one_minus_power():
-    assert IntPolynomial.one_minus_power(3).coefficients == (1, 0, 0, -1)
-    with pytest.raises(ValueError):
-        IntPolynomial.one_minus_power(0)
 
 
 def test_arithmetic_against_naive_oracle():
@@ -96,3 +99,30 @@ def test_factorization_not_a_polynomial():
 def test_factorization_shift_validation():
     with pytest.raises(ValueError):
         poly_from_factors(0, [2], [1])
+
+
+def test_sparse_terms_cost_no_degree():
+    # Two terms of degree 10**12: a dense list could not be built.
+    big = 10**12
+    p = IntPolynomial.monomial(1) * one_minus_power_product([big])
+    assert str(p) == f"q - q^{big + 1}"
+    assert p.degree == big + 1 and p.coefficient(big + 1) == -1
+    assert p.coefficient(big) == 0
+    assert (p * p).exact_div(p) == p
+    assert str(p + p - p) == str(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=60),
+)
+def test_property_geometric_quotient(k, a, v):
+    # q(1-q^(ka))/(1-q^k) = q + q^(k+1) + ... + q^(k(a-1)+1).
+    got = poly_from_factors(1, [k * a], [k])
+    assert got == IntPolynomial.from_exponents(1 + k * i for i in range(a))
+    if v % k:
+        with pytest.raises(NotAPolynomial) as info:
+            poly_from_factors(1, [v], [k])
+        assert str(info.value) == f"(q - q^{v + 1}) is not divisible by (1 - q^{k})"

@@ -2,12 +2,20 @@
 
 import dataclasses
 import re
+import time
 from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
 
-from coxsums import ExponentList, TruncatedSeries, parameters, parse_type, run_all
+from coxsums import (
+    CoxeterType,
+    ExponentList,
+    TruncatedSeries,
+    parameters,
+    parse_type,
+    run_all,
+)
 from coxsums.errors import ConstantTermNotOne, WrongFamily
 from coxsums.verify import (
     catalan,
@@ -58,14 +66,27 @@ class TestExpsum:
         bad = corrupt(ps, V_plus=(F(20), F(25)), A=F(20), B=F(25))
         report = check_expsum(parse_type("E8"), params=bad)
         assert not report.passed
-        assert report.witness
+        assert report.witness == (
+            "sum(q**m_i)*prod(V-) = q - q^21 - q^25 + q^45 "
+            "but q*prod(V+) = q - q^21 - q^26 + q^46"
+        )
 
     def test_fails_with_corrupt_exponents(self):
         report = check_expsum(
             parse_type("E8"),
             exps=ExponentList((1, 7, 11, 13, 17, 19, 23, 28)),
         )
-        assert not report.passed and report.witness
+        assert not report.passed
+        assert report.witness == (
+            "sum(q**m_i)*prod(V-) = q - q^21 - q^25 + q^28 - q^29 - q^34 + q^35 "
+            "- q^38 + q^39 + q^44 but q*prod(V+) = q - q^21 - q^25 + q^45"
+        )
+
+    def test_cost_does_not_grow_with_the_coxeter_number(self):
+        start = time.perf_counter()
+        report = check_expsum(CoxeterType("I2", 2 * 10**6))
+        assert time.perf_counter() - start < 1
+        assert report.passed, report.witness
 
 
 class TestMultisetLaws:
