@@ -368,19 +368,29 @@ def parameters(
     )
 
 
-def applicable_profiles(t: CoxeterType) -> tuple[str, ...]:
-    """Profiles that yield a parameter set for t, deduplicated by value."""
-    out: list[str] = []
-    seen: list[ParameterSet] = []
+def profile_parameters(t: CoxeterType) -> tuple[tuple[str, ParameterSet], ...]:
+    """(profile, parameter set) for each profile that yields one for t,
+    deduplicated by value; each concrete profile is built once."""
+    t = normalize(t)
+    out: list[tuple[str, ParameterSet]] = []
+    built: set[str] = set()
     for prof in ("standard", "redefined"):
         try:
-            ps = parameters(t, prof)
+            concrete = _profile_for(t, prof)
         except ProfileMismatch:
             continue
-        if ps not in seen:
-            seen.append(ps)
-            out.append(prof)
+        if concrete in built:
+            continue
+        built.add(concrete)
+        ps = parameters(t, prof)
+        if all(ps != seen for _, seen in out):
+            out.append((prof, ps))
     return tuple(out)
+
+
+def applicable_profiles(t: CoxeterType) -> tuple[str, ...]:
+    """Profiles that yield a parameter set for t, deduplicated by value."""
+    return tuple(prof for prof, _ in profile_parameters(t))
 
 
 def catalog(max_rank: int, max_m: int) -> list[CoxeterType]:

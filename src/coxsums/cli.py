@@ -49,6 +49,11 @@ _MAX_BETA_EXPONENT = 4300
 _MAX_OUTPUT_DIGITS = 100_000
 _MAX_OUTPUT_BITS = int(_MAX_OUTPUT_DIGITS / math.log10(2))  # 2**bits <= 10**digits
 
+# The Todd route costs about n**2 big-integer products whose operands grow
+# with n: E8 at n = 1000 takes seconds, at n = 5000 far longer.  Beyond this
+# bound --method todd and --method all are refused before any work.
+_MAX_TODD_N = 1000
+
 
 def _rational(value: Fraction | int):
     """JSON-facing value: plain int when integral, 'a/b' string otherwise."""
@@ -235,6 +240,9 @@ def _cmd_powersum(args) -> int:
         raise CoxError("p must be >= 1")
     if args.method == "closed" and args.n > 5:
         raise CoxError("the closed method needs n <= 5")
+    if args.method in ("todd", "all") and args.n > _MAX_TODD_N:
+        hint = " (use --method direct for larger n)" if args.method == "all" else ""
+        raise CoxError(f"the todd method needs n <= {_MAX_TODD_N}{hint}")
     params = parameters(t, _profile_arg(args), _parse_beta(args.beta))
     methods = []
     if args.method in ("direct", "all"):

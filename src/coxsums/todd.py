@@ -15,11 +15,21 @@ elementary symmetric functions are the gamma_n,
 where lambda_k = -B_k / (k * k!) is the t**k coefficient of log(t / (1 - exp(-t))).
 One pass over k gives P_k by Newton's identity, then k Td_k = sum_j j lambda_j P_j Td_{k-j}.
 
+The inner loops run on integers, and each returned coefficient becomes a
+Fraction once.  The p-factor's coefficients are g_k / (k! * w**k) with
+integer g_k; the V+/V- passes scale by the common denominator of V+ and
+V-; Td_k uses weighted homogeneity, Td_k(gamma_i * u**i) = u**k Td_k(gamma),
+for an integer u that clears every gamma_i, and Hirzebruch's Todd
+denominators M_k = prod_p p**(k // (p-1)), which make M_k Td_k an integer
+polynomial.  Every division in the Td pass is checked, so a table that
+breaks this integrality raises InternalMismatch instead of giving a value.
+
 Sign conventions, fixed once here: the Todd factor t/(1-exp(-t)) has
 linear coefficient +1/2 (lambda_1 = -B_1 = +1/2), while the Bernoulli
 numbers B_n and polynomials B_n(x) use the classical B_1 = -1/2.  All
-B_n come exactly from one table grown by sum_{k<=m} C(m+1, k) B_k = 0,
-which the Todd factor and Faulhaber's formula share; none is hard-coded.
+B_n come exactly from one table, built from the tangent numbers (Brent
+and Harvey's all-integer pass) and shared by the Todd factor, the Todd
+denominators and Faulhaber's formula; none is hard-coded.
 """
 
 from __future__ import annotations
@@ -27,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .catalog import ParameterSet
-from .errors import ConstraintViolated, UnsupportedDegree
+from .errors import ConstraintViolated, InternalMismatch, UnsupportedDegree
 from .series import TruncatedSeries
 
 Rational = Union[int, Fraction]
@@ -72,11 +82,29 @@ def p_factor(p: int, order: int) -> TruncatedSeries:
 
 
 def _quotient_power(pi: Fraction, mu: Fraction, order: int) -> TruncatedSeries:
-    """((1+pi*t)/(1-pi*t))**mu by (k+1) f_{k+1} = 2 pi mu f_k + pi**2 (k-1) f_{k-1}."""
-    f = [Fraction(1), 2 * pi * mu]
+    """((1+pi*t)/(1-pi*t))**mu by (k+1) f_{k+1} = 2 pi mu f_k + pi**2 (k-1) f_{k-1}.
+
+    With w = lcm(den(2 pi mu), den(pi)), f_k = g_k / (k! w**k) for the
+    integers g_{k+1} = (2 pi mu w) g_k + (pi w)**2 (k-1) k g_{k-1}.
+    """
+    slope = 2 * pi * mu
+    w = lcm(slope.denominator, pi.denominator)
+    a = slope.numerator * (w // slope.denominator)
+    b = (pi.numerator * (w // pi.denominator)) ** 2
+    g = [1, a]
     for k in range(1, order):
-        f.append((2 * pi * mu * f[k] + pi * pi * (k - 1) * f[k - 1]) / (k + 1))
-    return TruncatedSeries(f, order=order)
+        g.append(a * g[k] + b * (k - 1) * k * g[k - 1])
+    return TruncatedSeries(_over_scale(g, w), order=order)
+
+
+def _over_scale(numerators: Sequence[int], u: int) -> list[Fraction]:
+    """The Fractions numerators[k] / (k! * u**k)."""
+    out, scale = [], 1
+    for k, y in enumerate(numerators):
+        if k:
+            scale *= k * u
+        out.append(Fraction(y, scale))
+    return out
 
 
 def p_factor_general(
@@ -100,14 +128,22 @@ def gamma_series(params: ParameterSet, p: int, order: int) -> GammaSeries:
     """Gamma series of a parameter set, from its V+/V- multisets."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    c = list(p_factor(p, order).coefficients)
+    # c_k = y_k / (k! u**k), u clearing every v: the p-factor has c_k = g_k / k!.
+    u = lcm(*(v.denominator for v in params.V_plus + params.V_minus))
+    y, scale = [], 1
+    for k, c in enumerate(p_factor(p, order).coefficients):
+        if k:
+            scale *= k * u
+        y.append(c.numerator * (scale // c.denominator))
     for v in params.V_plus:  # times 1/(1 - v*t)
+        vu = v.numerator * (u // v.denominator)
         for k in range(1, order + 1):
-            c[k] += v * c[k - 1]
+            y[k] += vu * k * y[k - 1]
     for v in params.V_minus:  # times (1 - v*t)
+        vu = v.numerator * (u // v.denominator)
         for k in range(order, 0, -1):
-            c[k] -= v * c[k - 1]
-    return GammaSeries(TruncatedSeries(c), p)
+            y[k] -= vu * k * y[k - 1]
+    return GammaSeries(TruncatedSeries(_over_scale(y, u)), p)
 
 
 def x_sequence(params: ParameterSet, n_max: int) -> list[Fraction]:
@@ -146,9 +182,36 @@ def gamma_series_xn(params: ParameterSet, p: int, order: int) -> GammaSeries:
 
 def _todd_factor_log(order: int) -> TruncatedSeries:
     """log of t/(1-exp(-t)), whose derivative is -sum_{k>=1} B_k t**(k-1) / k!."""
-    b = _bernoulli_numbers(order)
-    lam = [-b[k] / (k * factorial(k)) for k in range(1, order + 1)]
-    return TruncatedSeries([0] + lam)
+    _, weights = _todd_tables(order)
+    return TruncatedSeries([0] + [weights[k] / k for k in range(1, order + 1)])
+
+
+# M_0, M_1, ...: Hirzebruch's Todd denominators; M_k Td_k has integer coefficients.
+_TODD_DENOMINATORS = [1]
+# j * lambda_j = -B_j / j! for j = 0, 1, ... (+1/2 at j = 1).
+_TODD_WEIGHTS = [Fraction(0)]
+
+
+def _todd_tables(n: int) -> tuple[list[int], list[Fraction]]:
+    """M_0 .. M_n and j*lambda_j for j <= n (or more), grown from the Bernoulli table.
+
+    M_k / M_{k-1} = prod(p prime, (p-1) | k) is 2 for odd k and, by von
+    Staudt-Clausen, the denominator of B_k for even k.
+    """
+    b = _bernoulli_numbers(n)
+    m, weights = _TODD_DENOMINATORS, _TODD_WEIGHTS
+    for k in range(len(m), n + 1):
+        m.append(m[-1] * (b[k].denominator if k % 2 == 0 else 2))
+    for j in range(len(weights), n + 1):
+        weights.append(-b[j] / factorial(j))
+    return m, weights
+
+
+def _exact_div(a: int, b: int, what: str) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise InternalMismatch(f"Todd pass: {what} is not an integer")
+    return q
 
 
 def todd_values(g: GammaSeries | TruncatedSeries, n_max: int) -> ToddValues:
@@ -160,16 +223,35 @@ def todd_values(g: GammaSeries | TruncatedSeries, n_max: int) -> ToddValues:
         raise ValueError("n_max exceeds the order of the gamma series")
     # (-1)**(i-1) gamma_i, so that Newton's identity is a plain sum.
     e = [c if i % 2 else -c for i, c in enumerate(series.coefficients[: n_max + 1])]
-    lam = _todd_factor_log(n_max)
-    power = [Fraction(0)] * (n_max + 1)
-    weighted = []  # (j, j * lambda_j * P_j), skipping lambda_j = 0 (odd j >= 3)
-    td = [Fraction(1)]
+    u = 1  # e_i u**i is an integer for every i
+    for i in range(1, n_max + 1):
+        d, ui = e[i].denominator, u**i
+        if ui % d:
+            u *= d // gcd(d, ui)
+    a = [0] + [c.numerator * (u**i // c.denominator) for i, c in enumerate(e[1:], 1)]
+    m, weights = _todd_tables(n_max)
+    q = [0] * (n_max + 1)  # Q_k = u**k P_k
+    weighted = []  # (j, M_j, M_j * j * lambda_j * Q_j), skipping lambda_j = 0 (odd j >= 3)
+    t = [1]  # T_k = M_k u**k Td_k
     for k in range(1, n_max + 1):
-        power[k] = k * e[k] + sum(e[i] * power[k - i] for i in range(1, k))
-        if lam[k]:
-            weighted.append((k, k * lam[k] * power[k]))
-        td.append(sum(w * td[k - j] for j, w in weighted) / k)
-    return ToddValues(tuple(td))
+        q[k] = k * a[k] + sum(a[i] * q[k - i] for i in range(1, k))
+        wk = weights[k]
+        if wk:
+            weight = _exact_div(wk.numerator * m[k], wk.denominator, f"M_{k} {k} lambda_{k}")
+            weighted.append((k, m[k], weight * q[k]))
+        # k T_k = sum_j (M_j j lambda_j Q_j) (M_k / (M_j M_{k-j})) T_{k-j}
+        mk, acc = m[k], 0
+        for j, mj, w in weighted:
+            carry, rest = divmod(mk, mj * m[k - j])
+            if rest:
+                raise InternalMismatch(f"Todd pass: M_{k} / (M_{j} M_{k - j}) is not an integer")
+            acc += w * carry * t[k - j]
+        t.append(_exact_div(acc, k, f"M_{k} u**{k} Td_{k}"))
+    values, scale = [], 1
+    for k, tk in enumerate(t):
+        values.append(Fraction(tk, m[k] * scale))
+        scale *= u
+    return ToddValues(tuple(values))
 
 
 def todd_closed(n: int, c: Sequence[Rational]) -> Fraction:
@@ -201,11 +283,37 @@ def todd_closed(n: int, c: Sequence[Rational]) -> Fraction:
 _BERNOULLI = [Fraction(1)]  # B_0, B_1, ... (B_1 = -1/2); only ever appended to
 
 
+def _tangent_numbers(n: int) -> list[int]:
+    """T_0 = 0, T_1 = 1, T_2 = 2, T_3 = 16, ... T_n (n >= 1), where
+    tan x = sum T_k x**(2k-1) / (2k-1)!; Brent and Harvey's all-integer O(n**2) pass.
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
 def _bernoulli_numbers(n: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_n in the classical convention (B_1 = -1/2)."""
+    """B_0 .. B_n in the classical convention (B_1 = -1/2).
+
+    B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k - 1)).  Each growth reruns the
+    tangent pass from the start, so the table grows by at least doubling.
+    """
     b = _BERNOULLI
-    for m in range(len(b), n + 1):
-        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    if n >= len(b):
+        top = max(n, 2 * len(b))
+        tangent = _tangent_numbers(top // 2)
+        for m in range(len(b), top + 1):
+            if m == 1:
+                b.append(Fraction(-1, 2))
+            elif m % 2:
+                b.append(Fraction(0))
+            else:
+                k, q = m // 2, 4 ** (m // 2)
+                b.append(Fraction((-1) ** (k - 1) * m * tangent[k], q * (q - 1)))
     return tuple(b[: n + 1])
 
 

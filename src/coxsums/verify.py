@@ -28,11 +28,11 @@ from .catalog import (
     CoxeterType,
     ExponentList,
     ParameterSet,
-    applicable_profiles,
     catalog,
     exponents,
     normalize,
     parameters,
+    profile_parameters,
 )
 from .errors import ConstantTermNotOne, WrongFamily
 from .intpoly import IntPolynomial, one_minus_power_product
@@ -558,9 +558,9 @@ Task = tuple[str, str, Callable[[], CheckReport]]
 
 def _per_profile(types: Sequence[CoxeterType], check: Callable[..., CheckReport]) -> list[Spec]:
     return [
-        (_subject(t, prof), partial(check, t, prof))
+        (_subject(t, prof), partial(check, t, prof, ps))
         for t in types
-        for prof in applicable_profiles(t)
+        for prof, ps in profile_parameters(t)
     ]
 
 

@@ -15,6 +15,7 @@ from coxsums import (
     parameters,
     parse_type,
 )
+from coxsums.catalog import profile_parameters
 from coxsums.errors import ParseError, ProfileMismatch, RangeError
 
 
@@ -295,6 +296,29 @@ class TestApplicableProfiles:
 
     def test_named_types_single(self):
         assert applicable_profiles(parse_type("E8")) == ("standard",)
+
+    def test_sets_match_parameters_and_dedupe_by_value(self):
+        for t in catalog(12, 30) + [CoxeterType("B", 3), CoxeterType("I2", 6)]:
+            pairs = profile_parameters(t)
+            assert tuple(prof for prof, _ in pairs) == applicable_profiles(t)
+            assert all(ps == parameters(t, prof) for prof, ps in pairs), t.name
+            sets = [ps for _, ps in pairs]
+            assert all(a != b for i, a in enumerate(sets) for b in sets[i + 1 :]), t.name
+
+    @pytest.mark.parametrize(
+        "label, builds", [("E8", 1), ("B3", 1), ("I2(8)", 2), ("I2(9)", 1), ("H2", 2)]
+    )
+    def test_each_concrete_profile_built_once(self, monkeypatch, label, builds):
+        import sys
+
+        catalog_module = sys.modules["coxsums.catalog"]
+        calls = []
+        real = catalog_module.parameters
+        monkeypatch.setattr(
+            catalog_module, "parameters", lambda *args: calls.append(args) or real(*args)
+        )
+        profile_parameters(parse_type(label))
+        assert len(calls) == builds
 
 
 def test_coxeter_numbers():

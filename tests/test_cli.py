@@ -166,6 +166,36 @@ class TestPowersum:
         finally:
             sys.set_int_max_str_digits(before)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["-n", "5000"],
+                "error: the todd method needs n <= 1000 (use --method direct for larger n)\n",
+            ),
+            (["-n", "1001", "--method", "todd"], "error: the todd method needs n <= 1000\n"),
+        ],
+    )
+    def test_deep_todd_route_is_refused_quickly(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "powersum", "E8", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == message
+
+    def test_todd_bound_is_inclusive(self, capsys, monkeypatch):
+        import coxsums.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_MAX_TODD_N", 10)
+        s10 = sum(m**10 for m in (1, 7, 11, 13, 17, 19, 23, 29))
+        for method in ("todd", "all"):
+            code, out, _ = run(capsys, "powersum", "E8", "-n", "10", "--method", method)
+            assert code == 0 and out.split()[-1] == str(s10)
+            code, _, err = run(capsys, "powersum", "E8", "-n", "11", "--method", method)
+            assert code == 2 and err.startswith("error: the todd method needs n <= 10")
+        code, _, _ = run(capsys, "powersum", "E8", "-n", "11", "--method", "direct")
+        assert code == 0
+
     def test_distinct_betas_keep_caches_bounded(self, capsys):
         from coxsums import todd
 

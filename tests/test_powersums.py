@@ -143,6 +143,17 @@ class TestSweeps:
                 if n <= 4:
                     assert heightsum_closed(t, n).value == heightsum_direct(t, n).value
 
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_todd_route_at_depth(self, p):
+        # At p = 3 the gamma series has denominators, so the Todd pass scales.
+        e8 = parse_type("E8")
+        want = tuple(exponent_power_sums(exponents(e8), 200))
+        assert powersum_todd_upto(e8, 200, p) == want
+
+    def test_dihedral_todd_route_at_depth(self):
+        t = parse_type("I2(17)")
+        assert powersum_todd(t, 150, 2).value == powersum_direct(t, 150).value
+
     def test_values_are_nonnegative_integers(self):
         for t in catalog(6, 10):
             for n in range(7):

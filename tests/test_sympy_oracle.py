@@ -1,11 +1,12 @@
 """Differential checks of the exact series kernels against sympy."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from coxsums import TruncatedSeries, faulhaber, p_factor, todd_values
-from coxsums.todd import _bernoulli_numbers, _todd_factor_log
+from coxsums.todd import _bernoulli_numbers, _todd_factor_log, _todd_tables
 
 sympy = pytest.importorskip("sympy")
 
@@ -59,3 +60,35 @@ def test_faulhaber_against_symbolic_summation():
         closed = sympy.summation(k**n, (k, 1, r))
         for value in range(12):
             assert faulhaber(n, value) == to_fraction(closed.subs(r, value)), (n, value)
+
+
+def test_todd_denominators_clear_the_todd_polynomials():
+    # Td = exp(sum_j l_j p_j s**j) with log(t / (1 - exp(-t))) = sum_j l_j t**j
+    # and the power sums p_j read off log(1 + c_1 s + ... + c_8 s**8).  M_k Td_k
+    # has integer coefficients, and M_k is the least such multiplier.
+    from sympy import QQ
+    from sympy.polys.rings import ring
+    from sympy.polys.ring_series import rs_exp, rs_log
+
+    order = 8
+    ring_, s, *c = ring(["s"] + [f"c{i}" for i in range(1, order + 1)], QQ)
+    log_todd = series_coefficients(sympy.log(t / (1 - sympy.exp(-t))), order)
+    log_c = rs_log(1 + sum(ci * s**i for i, ci in enumerate(c, 1)), s, order + 1)
+    arg = ring_(0)
+    for j in range(1, order + 1):
+        p_j = ring_({(0,) + m[1:]: v for m, v in log_c.items() if m[0] == j}) * j * (-1) ** (j - 1)
+        arg += QQ(log_todd[j].numerator, log_todd[j].denominator) * p_j * s**j
+    todd = rs_exp(arg, s, order + 1)
+    denominators, _ = _todd_tables(order)
+    for k in range(1, order + 1):
+        coeffs = [v for m, v in todd.items() if m[0] == k]
+        assert lcm(*(int(v.denominator) for v in coeffs)) == denominators[k], k
+    # The same polynomials, evaluated at a rational point, give todd_values.
+    gamma = [F(1), F(3), F(-1, 2), F(2, 9), F(5), F(-7, 4), F(1, 3), F(2), F(-1, 8)]
+    want = [F(0)] * (order + 1)
+    for m, v in todd.items():
+        term = F(int(v.numerator), int(v.denominator))
+        for x, e in zip(gamma[1:], m[1:]):
+            term *= x**e
+        want[m[0]] += term
+    assert todd_values(TruncatedSeries(gamma), order).values == tuple(want)

@@ -1,7 +1,7 @@
 """Gamma series, Todd values, Bernoulli polynomials, Faulhaber sums."""
 
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +25,9 @@ from coxsums import (
     todd_values,
     x_sequence,
 )
-from coxsums.errors import ConstraintViolated, UnsupportedDegree
+from coxsums.errors import ConstraintViolated, InternalMismatch, UnsupportedDegree
 from coxsums import todd as todd_module
-from coxsums.todd import _bernoulli_numbers, _todd_factor_log
+from coxsums.todd import _bernoulli_numbers, _quotient_power, _todd_factor_log, _todd_tables
 
 
 def quotient_power_by_log_exp(pi, mu, order):
@@ -37,7 +37,51 @@ def quotient_power_by_log_exp(pi, mu, order):
     return (num * den.inverse()).pow(mu)
 
 
+# -- Fraction oracles for the integer kernels of coxsums.todd --------------
+
+
+def bernoulli_by_recurrence(n):
+    """B_0 .. B_n from sum_{k<=m} C(m+1, k) B_k = 0."""
+    b = [F(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return tuple(b)
+
+
+def quotient_power_by_recurrence(pi, mu, order):
+    """(k+1) f_{k+1} = 2 pi mu f_k + pi**2 (k-1) f_{k-1} over Fractions."""
+    f = [F(1), 2 * pi * mu]
+    for k in range(1, order):
+        f.append((2 * pi * mu * f[k] + pi * pi * (k - 1) * f[k - 1]) / (k + 1))
+    return TruncatedSeries(f, order=order)
+
+
+def todd_values_by_newton_exp(series, n):
+    """Newton's identity, then k Td_k = sum_j (-B_j / j!) P_j Td_{k-j}, over Fractions."""
+    b = bernoulli_by_recurrence(n)
+    e = [c if i % 2 else -c for i, c in enumerate(series.coefficients[: n + 1])]
+    power = [F(0)] * (n + 1)
+    td = [F(1)]
+    for k in range(1, n + 1):
+        power[k] = k * e[k] + sum(e[i] * power[k - i] for i in range(1, k))
+        td.append(sum(-b[j] / factorial(j) * power[j] * td[k - j] for j in range(1, k + 1)) / k)
+    return tuple(td)
+
+
+def hirzebruch_denominator(k):
+    """M_k = prod over primes p of p**(k // (p-1))."""
+    primes = [p for p in range(2, k + 2) if all(p % d for d in range(2, p))]
+    return prod(p ** (k // (p - 1)) for p in primes)
+
+
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+# Zero, negative, and prime-power denominators up to 3**9, so the Todd pass
+# has to scale by u > 1.
+scaled_rationals = st.builds(
+    F,
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 25, 27, 49, 2**10, 3**9]),
+)
 
 
 class TestPFactor:
@@ -106,6 +150,12 @@ def test_property_p_factor_general_matches_log_exp_route(pi, mu, order):
     got = p_factor_general([(pi, mu), (1, rest)], 1, order)
     want = quotient_power_by_log_exp(pi, mu, order)
     assert got == want * quotient_power_by_log_exp(1, rest, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rationals, small_rationals, st.integers(min_value=0, max_value=20))
+def test_property_quotient_power_matches_fraction_recurrence(pi, mu, order):
+    assert _quotient_power(pi, mu, order) == quotient_power_by_recurrence(pi, mu, order)
 
 
 class TestGammaSeries:
@@ -261,6 +311,47 @@ class TestToddValues:
         assert _todd_factor_log(40) == denom.inverse().log()
 
 
+class TestToddIntegerPass:
+    def test_denominators_are_hirzebruchs(self):
+        denominators, _ = _todd_tables(60)
+        assert denominators[:61] == [hirzebruch_denominator(k) for k in range(61)]
+
+    def test_scaled_series_matches_fraction_route(self):
+        # gamma_i * u**i is an integer only for u divisible by 3 * 5 * 7.
+        series = TruncatedSeries(
+            [1, F(1, 3**9), F(-2, 25), 0, F(5, 7**4), F(1, 3), -4, F(7, 2**10)]
+        )
+        assert todd_values(series, 7).values == todd_values_by_newton_exp(series, 7)
+
+    @pytest.mark.parametrize("dropped", [2, 3, 5, 7])
+    def test_denominator_table_missing_a_prime_raises(self, monkeypatch, dropped):
+        n = 12
+        table = [
+            hirzebruch_denominator(k) // dropped ** (k // (dropped - 1)) for k in range(n + 1)
+        ]
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
+        g = gamma_series(parameters(parse_type("E8")), 1, n)
+        with pytest.raises(InternalMismatch):
+            todd_values(g, n)
+
+    def test_denominator_table_breaking_divisibility_raises(self, monkeypatch):
+        # M_1 M_3 no longer divides M_4; lambda_3 = 0, so no weight notices.
+        table = [hirzebruch_denominator(k) for k in range(13)]
+        table[3] *= 11
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
+        g = gamma_series(parameters(parse_type("E8")), 1, 12)
+        with pytest.raises(InternalMismatch):
+            todd_values(g, 12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(scaled_rationals, max_size=12), st.data())
+def test_property_todd_values_match_fraction_route(coefficients, data):
+    series = TruncatedSeries([1] + coefficients)
+    n = data.draw(st.integers(min_value=0, max_value=len(coefficients)))
+    assert todd_values(series, n).values == todd_values_by_newton_exp(series, n)
+
+
 class TestToddClosed:
     def test_fourth_at_ones(self):
         assert todd_closed(4, [1, 1, 1, 1]) == F(1, 120)
@@ -294,6 +385,18 @@ class TestBernoulliFaulhaber:
         want = tuple(series[k] * factorial(k) for k in range(151))
         for n in (5, 150, 3):
             assert _bernoulli_numbers(n) == want[: n + 1]
+
+    def test_tangent_table_matches_fraction_recurrence(self, monkeypatch):
+        monkeypatch.setattr(todd_module, "_BERNOULLI", [F(1)])
+        assert _bernoulli_numbers(300) == bernoulli_by_recurrence(300)
+
+    def test_table_grows_by_doubling(self, monkeypatch):
+        monkeypatch.setattr(todd_module, "_BERNOULLI", [F(1)])
+        for n in (1, 2, 40, 41, 42, 200):
+            before = len(todd_module._BERNOULLI)
+            _bernoulli_numbers(n)
+            after = len(todd_module._BERNOULLI)
+            assert after == before if n < before else after >= max(n + 1, 2 * before)
 
     def test_faulhaber_examples(self):
         assert faulhaber(1, 4) == 10

@@ -12,6 +12,7 @@ from coxsums import (
     CoxeterType,
     ExponentList,
     TruncatedSeries,
+    catalog,
     parameters,
     parse_type,
     run_all,
@@ -370,3 +371,21 @@ class TestRunAll:
         assert reports and all(r.suite == "expsum" for r in reports)
         with pytest.raises(ValueError):
             run_all(2, 3, 3, 1, suites=["nope"])
+
+    def test_per_profile_checks_get_the_built_parameter_sets(self, monkeypatch):
+        import coxsums.verify as verify_module
+        from coxsums.catalog import profile_parameters
+        from coxsums.verify import CheckReport, build_tasks
+
+        seen = []
+
+        def record(t, profile=None, params=None):
+            seen.append((t, profile, params))
+            return CheckReport("gamma", t.name, True)
+
+        monkeypatch.setattr(verify_module, "check_gamma_formula", record)
+        tasks = build_tasks(4, 9, 3, 1, suites=["gamma"])
+        for _, _, check in tasks:
+            check()
+        want = [(t, prof, ps) for t in catalog(4, 9) for prof, ps in profile_parameters(t)]
+        assert seen == want
