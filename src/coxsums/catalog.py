@@ -60,7 +60,8 @@ class CoxeterType:
             "I2": n >= 3,
         }[f]
         if not ok:
-            raise RangeError(f"{f}{n} is outside the classification")
+            label = f"I2({n})" if f == "I2" else f"{f}{n}"
+            raise RangeError(f"{label} is outside the classification")
 
     @property
     def rank(self) -> int:

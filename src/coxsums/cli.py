@@ -51,7 +51,9 @@ _MAX_OUTPUT_BITS = int(_MAX_OUTPUT_DIGITS / math.log10(2))  # 2**bits <= 10**dig
 
 # The Todd route costs about n**2 big-integer products whose operands grow
 # with n: E8 at n = 1000 takes seconds, at n = 5000 far longer.  Beyond this
-# bound --method todd and --method all are refused before any work.
+# bound --method todd and --method all are refused before any work, and so
+# is verify --n-max when a suite that reads it runs: methods takes the Todd
+# route and specializations the gamma series up to n-max.
 _MAX_TODD_N = 1000
 
 
@@ -354,6 +356,8 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise CoxError("jobs must be >= 1")
+    if args.suite in ("all", "methods", "specializations") and args.n_max > _MAX_TODD_N:
+        raise CoxError(f"n-max must be <= {_MAX_TODD_N}")
     seed = args.seed
     if seed is None:
         text = os.environ.get("COX_SEED", "42")

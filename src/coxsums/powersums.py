@@ -54,26 +54,33 @@ def powersum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     return PowerSumResult(normalize(t), n, value, "direct")
 
 
-def powersum_todd_upto(
-    t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
-) -> tuple[Fraction, ...]:
-    """sum(m_i**k) = k! * r * Td_k for k = 0..n, from one gamma series."""
+def _todd_route(
+    t: CoxeterType, n: int, p: int, params: ParameterSet | None
+) -> tuple[int, tuple[Fraction, ...]]:
+    """The rank r and Td_0 .. Td_n of the gamma series."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
     ps = _params(t, params)
     g = _todd.gamma_series(ps, p, max(n, 2))
-    td = _todd.todd_values(g, n)
-    return tuple(factorial(k) * ps.r * td.values[k] for k in range(n + 1))
+    return ps.r, _todd.todd_values(g, n).values
+
+
+def powersum_todd_upto(
+    t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
+) -> tuple[Fraction, ...]:
+    """sum(m_i**k) = k! * r * Td_k for k = 0..n, from one gamma series."""
+    r, td = _todd_route(t, n, p, params)
+    return tuple(factorial(k) * r * td[k] for k in range(n + 1))
 
 
 def powersum_todd(
     t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
 ) -> PowerSumResult:
     """sum(m_i**n) as n! * r * Td_n of the gamma series."""
-    value = powersum_todd_upto(t, n, p, params)[n]
-    return PowerSumResult(normalize(t), n, value, "todd")
+    r, td = _todd_route(t, n, p, params)
+    return PowerSumResult(normalize(t), n, factorial(n) * r * td[n], "todd")
 
 
 def _r45(ps: ParameterSet) -> Fraction:

@@ -23,6 +23,8 @@ for an integer u that clears every gamma_i, and Hirzebruch's Todd
 denominators M_k = prod_p p**(k // (p-1)), which make M_k Td_k an integer
 polynomial.  Every division in the Td pass is checked, so a table that
 breaks this integrality raises InternalMismatch instead of giving a value.
+The pass is generic over the coefficient ring: run over MPoly with c_i in
+place of gamma_i, it gives the integer polynomials M_k Td_k themselves.
 
 Sign conventions, fixed once here: the Todd factor t/(1-exp(-t)) has
 linear coefficient +1/2 (lambda_1 = -B_1 = +1/2), while the Bernoulli
@@ -43,6 +45,7 @@ from typing import Iterable, Sequence, Union
 
 from .catalog import ParameterSet
 from .errors import ConstraintViolated, InternalMismatch, UnsupportedDegree
+from .mpoly import MPoly
 from .series import TruncatedSeries
 
 Rational = Union[int, Fraction]
@@ -207,11 +210,39 @@ def _todd_tables(n: int) -> tuple[list[int], list[Fraction]]:
     return m, weights
 
 
-def _exact_div(a: int, b: int, what: str) -> int:
+def _exact_div(a, b: int, what: str):
     q, r = divmod(a, b)
     if r:
         raise InternalMismatch(f"Todd pass: {what} is not an integer")
     return q
+
+
+def _todd_pass(a: Sequence) -> list:
+    """T_0 .. T_n, T_k = M_k Td_k(gamma), from a_i = (-1)**(i-1) gamma_i and a_0 = 1.
+
+    The a_i may lie in any ring where ints act by multiplication, with
+    divmod by an int: ints, or MPoly for the polynomials themselves.
+    """
+    n = len(a) - 1
+    m, weights = _todd_tables(n)
+    q = [0] * (n + 1)  # P_k, by Newton's identity
+    weighted = []  # (j, M_j, M_j * j * lambda_j * P_j), skipping lambda_j = 0 (odd j >= 3)
+    t = [a[0]]
+    for k in range(1, n + 1):
+        q[k] = sum((a[i] * q[k - i] for i in range(1, k)), k * a[k])
+        wk = weights[k]
+        if wk:
+            weight = _exact_div(wk.numerator * m[k], wk.denominator, f"M_{k} {k} lambda_{k}")
+            weighted.append((k, m[k], weight * q[k]))
+        # k T_k = sum_j (M_j j lambda_j P_j) (M_k / (M_j M_{k-j})) T_{k-j}
+        mk, acc = m[k], 0
+        for j, mj, w in weighted:
+            carry, rest = divmod(mk, mj * m[k - j])
+            if rest:
+                raise InternalMismatch(f"Todd pass: M_{k} / (M_{j} M_{k - j}) is not an integer")
+            acc += carry * t[k - j] * w
+        t.append(_exact_div(acc, k, f"M_{k} Td_{k}"))
+    return t
 
 
 def todd_values(g: GammaSeries | TruncatedSeries, n_max: int) -> ToddValues:
@@ -228,30 +259,31 @@ def todd_values(g: GammaSeries | TruncatedSeries, n_max: int) -> ToddValues:
         d, ui = e[i].denominator, u**i
         if ui % d:
             u *= d // gcd(d, ui)
-    a = [0] + [c.numerator * (u**i // c.denominator) for i, c in enumerate(e[1:], 1)]
-    m, weights = _todd_tables(n_max)
-    q = [0] * (n_max + 1)  # Q_k = u**k P_k
-    weighted = []  # (j, M_j, M_j * j * lambda_j * Q_j), skipping lambda_j = 0 (odd j >= 3)
-    t = [1]  # T_k = M_k u**k Td_k
-    for k in range(1, n_max + 1):
-        q[k] = k * a[k] + sum(a[i] * q[k - i] for i in range(1, k))
-        wk = weights[k]
-        if wk:
-            weight = _exact_div(wk.numerator * m[k], wk.denominator, f"M_{k} {k} lambda_{k}")
-            weighted.append((k, m[k], weight * q[k]))
-        # k T_k = sum_j (M_j j lambda_j Q_j) (M_k / (M_j M_{k-j})) T_{k-j}
-        mk, acc = m[k], 0
-        for j, mj, w in weighted:
-            carry, rest = divmod(mk, mj * m[k - j])
-            if rest:
-                raise InternalMismatch(f"Todd pass: M_{k} / (M_{j} M_{k - j}) is not an integer")
-            acc += w * carry * t[k - j]
-        t.append(_exact_div(acc, k, f"M_{k} u**{k} Td_{k}"))
+    # By weighted homogeneity the pass over e_i u**i gives T_k = M_k u**k Td_k.
+    a = [1] + [c.numerator * (u**i // c.denominator) for i, c in enumerate(e[1:], 1)]
+    t = _todd_pass(a)
+    m, _ = _todd_tables(n_max)
     values, scale = [], 1
     for k, tk in enumerate(t):
         values.append(Fraction(tk, m[k] * scale))
         scale *= u
     return ToddValues(tuple(values))
+
+
+# T_0, T_1, ...: T_k = M_k Td_k in Z[c_1..c_k]; rebuilt longer when asked for more.
+_TODD_POLYNOMIALS = [MPoly({(): 1})]
+
+
+def todd_polynomials(n: int) -> tuple[MPoly, ...]:
+    """M_0 Td_0 .. M_n Td_n as integer polynomials in the gamma coefficients c_i."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    table = _TODD_POLYNOMIALS
+    if n >= len(table):
+        c = [MPoly.variable(i) for i in range(1, n + 1)]
+        signed = [ci if i % 2 else -ci for i, ci in enumerate(c, 1)]
+        table[:] = _todd_pass([MPoly({(): 1})] + signed)
+    return tuple(table[: n + 1])
 
 
 def todd_closed(n: int, c: Sequence[Rational]) -> Fraction:

@@ -6,6 +6,10 @@ with both side values.  Checks accept their inputs (parameter sets,
 exponent lists, evaluators) as optional arguments so tests can inject a
 corrupted constant and prove the suite is able to fail.
 
+The Todd-symmetry suite is an exact identity over Z[c_1..c_n], built
+from the integer polynomials M_k Td_k of ``coxsums.todd``; its seed
+only picks the rational points at which the Todd values are checked.
+
 ``build_tasks`` lays out every sub-check of the selected suites in a
 fixed catalog order, from one table that maps each suite name to its
 checks; ``run_tasks`` executes them in that order, and a check that
@@ -18,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from random import Random
 from typing import Callable, Sequence
 
@@ -36,6 +40,7 @@ from .catalog import (
 )
 from .errors import ConstantTermNotOne, WrongFamily
 from .intpoly import IntPolynomial, one_minus_power_product
+from .mpoly import MPoly
 from .series import TruncatedSeries
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ def check_symmetry_identities(
     return _report("symmetry", _subject(t), failures)
 
 
-# -- Todd symmetry by randomized evaluation -------------------------------
+# -- Todd symmetry: an exact identity, and todd_fn at seeded points -------
 
 
 def _default_todd(series: TruncatedSeries, n_max: int) -> Sequence[Fraction]:
@@ -238,9 +243,12 @@ def check_todd_symmetry(
 ) -> CheckReport:
     """Alternating binomial identity between c_1**j (a+b-j)! Td_{a+b-j} terms.
 
-    Polynomial identity testing: both sides are evaluated at seeded
-    pseudo-random rational tuples (numerators and denominators up to
-    100) and must agree exactly at every sample.
+    With n = a+b, both sides times M_n are compared as polynomials in
+    Z[c_1..c_n], built from W_k = k! (M_n/M_k) M_k Td_k (todd_polynomials),
+    so the identity is proved, not sampled.  Then todd_fn is checked at
+    seeded pseudo-random rational points (numerators and denominators up
+    to 100): the same identity over its values must hold exactly at every
+    sample, compared in integers over one common denominator.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
@@ -248,6 +256,17 @@ def check_todd_symmetry(
         raise ValueError("samples must be >= 1")
     evaluate = todd_fn if todd_fn is not None else _default_todd
     n = a + b
+    subject = f"(a={a}, b={b})"
+    m, _ = _todd._todd_tables(n)
+    w = [factorial(k) * (m[n] // m[k]) * tk for k, tk in enumerate(_todd.todd_polynomials(n))]
+    c = MPoly.variable(1)
+    lhs, rhs = _alternating_sum(a, c, w, n), _alternating_sum(b, c, w, n)
+    if lhs != rhs:
+        return _report(
+            "todd-symm", subject, [f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"]
+        )
+    # Sides times den(c_1)**top * lcm(den(Td_k)): j <= top, and only k >= n - top are read.
+    top, low = max(a, b), min(a, b)
     rng = Random(f"{seed}:{a}:{b}")
     failures = []
     for trial in range(samples):
@@ -257,13 +276,20 @@ def check_todd_symmetry(
         series = TruncatedSeries([Fraction(1)] + cs)
         td = evaluate(series, n)
         c1 = cs[0] if cs else Fraction(0)
-        scaled = [factorial(k) * td[k] for k in range(n + 1)]
-        lhs = _alternating_sum(a, c1, scaled, n)
-        rhs = _alternating_sum(b, c1, scaled, n)
+        den = lcm(*(td[k].denominator for k in range(n + 1)))
+        scaled = [0] * low + [
+            factorial(k) * c1.denominator ** (k - low) * v.numerator * (den // v.denominator)
+            for k, v in enumerate(td[low : n + 1], low)
+        ]
+        lhs = _alternating_sum(a, c1.numerator, scaled, n)
+        rhs = _alternating_sum(b, c1.numerator, scaled, n)
         if lhs != rhs:
-            failures.append(f"sample {trial}, c = {cs}: {lhs} != {rhs}")
+            whole = c1.denominator**top * den
+            failures.append(
+                f"sample {trial}, c = {cs}: {Fraction(lhs, whole)} != {Fraction(rhs, whole)}"
+            )
             break
-    return _report("todd-symm", f"(a={a}, b={b})", failures)
+    return _report("todd-symm", subject, failures)
 
 
 # -- D/E parameters in Kostant form ---------------------------------------

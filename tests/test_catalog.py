@@ -49,6 +49,21 @@ class TestParse:
         with pytest.raises(RangeError):
             parse_type(text)
 
+    @pytest.mark.parametrize(
+        "family, index, label",
+        [
+            ("I2", 0, "I2(0)"),
+            ("I2", 1, "I2(1)"),
+            ("I2", 2, "I2(2)"),
+            ("D", 3, "D3"),
+            ("A", 0, "A0"),
+        ],
+    )
+    def test_range_error_names_the_type(self, family, index, label):
+        with pytest.raises(RangeError) as info:
+            CoxeterType(family, index)
+        assert str(info.value) == f"{label} is outside the classification"
+
 
 class TestNormalize:
     def test_b_to_c(self):

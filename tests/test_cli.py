@@ -90,6 +90,14 @@ class TestInfo:
         code, _, err = run(capsys, "info", "wat")
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "label, name", [("I2(0)", "I2(0)"), ("I2(1)", "I2(1)"), ("I2(2)", "I2(2)"), ("D3", "D3")]
+    )
+    def test_out_of_range_type_is_named(self, capsys, label, name):
+        code, out, err = run(capsys, "info", label)
+        assert code == 2 and not out
+        assert err == f"error: {name} is outside the classification\n"
+
     def test_normalizes_label(self, capsys):
         code, out, _ = run(capsys, "info", "B5", "--format", "json")
         assert code == 0
@@ -436,6 +444,43 @@ class TestVerify:
         assert code == 2
         assert err == f"error: n_max must be {message}\n"
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "methods", "--n-max", "1500", "--max-rank", "1", "--max-m", "3"],
+            ["--suite", "specializations", "--n-max", "20000"],
+            ["--n-max", "1001"],
+        ],
+    )
+    def test_deep_n_max_is_refused_quickly(self, capsys, monkeypatch, argv):
+        import coxsums.verify as verify_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in ("check_methods", "check_gamma_specializations", "check_expsum"):
+            monkeypatch.setattr(verify_module, name, never)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == "error: n-max must be <= 1000\n"
+
+    def test_n_max_bound_is_inclusive_and_only_for_suites_that_read_it(
+        self, capsys, monkeypatch
+    ):
+        import coxsums.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_MAX_TODD_N", 10)
+        small = ("--max-rank", "2", "--max-m", "3")
+        for suite in ("methods", "specializations"):
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--n-max", "10", *small)
+            assert code == 0 and out.endswith("all checks passed\n")
+            code, out, err = run(capsys, "verify", "--suite", suite, "--n-max", "11", *small)
+            assert code == 2 and not out and err == "error: n-max must be <= 10\n"
+        code, out, _ = run(capsys, "verify", "--suite", "symmetry", "--n-max", "11", *small)
+        assert code == 0 and "n-max=11" in out
 
     def test_methods_alone_accepts_n_max_zero(self, capsys):
         code, out, _ = run(

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 from coxsums import TruncatedSeries, faulhaber, p_factor, todd_values
-from coxsums.todd import _bernoulli_numbers, _todd_factor_log, _todd_tables
+from coxsums.todd import _bernoulli_numbers, _todd_factor_log, _todd_tables, todd_polynomials
 
 sympy = pytest.importorskip("sympy")
 
@@ -62,15 +62,17 @@ def test_faulhaber_against_symbolic_summation():
             assert faulhaber(n, value) == to_fraction(closed.subs(r, value)), (n, value)
 
 
-def test_todd_denominators_clear_the_todd_polynomials():
-    # Td = exp(sum_j l_j p_j s**j) with log(t / (1 - exp(-t))) = sum_j l_j t**j
-    # and the power sums p_j read off log(1 + c_1 s + ... + c_8 s**8).  M_k Td_k
-    # has integer coefficients, and M_k is the least such multiplier.
+def sympy_todd_polynomials(order):
+    """Td_0 .. Td_order as {exponents of (c_1..c_order): QQ coefficient} dicts.
+
+    Td = exp(sum_j l_j p_j s**j) with log(t / (1 - exp(-t))) = sum_j l_j t**j
+    and the power sums p_j read off log(1 + c_1 s + ... + c_order s**order),
+    by sympy's ring_series.
+    """
     from sympy import QQ
     from sympy.polys.rings import ring
     from sympy.polys.ring_series import rs_exp, rs_log
 
-    order = 8
     ring_, s, *c = ring(["s"] + [f"c{i}" for i in range(1, order + 1)], QQ)
     log_todd = series_coefficients(sympy.log(t / (1 - sympy.exp(-t))), order)
     log_c = rs_log(1 + sum(ci * s**i for i, ci in enumerate(c, 1)), s, order + 1)
@@ -79,16 +81,42 @@ def test_todd_denominators_clear_the_todd_polynomials():
         p_j = ring_({(0,) + m[1:]: v for m, v in log_c.items() if m[0] == j}) * j * (-1) ** (j - 1)
         arg += QQ(log_todd[j].numerator, log_todd[j].denominator) * p_j * s**j
     todd = rs_exp(arg, s, order + 1)
+    out = [{} for _ in range(order + 1)]
+    for m, v in todd.items():
+        out[m[0]][m[1:]] = v
+    return out
+
+
+def test_todd_denominators_clear_the_todd_polynomials():
+    # M_k Td_k has integer coefficients, and M_k is the least such multiplier.
+    order = 8
+    todd = sympy_todd_polynomials(order)
     denominators, _ = _todd_tables(order)
     for k in range(1, order + 1):
-        coeffs = [v for m, v in todd.items() if m[0] == k]
-        assert lcm(*(int(v.denominator) for v in coeffs)) == denominators[k], k
+        assert lcm(*(int(v.denominator) for v in todd[k].values())) == denominators[k], k
     # The same polynomials, evaluated at a rational point, give todd_values.
     gamma = [F(1), F(3), F(-1, 2), F(2, 9), F(5), F(-7, 4), F(1, 3), F(2), F(-1, 8)]
     want = [F(0)] * (order + 1)
-    for m, v in todd.items():
-        term = F(int(v.numerator), int(v.denominator))
-        for x, e in zip(gamma[1:], m[1:]):
-            term *= x**e
-        want[m[0]] += term
+    for k in range(order + 1):
+        for m, v in todd[k].items():
+            term = F(int(v.numerator), int(v.denominator))
+            for x, e in zip(gamma[1:], m):
+                term *= x**e
+            want[k] += term
     assert todd_values(TruncatedSeries(gamma), order).values == tuple(want)
+
+
+def test_todd_polynomials_match_ring_series():
+    order = 8
+    todd = sympy_todd_polynomials(order)
+    denominators, _ = _todd_tables(order)
+    for k, poly in enumerate(todd_polynomials(order)):
+        want = {}
+        for m, v in todd[k].items():
+            scaled = v * denominators[k]
+            assert scaled.denominator == 1
+            exps = tuple(m)
+            while exps and not exps[-1]:
+                exps = exps[:-1]
+            want[exps] = int(scaled.numerator)
+        assert poly.terms == want, k

@@ -27,7 +27,14 @@ from coxsums import (
 )
 from coxsums.errors import ConstraintViolated, InternalMismatch, UnsupportedDegree
 from coxsums import todd as todd_module
-from coxsums.todd import _bernoulli_numbers, _quotient_power, _todd_factor_log, _todd_tables
+from coxsums.mpoly import MPoly
+from coxsums.todd import (
+    _bernoulli_numbers,
+    _quotient_power,
+    _todd_factor_log,
+    _todd_tables,
+    todd_polynomials,
+)
 
 
 def quotient_power_by_log_exp(pi, mu, order):
@@ -350,6 +357,55 @@ def test_property_todd_values_match_fraction_route(coefficients, data):
     series = TruncatedSeries([1] + coefficients)
     n = data.draw(st.integers(min_value=0, max_value=len(coefficients)))
     assert todd_values(series, n).values == todd_values_by_newton_exp(series, n)
+
+
+def printed_todd_numerators(c):
+    """M_k Td_k for k <= 5 as printed (M = 1, 2, 12, 24, 720, 1440), in any ring."""
+    c1, c2, c3, c4 = c[:4]
+    return [
+        1,
+        c1,
+        c1**2 + c2,
+        c1 * c2,
+        -(c1**4) + 4 * c1**2 * c2 + c1 * c3 + 3 * c2**2 - c4,
+        -(c1**3) * c2 + 3 * c1 * c2**2 + c1**2 * c3 - c1 * c4,
+    ]
+
+
+class TestToddPolynomials:
+    def test_match_the_printed_forms(self):
+        variables = [MPoly.variable(i) for i in range(1, 5)]
+        printed = [MPoly({(): 1})] + printed_todd_numerators(variables)[1:]
+        assert [p.terms for p in todd_polynomials(5)] == [p.terms for p in printed]
+
+    def test_printed_forms_are_todd_closed(self):
+        point = [F(2, 3), F(-5), F(7, 4), F(1, 9), F(3)]
+        m, _ = _todd_tables(5)
+        for k, numerator in enumerate(printed_todd_numerators(point)):
+            assert F(numerator) / m[k] == todd_closed(k, point), k
+
+    def test_rebuilt_table_is_the_same(self, monkeypatch):
+        monkeypatch.setattr(todd_module, "_TODD_POLYNOMIALS", [MPoly({(): 1})])
+        short = todd_polynomials(4)
+        assert todd_polynomials(9)[:5] == short
+        assert todd_polynomials(2) == short[:3]
+        assert len(todd_module._TODD_POLYNOMIALS) == 10
+
+    def test_weighted_homogeneous(self):
+        # Td_k(c_i u**i) = u**k Td_k(c): every monomial of T_k has weight k.
+        for k, p in enumerate(todd_polynomials(12)):
+            assert p and {sum(i * e for i, e in enumerate(m, 1)) for m in p.terms} == {k}
+
+    def test_denominator_table_missing_a_prime_raises(self, monkeypatch):
+        table = [hirzebruch_denominator(k) // 3 ** (k // 2) for k in range(9)]
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
+        monkeypatch.setattr(todd_module, "_TODD_POLYNOMIALS", [MPoly({(): 1})])
+        with pytest.raises(InternalMismatch):
+            todd_polynomials(8)
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError):
+            todd_polynomials(-1)
 
 
 class TestToddClosed:

@@ -4,7 +4,8 @@ import dataclasses
 import re
 import time
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, prod
+from random import Random
 
 import pytest
 
@@ -41,6 +42,24 @@ from coxsums.todd import p_factor, todd_closed
 
 def corrupt(ps, **changes):
     return dataclasses.replace(ps, **changes)
+
+
+def todd_symmetry_witness_by_fractions(a, b, samples, seed, todd_fn):
+    """The seeded-point part of check_todd_symmetry, term by term over Fractions."""
+    n = a + b
+    rng = Random(f"{seed}:{a}:{b}")
+    for trial in range(samples):
+        cs = [F(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)]
+        td = todd_fn(TruncatedSeries([F(1)] + cs), n)
+        c1 = cs[0] if cs else F(0)
+        scaled = [factorial(k) * td[k] for k in range(n + 1)]
+        sides = [
+            sum((-1) ** (x - j) * comb(x, j) * c1**j * scaled[n - j] for j in range(x + 1))
+            for x in (a, b)
+        ]
+        if sides[0] != sides[1]:
+            return f"sample {trial}, c = {cs}: {sides[0]} != {sides[1]}"
+    return None
 
 
 class TestCatalan:
@@ -212,7 +231,74 @@ class TestToddSymmetry:
             return values
 
         report = check_todd_symmetry(1, 2, samples=5, seed=1, todd_fn=skewed)
-        assert not report.passed and report.witness
+        assert not report.passed and report.witness == (
+            "sample 0, c = [Fraction(40, 7), Fraction(-39, 97), Fraction(83, 26)]: "
+            "4263830/99813 != 841670/99813"
+        )
+
+    @pytest.mark.parametrize(
+        "a, b, k", [(0, 3, 2), (1, 2, 2), (2, 3, 4), (4, 1, 4), (3, 5, 7), (0, 3, 0), (2, 0, 0)]
+    )
+    def test_corrupt_todd_witness_matches_fraction_route(self, a, b, k):
+        # todd_fn is wrong in Td_k only at some points, so the failing sample varies.
+        from coxsums.verify import _default_todd
+
+        def sometimes(series, n_max):
+            values = list(_default_todd(series, n_max))
+            if series[1] > F(1, 2):
+                values[k] += F(1, 101)  # 101 divides no coordinate denominator and no M_k
+            return values
+
+        report = check_todd_symmetry(a, b, samples=20, seed=4, todd_fn=sometimes)
+        want = todd_symmetry_witness_by_fractions(a, b, 20, 4, sometimes)
+        assert not report.passed and report.witness == want
+
+    def test_exact_identity_for_every_pair_up_to_twelve(self):
+        for total in range(13):
+            for a in range(total + 1):
+                report = check_todd_symmetry(a, total - a, samples=1, seed=0)
+                assert report.passed, report.witness
+
+    def test_fails_with_corrupt_todd_polynomial(self, monkeypatch):
+        from coxsums import todd as todd_module
+        from coxsums.mpoly import MPoly
+
+        table = list(todd_module.todd_polynomials(3))
+        table[2] = table[2] + MPoly.variable(2)
+        monkeypatch.setattr(todd_module, "_TODD_POLYNOMIALS", table)
+        report = check_todd_symmetry(1, 2, samples=5, seed=1)
+        assert not report.passed
+        assert report.witness == (
+            "as polynomials in c_1..c_3, times M_3: "
+            "4*c1**3 + 2*c1*c2 != 4*c1**3 - 10*c1*c2"
+        )
+
+    def test_polynomials_match_todd_values_at_the_seeded_points(self):
+        from coxsums.todd import _todd_tables, todd_polynomials, todd_values
+
+        seen = []
+
+        def recording(series, n_max):
+            seen.append(series)
+            return todd_values(series, n_max).values
+
+        for total in range(9):
+            for a in range(total + 1):
+                assert check_todd_symmetry(a, total - a, 50, 42, recording).passed
+        assert len(seen) == 45 * 50
+        m, _ = _todd_tables(8)
+        polys = todd_polynomials(8)
+        for series in seen:
+            n = series.order
+            c = series.coefficients[1:]
+            symbolic = tuple(
+                sum(
+                    (v * prod(x**e for x, e in zip(c, exps)) for exps, v in p.terms.items()),
+                    F(0),
+                ) / m[k]
+                for k, p in enumerate(polys[: n + 1])
+            )
+            assert symbolic == todd_values(series, n).values
 
 
 class TestKostant:
