@@ -53,7 +53,10 @@ _MAX_OUTPUT_BITS = int(_MAX_OUTPUT_DIGITS / math.log10(2))  # 2**bits <= 10**dig
 # with n: E8 at n = 1000 takes seconds, at n = 5000 far longer.  Beyond this
 # bound --method todd and --method all are refused before any work, and so
 # is verify --n-max when a suite that reads it runs: methods takes the Todd
-# route and specializations the gamma series up to n-max.
+# route and specializations the gamma series up to n-max.  The direct
+# route of heights is bounded by it too: Faulhaber's formula reads the
+# Bernoulli numbers up to n, which the Todd pass also reads, built by an
+# O(n**2) tangent-number pass (E8 at n = 4000 takes seconds).
 _MAX_TODD_N = 1000
 
 
@@ -184,143 +187,110 @@ def _parse_beta(text: str | None) -> Fraction | None:
         raise CoxError(f"bad rational {text!r}: {e}") from None
 
 
-def _profile_arg(args) -> str | None:
-    return getattr(args, "profile", None)
-
-
 # -- commands ----------------------------------------------------------------
+
+_PARAMETER_COLUMNS = ("r", "h", "gamma", "d", "nu", "alpha", "beta", "A", "B")
+
+
+def _parameter_cells(ps) -> dict:
+    return {col: getattr(ps, col) for col in _PARAMETER_COLUMNS}
+
+
+def _exponent_cells(exps) -> dict:
+    return {"exponents": list(exps.values), "dual_partition": list(dual_partition(exps).counts)}
+
+
+def _print_row(args, row: dict) -> int:
+    print(OutputDocument(list(row), [row], kv_pretty=True).render(args.format))
+    return 0
 
 
 def _cmd_info(args) -> int:
     t = normalize(parse_type(args.type))
-    ps = parameters(t, _profile_arg(args), _parse_beta(args.beta))
-    exps = exponents(t)
-    dual = dual_partition(exps)
+    ps = parameters(t, args.profile, _parse_beta(args.beta))
     row = {
         "type": t.name,
-        "profile": _profile_arg(args) or "default",
-        "r": ps.r,
-        "h": ps.h,
-        "gamma": ps.gamma,
-        "d": ps.d,
-        "nu": ps.nu,
-        "alpha": ps.alpha,
-        "beta": ps.beta,
-        "A": ps.A,
-        "B": ps.B,
+        "profile": args.profile or "default",
+        **_parameter_cells(ps),
         "V_plus": list(ps.V_plus),
         "V_minus": list(ps.V_minus),
-        "exponents": list(exps.values),
-        "dual_partition": list(dual.counts),
+        **_exponent_cells(exponents(t)),
     }
-    doc = OutputDocument(list(row), [row], kv_pretty=True)
-    print(doc.render(args.format))
-    return 0
+    return _print_row(args, row)
 
 
 def _cmd_exponents(args) -> int:
     t = normalize(parse_type(args.type))
     exps = exponents(t)
-    dual = dual_partition(exps)
-    row = {
-        "type": t.name,
-        "r": exps.rank,
-        "h": exps.coxeter_number,
-        "exponents": list(exps.values),
-        "dual_partition": list(dual.counts),
-    }
-    doc = OutputDocument(list(row), [row], kv_pretty=True)
-    print(doc.render(args.format))
+    row = {"type": t.name, "r": exps.rank, "h": exps.coxeter_number, **_exponent_cells(exps)}
+    return _print_row(args, row)
+
+
+def _compare_routes(args, t, columns, routes, closed_max, cells) -> int:
+    """One row per route that --method selects, in the order of routes;
+    --method all leaves out closed above closed_max.  Exit 1 when the
+    routes' values differ."""
+    selected = [
+        m for m in routes
+        if args.method in (m, "all") and not (m == "closed" and args.n > closed_max)
+    ]
+    rows = [
+        {"type": t.name, "n": args.n, "method": m, "value": routes[m]().value, **cells(m)}
+        for m in selected
+    ]
+    print(OutputDocument(columns, rows).render(args.format))
+    if len({row["value"] for row in rows}) > 1:
+        print("error: methods disagree", file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_powersum(args) -> int:
-    t = normalize(parse_type(args.type))
-    if args.n < 0:
+    t, n = normalize(parse_type(args.type)), args.n
+    closed_max = _powersums.POWERSUM_CLOSED_MAX_N
+    if n < 0:
         raise CoxError("n must be >= 0")
     if args.p < 1:
         raise CoxError("p must be >= 1")
-    if args.method == "closed" and args.n > 5:
-        raise CoxError("the closed method needs n <= 5")
-    if args.method in ("todd", "all") and args.n > _MAX_TODD_N:
+    if args.method == "closed" and n > closed_max:
+        raise CoxError(f"the closed method needs n <= {closed_max}")
+    if args.method in ("todd", "all") and n > _MAX_TODD_N:
         hint = " (use --method direct for larger n)" if args.method == "all" else ""
         raise CoxError(f"the todd method needs n <= {_MAX_TODD_N}{hint}")
-    params = parameters(t, _profile_arg(args), _parse_beta(args.beta))
-    methods = []
-    if args.method in ("direct", "all"):
-        methods.append("direct")
-    if args.method in ("todd", "all"):
-        methods.append("todd")
-    if args.method in ("closed", "all") and args.n <= 5:
-        methods.append("closed")
-    rows = []
-    for method in methods:
-        if method == "direct":
-            res = _powersums.powersum_direct(t, args.n)
-        elif method == "todd":
-            res = _powersums.powersum_todd(t, args.n, args.p, params=params)
-        else:
-            res = _powersums.powersum_closed(t, args.n, params=params)
-        rows.append(
-            {
-                "type": t.name,
-                "n": args.n,
-                "method": method,
-                "p": args.p if method == "todd" else "",
-                "value": res.value,
-            }
-        )
-    doc = OutputDocument(["type", "n", "method", "p", "value"], rows)
-    print(doc.render(args.format))
-    values = {row["value"] for row in rows}
-    if len(values) > 1:
-        print("error: methods disagree", file=sys.stderr)
-        return 1
-    return 0
+    params = parameters(t, args.profile, _parse_beta(args.beta))
+    routes = {
+        "direct": lambda: _powersums.powersum_direct(t, n),
+        "todd": lambda: _powersums.powersum_todd(t, n, args.p, params=params),
+        "closed": lambda: _powersums.powersum_closed(t, n, params=params),
+    }
+    columns = ["type", "n", "method", "p", "value"]
+    return _compare_routes(
+        args, t, columns, routes, closed_max, lambda m: {"p": args.p if m == "todd" else ""}
+    )
 
 
 def _cmd_heights(args) -> int:
-    t = normalize(parse_type(args.type))
-    if args.n < 0:
+    t, n = normalize(parse_type(args.type)), args.n
+    closed_max = _powersums.HEIGHTSUM_CLOSED_MAX_N
+    if n < 0:
         raise CoxError("n must be >= 0")
-    if args.method == "closed" and args.n > 4:
-        raise CoxError("the closed method needs n <= 4")
-    params = parameters(t, _profile_arg(args), _parse_beta(args.beta))
+    if args.method == "closed" and n > closed_max:
+        raise CoxError(f"the closed method needs n <= {closed_max}")
+    if args.method in ("direct", "all") and n > _MAX_TODD_N:
+        raise CoxError(f"the direct method needs n <= {_MAX_TODD_N}")
+    params = parameters(t, args.profile, _parse_beta(args.beta))
+    routes = {
+        "direct": lambda: _powersums.heightsum_direct(t, n),
+        "closed": lambda: _powersums.heightsum_closed(t, n, params=params),
+    }
     note = "" if t.is_crystallographic else "formal height sum"
-    methods = []
-    if args.method in ("direct", "all"):
-        methods.append("direct")
-    if args.method in ("closed", "all") and args.n <= 4:
-        methods.append("closed")
-    rows = []
-    for method in methods:
-        if method == "direct":
-            res = _powersums.heightsum_direct(t, args.n)
-        else:
-            res = _powersums.heightsum_closed(t, args.n, params=params)
-        rows.append(
-            {
-                "type": t.name,
-                "n": args.n,
-                "method": method,
-                "value": res.value,
-                "note": note,
-            }
-        )
-    doc = OutputDocument(["type", "n", "method", "value", "note"], rows)
-    print(doc.render(args.format))
-    values = {row["value"] for row in rows}
-    if len(values) > 1:
-        print("error: methods disagree", file=sys.stderr)
-        return 1
-    return 0
+    columns = ["type", "n", "method", "value", "note"]
+    return _compare_routes(args, t, columns, routes, closed_max, lambda m: {"note": note})
 
 
 def _cmd_table(args) -> int:
     if args.types:
-        types = [
-            normalize(parse_type(s)) for s in args.types.split(",")
-        ]
+        types = [normalize(parse_type(s)) for s in args.types.split(",")]
     elif args.all:
         types = catalog(args.max_rank, args.max_m)
     else:
@@ -328,23 +298,10 @@ def _cmd_table(args) -> int:
     if args.n_max < 0:
         raise CoxError("n-max must be >= 0")
     beta = _parse_beta(args.beta)
-    columns = ["type", "r", "h", "gamma", "d", "nu", "alpha", "beta", "A", "B"]
-    columns += [f"S{n}" for n in range(args.n_max + 1)]
+    columns = ["type", *_PARAMETER_COLUMNS] + [f"S{n}" for n in range(args.n_max + 1)]
     rows = []
     for t in types:
-        ps = parameters(t, _profile_arg(args), beta)
-        row = {
-            "type": t.name,
-            "r": ps.r,
-            "h": ps.h,
-            "gamma": ps.gamma,
-            "d": ps.d,
-            "nu": ps.nu,
-            "alpha": ps.alpha,
-            "beta": ps.beta,
-            "A": ps.A,
-            "B": ps.B,
-        }
+        row = {"type": t.name, **_parameter_cells(parameters(t, args.profile, beta))}
         sums = _powersums.exponent_power_sums(exponents(t), args.n_max)
         row.update((f"S{n}", s) for n, s in enumerate(sums))
         rows.append(row)
@@ -474,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument(
         "--seed", type=int, default=None,
-        help="seed of the randomized todd-symm check (default: $COX_SEED, else 42)",
+        help="seed of the points where todd-symm checks the Todd values "
+        "(default: $COX_SEED, else 42)",
     )
     p.add_argument(
         "--jobs", type=int, default=1,

@@ -2,10 +2,12 @@
 
 Three routes compute sum(m_i**n): direct summation over the exponents,
 the Todd route n! * r * Td_n(gamma_1..gamma_n), and closed forms in
-(r, h, gamma, alpha, beta) for n <= 5.  Height power sums come from the
-S_k = sum(m_i**k) by Faulhaber's formula for sum_i (1**n + ... + m_i**n);
-roots are never constructed, so the noncrystallographic types evaluate
-the same formulas (their CLI output is labeled a formal height sum).
+(r, h, gamma, alpha, beta) for n <= POWERSUM_CLOSED_MAX_N.  Height power
+sums come from the S_k = sum(m_i**k) by Faulhaber's formula for
+sum_i (1**n + ... + m_i**n), and from closed forms for
+n <= HEIGHTSUM_CLOSED_MAX_N; roots are never constructed, so the
+noncrystallographic types evaluate the same formulas (their CLI output
+is labeled a formal height sum).
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from .catalog import (
     parameters,
 )
 from .errors import InternalMismatch, UnsupportedDegree
+
+# The largest n with a closed form: powersum_closed and heightsum_closed
+# refuse larger n, the CLI's closed method is bounded by them, and the
+# methods suite of cox verify compares the closed forms up to them.
+POWERSUM_CLOSED_MAX_N = 5
+HEIGHTSUM_CLOSED_MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -92,10 +100,10 @@ def _r45(ps: ParameterSet) -> Fraction:
 def powersum_closed(
     t: CoxeterType, n: int, params: ParameterSet | None = None
 ) -> PowerSumResult:
-    """Closed forms for sum(m_i**n), n <= 5."""
+    """Closed forms for sum(m_i**n), n <= POWERSUM_CLOSED_MAX_N."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > 5:
+    if n > POWERSUM_CLOSED_MAX_N:
         raise UnsupportedDegree(f"no closed power-sum form for n = {n}")
     ps = _params(t, params)
     r, h, g = ps.r, ps.h, ps.gamma
@@ -145,10 +153,10 @@ def heightsum_direct(t: CoxeterType, n: int) -> PowerSumResult:
 def heightsum_closed(
     t: CoxeterType, n: int, params: ParameterSet | None = None
 ) -> PowerSumResult:
-    """Closed forms for the height power sums, n <= 4."""
+    """Closed forms for the height power sums, n <= HEIGHTSUM_CLOSED_MAX_N."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > 4:
+    if n > HEIGHTSUM_CLOSED_MAX_N:
         raise UnsupportedDegree(f"no closed height-sum form for n = {n}")
     ps = _params(t, params)
     r, h, g = ps.r, ps.h, ps.gamma

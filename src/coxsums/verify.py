@@ -24,7 +24,7 @@ from functools import partial
 from fractions import Fraction
 from math import comb, factorial, lcm
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import powersums as _powersums
 from . import todd as _todd
@@ -423,6 +423,34 @@ def check_t_examples(
 # -- gamma coefficient formulas --------------------------------------------
 
 
+def _gamma_specializations(
+    family: str, r: int, n_max: int
+) -> Iterator[tuple[int, int, Fraction]]:
+    """(p, n, gamma_n) by the closed forms of check_gamma_specializations, for
+    n = 1..n_max in check order (for C_r, p = 1 then p = 2 at each n).
+
+    Each value comes from running values in O(1) operations: with x = 2r,
+    G_n = sum(x**j, j <= n-2) and S_n = sum(Catalan(j-1) x**(n-2j), 2j <= n),
+    S_n = x**2 S_{n-2} + Catalan(n//2 - 1) x**(n % 2) from S_0 = -1/2, S_1 = -r.
+    """
+    if family == "A":
+        power = 1  # r**(n-1)
+        for n in range(1, n_max + 1):
+            yield 1, n, power * r + power
+            power *= r
+        return
+    x = 2 * r
+    power, geometric = 1, 0  # x**(n-1) and G_n
+    by_parity = [Fraction(-1, 2), Fraction(-r)]  # S_n for the last even and odd n
+    for n in range(1, n_max + 1):
+        yield 1, n, power * x - 2 * geometric
+        if n >= 2:
+            by_parity[n % 2] = x * x * by_parity[n % 2] + catalan(n // 2 - 1) * x ** (n % 2)
+        yield 2, n, -2 * by_parity[n % 2]
+        geometric += power
+        power *= x
+
+
 def check_gamma_specializations(
     t: CoxeterType,
     n_max: int,
@@ -440,35 +468,13 @@ def check_gamma_specializations(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ps = _resolve(t, None, params)
-    r = ps.r
+    ps_values = (1,) if tn.family == "A" else (1, 2)
+    series = {p: _todd.gamma_series(ps, p, n_max).series for p in ps_values}
     failures = []
-    if tn.family == "A":
-        series = _todd.gamma_series(ps, 1, n_max).series
-        for n in range(1, n_max + 1):
-            expected = Fraction(r) ** n + Fraction(r) ** (n - 1)
-            if series[n] != expected:
-                failures.append(f"p=1, n={n}: gamma_n = {series[n]}, formula {expected}")
-                break
-    else:
-        series1 = _todd.gamma_series(ps, 1, n_max).series
-        series2 = _todd.gamma_series(ps, 2, n_max).series
-        for n in range(1, n_max + 1):
-            want1 = Fraction(2 * r) ** n - 2 * sum(
-                (Fraction(2 * r) ** j for j in range(n - 1)), Fraction(0)
-            )
-            if series1[n] != want1:
-                failures.append(f"p=1, n={n}: gamma_n = {series1[n]}, formula {want1}")
-                break
-            want2 = -2 * sum(
-                (
-                    catalan(j - 1) * Fraction(2 * r) ** (n - 2 * j)
-                    for j in range(n // 2 + 1)
-                ),
-                Fraction(0),
-            )
-            if series2[n] != want2:
-                failures.append(f"p=2, n={n}: gamma_n = {series2[n]}, formula {want2}")
-                break
+    for p, n, want in _gamma_specializations(tn.family, ps.r, n_max):
+        if series[p][n] != want:
+            failures.append(f"p={p}, n={n}: gamma_n = {series[p][n]}, formula {want}")
+            break
     return _report("specializations", _subject(t), failures)
 
 
@@ -515,8 +521,11 @@ def check_methods(
         raise ValueError("n_max must be >= 0")
     resolved = _resolve(t, None, params)
     el = _exps(t, exps)
-    sums = _powersums.exponent_power_sums(el, max(n_max, 5))
-    heights = [_powersums.exponent_heightsum(el, n, sums) for n in range(5)]
+    closed_max = _powersums.POWERSUM_CLOSED_MAX_N
+    hclosed_max = _powersums.HEIGHTSUM_CLOSED_MAX_N
+    # The height sum of degree n reads S_0 .. S_{n+1}.
+    sums = _powersums.exponent_power_sums(el, max(n_max, closed_max, hclosed_max + 1))
+    heights = [_powersums.exponent_heightsum(el, n, sums) for n in range(hclosed_max + 1)]
     todd = {p: _powersums.powersum_todd_upto(t, n_max, p, resolved) for p in ps_values}
     failures = []
     for n in range(n_max + 1):
@@ -531,12 +540,12 @@ def check_methods(
                 break
         if failures:
             break
-        if n <= 5:
+        if n <= closed_max:
             closed = _powersums.powersum_closed(t, n, params=resolved).value
             if closed != direct:
                 failures.append(f"n={n}: closed {closed} != direct {direct}")
                 break
-        if n <= 4:
+        if n <= hclosed_max:
             hclosed = _powersums.heightsum_closed(t, n, params=resolved).value
             if hclosed != heights[n]:
                 failures.append(f"heights n={n}: closed {hclosed} != direct {heights[n]}")

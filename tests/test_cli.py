@@ -263,6 +263,50 @@ class TestHeights:
         assert code == 1
         assert err.startswith("error: height sum routes disagree")
 
+    @pytest.mark.parametrize("method", ["direct", "all"])
+    def test_deep_direct_route_is_refused_quickly(self, capsys, method):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "heights", "E8", "-n", "1001", "--method", method)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == "error: the direct method needs n <= 1000\n"
+
+    def test_direct_bound_is_inclusive(self, capsys, monkeypatch):
+        import coxsums.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_MAX_TODD_N", 10)
+        for method in ("direct", "all"):
+            code, out, _ = run(capsys, "heights", "A2", "-n", "10", "--method", method)
+            assert code == 0 and out.split()[-1] == str(2**10 + 2)
+            code, out, err = run(capsys, "heights", "A2", "-n", "11", "--method", method)
+            assert code == 2 and not out
+            assert err == "error: the direct method needs n <= 10\n"
+
+    @pytest.mark.parametrize("n", ["5", "1001"])
+    def test_closed_keeps_its_own_message(self, capsys, n):
+        code, out, err = run(capsys, "heights", "E8", "-n", n, "--method", "closed")
+        assert code == 2 and not out
+        assert err == "error: the closed method needs n <= 4\n"
+
+
+class TestClosedLimits:
+    """The CLI reads the closed limits from coxsums.powersums when it runs."""
+
+    @pytest.mark.parametrize(
+        "command, constant, n",
+        [("powersum", "POWERSUM_CLOSED_MAX_N", 3), ("heights", "HEIGHTSUM_CLOSED_MAX_N", 2)],
+    )
+    def test_lowered_limit(self, capsys, monkeypatch, command, constant, n):
+        import coxsums.powersums as powersums_module
+
+        monkeypatch.setattr(powersums_module, constant, n)
+        code, out, _ = run(capsys, command, "A2", "-n", str(n), "--format", "json")
+        assert code == 0 and json.loads(out)[-1]["method"] == "closed"
+        code, out, _ = run(capsys, command, "A2", "-n", str(n + 1), "--format", "json")
+        assert code == 0 and "closed" not in [row["method"] for row in json.loads(out)]
+        code, _, err = run(capsys, command, "A2", "-n", str(n + 1), "--method", "closed")
+        assert code == 2 and err == f"error: the closed method needs n <= {n}\n"
+
 
 class TestTable:
     def test_csv_header(self, capsys):
@@ -481,6 +525,12 @@ class TestVerify:
             assert code == 2 and not out and err == "error: n-max must be <= 10\n"
         code, out, _ = run(capsys, "verify", "--suite", "symmetry", "--n-max", "11", *small)
         assert code == 0 and "n-max=11" in out
+
+    def test_deep_specializations_run_in_linear_time(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--suite", "specializations", "--n-max", "400")
+        assert time.perf_counter() - start < 5
+        assert code == 0 and out.endswith("specializations: PASS (23 checks)\nall checks passed\n")
 
     def test_methods_alone_accepts_n_max_zero(self, capsys):
         code, out, _ = run(

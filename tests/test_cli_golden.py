@@ -1,0 +1,153 @@
+"""Golden CLI output: exit code, stderr and the sha256 of stdout per command line.
+
+The pins cover every output format of ``info``, ``exponents``, ``powersum``,
+``heights`` and ``table``, and the order of their usage errors.  A change
+that moves one byte of output breaks the pin; if the change is meant,
+re-record the line and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from coxsums.cli import main
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GOLDEN = [
+    (
+        'info E8 --format pretty', 0, '',
+        '55b7738cf5b33567d9ebba4f314f8d827aaaea159db61315218e48b18c9e6949',
+    ),
+    (
+        'exponents I2(7) --format pretty', 0, '',
+        '0bd4671c8b85c33399b85024efc139cdd9db37a51ec2ed3f9d981e060a08b13b',
+    ),
+    (
+        'powersum E8 -n 2 --format pretty', 0, '',
+        'c5b157d80ea6d6d1b01322182f9cf49a1bab13da47463dc6e907ba18f9c194d6',
+    ),
+    (
+        'heights H3 -n 1 --format pretty', 0, '',
+        'ece1f4a75dd9fae77f60f3045f1ac6dbaaf64a2e985f97ae2b5432440785e3dc',
+    ),
+    (
+        'table --types E6,E7,E8 --format pretty', 0, '',
+        '14dade2300604ec721a088303aea6e44fc78343dcd39e0443b235c47f40c5ab9',
+    ),
+    (
+        'info E8 --format json', 0, '',
+        'ddb53cba0c711d12377e2da2bb8e25ba779bc96f81e51ef9aad23a5096d77a2a',
+    ),
+    (
+        'exponents I2(7) --format json', 0, '',
+        '6a0319dd9fed3168837ca382f645a4c842e37c1fba3feb6fb6643a429dcbf8b4',
+    ),
+    (
+        'powersum E8 -n 2 --format json', 0, '',
+        'fbbda53a5f2edc26495379a4044f0fe6631748fefd2814ff6c4c4cbc50bf9a09',
+    ),
+    (
+        'heights H3 -n 1 --format json', 0, '',
+        '660f4d00405c3e6cf5f0b2bf4c80a79e5f3caaf7de2f5c94079f8a307f3199e8',
+    ),
+    (
+        'table --types E6,E7,E8 --format json', 0, '',
+        '1b9af7362830967c09e0ae71a35b63724b5c96347c62b4d49ea9498e39ebca62',
+    ),
+    (
+        'info E8 --format csv', 0, '',
+        'bb372158b0b9297b44c9971549118a5aafa58abef00d6dda942b771577ab1829',
+    ),
+    (
+        'exponents I2(7) --format csv', 0, '',
+        'f92427d78c149e9c7e666493f40d3475b0e5a99116b32575da7f0d8981383c40',
+    ),
+    (
+        'powersum E8 -n 2 --format csv', 0, '',
+        '9023d924f862d235c38ee4be7d7406ac4b31a9c332b171ab0e768e331a74bb7e',
+    ),
+    (
+        'heights H3 -n 1 --format csv', 0, '',
+        'cca40956826045aadb6075f620f51fe6b23eed83ceb93251be47fc3454ea078d',
+    ),
+    (
+        'table --types E6,E7,E8 --format csv', 0, '',
+        'fc7a8684fdcdcbd56065566d26eb9248973199202a79414f014e09949c27fc54',
+    ),
+    (
+        'info E8 --format latex', 0, '',
+        'b132a9a99533b61e6fb758cbe3e3ddb19f3d66028db6931ba45cd9b068e87910',
+    ),
+    (
+        'exponents I2(7) --format latex', 0, '',
+        'e6bce06df972313c7f5d6cd449521479c89cbc1b484aac26e9acd67d07c2e8ab',
+    ),
+    (
+        'powersum E8 -n 2 --format latex', 0, '',
+        '613a2484603a93737f6395dbf71926bba5a519069b7260f92b883a35d814a155',
+    ),
+    (
+        'heights H3 -n 1 --format latex', 0, '',
+        '2b8e0e3bcca29ff274ce4735a963a81b14e47791cbecf7eadb46a9c4d4d96502',
+    ),
+    (
+        'table --types E6,E7,E8 --format latex', 0, '',
+        '4238a6578c90a74cd453cf4a1c88c32b6fa318ebcea082084f4dfec7c9b3bd47',
+    ),
+    (
+        'info I2(9) --profile redefined', 0, '',
+        '19c387cb0791d8b3d461d60076c9baae0ac86e4b1926eed0f5384129fddec79e',
+    ),
+    (
+        'info A2 --beta 7/2 --format latex', 0, '',
+        'e197b33438025e0eb6c32a5accc5e903f26e1f103e8c9c83d7b70906a9b4bddb',
+    ),
+    ('info E8 --beta 11', 2, 'error: beta is determined for type E8\n', EMPTY),
+    ('powersum A2 -n 7', 0, '', '71ed1675d8132d4c70f22832db7c1e898e8fb6bc5e74a8c045a9cc5816f1bf0a'),
+    (
+        'powersum B3 -n 3 --method todd --p 2 --format csv', 0, '',
+        '28fae2090bb8262bf1a307dddb4661944c93151b1b688ac7e7aaa67fb16f56b0',
+    ),
+    (
+        'powersum I2(9) -n 5 --profile redefined --beta 5/2', 0, '',
+        '292d55075416c230161e0bf2d8abd723edfc6e91cd7987d5f2d17a57bb46b466',
+    ),
+    ('heights A2 -n 5', 0, '', '4a612093043c857ec4fe51ed648a1ff9da0ed04a3d809cb72bad0dbfd2d1f75c'),
+    (
+        'heights F4 -n 4 --method closed --format json', 0, '',
+        '6138f2cfba59e03f67021f14e2e711eaffa10cf8c7cf9088eb0ef273b5d57fb5',
+    ),
+    (
+        'table --all --max-rank 3 --max-m 6 --n-max 2 --format csv', 0, '',
+        'f3427e13fe809f23561a537aa0073ec60945a45cec744f959f5ce4095fdd6792',
+    ),
+    ('powersum A2 -n -1', 2, 'error: n must be >= 0\n', EMPTY),
+    ('heights A2 -n -1', 2, 'error: n must be >= 0\n', EMPTY),
+    ('powersum A2 -n 2 --p 0', 2, 'error: p must be >= 1\n', EMPTY),
+    ('powersum A2 -n 6 --method closed', 2, 'error: the closed method needs n <= 5\n', EMPTY),
+    ('heights A2 -n 5 --method closed', 2, 'error: the closed method needs n <= 4\n', EMPTY),
+    ('powersum E8 -n 1001 --method todd', 2, 'error: the todd method needs n <= 1000\n', EMPTY),
+    (
+        'powersum E8 -n 5000', 2,
+        'error: the todd method needs n <= 1000 (use --method direct for larger n)\n',
+        EMPTY,
+    ),
+    ('table', 2, 'error: need --types or --all\n', EMPTY),
+    ('table --types A1 --n-max -1', 2, 'error: n-max must be >= 0\n', EMPTY),
+    ('powersum E9 -n -1', 2, 'error: E9 is outside the classification\n', EMPTY),
+    ('powersum A2 -n 6 --method closed --p 0', 2, 'error: p must be >= 1\n', EMPTY),
+    ('heights E9 -n 9 --method closed', 2, 'error: E9 is outside the classification\n', EMPTY),
+    (
+        'powersum A1 -n 9 --method closed --beta x', 2, 'error: the closed method needs n <= 5\n',
+        EMPTY,
+    ),
+]
+
+
+@pytest.mark.parametrize("line, code, err, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden(capsys, line, code, err, digest):
+    assert main(line.split()) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

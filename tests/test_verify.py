@@ -36,12 +36,36 @@ from coxsums.verify import (
     check_t_integrality,
     check_todd_symmetry,
     t_transform,
+    _gamma_specializations,
 )
-from coxsums.todd import p_factor, todd_closed
+from coxsums.todd import gamma_series, p_factor, todd_closed
 
 
 def corrupt(ps, **changes):
     return dataclasses.replace(ps, **changes)
+
+
+def specializations_by_sums(family, r, n_max):
+    """(p, n, gamma_n) by the closed forms, each sum written out for every n."""
+    out = []
+    for n in range(1, n_max + 1):
+        if family == "A":
+            out.append((1, n, F(r) ** n + F(r) ** (n - 1)))
+            continue
+        x = F(2 * r)
+        out.append((1, n, x**n - 2 * sum((x**j for j in range(n - 1)), F(0))))
+        terms = (catalan(j - 1) * x ** (n - 2 * j) for j in range(n // 2 + 1))
+        out.append((2, n, -2 * sum(terms, F(0))))
+    return out
+
+
+def specialization_witness_by_sums(t, n_max, ps):
+    """The first failure of check_gamma_specializations, from the explicit sums."""
+    for p, n, want in specializations_by_sums(t.family, ps.r, n_max):
+        got = gamma_series(ps, p, n_max).series[n]
+        if got != want:
+            return f"p={p}, n={n}: gamma_n = {got}, formula {want}"
+    return None
 
 
 def todd_symmetry_witness_by_fractions(a, b, samples, seed, todd_fn):
@@ -386,6 +410,28 @@ class TestSpecializations:
         report = check_gamma_specializations(parse_type("A2"), 6, params=bad)
         assert not report.passed and report.witness
 
+    @pytest.mark.parametrize("family", ["A", "C"])
+    def test_running_values_match_explicit_sums(self, family):
+        for r in range(1 if family == "A" else 2, 13):
+            got = list(_gamma_specializations(family, r, 40))
+            assert got == specializations_by_sums(family, r, 40)
+
+    @pytest.mark.parametrize(
+        "label, changes",
+        [
+            ("A2", {"V_minus": (F(2), F(2))}),
+            ("A5", {"V_plus": (F(3), F(7))}),
+            ("C3", {"V_minus": (F(1), F(4))}),
+            ("C4", {"V_plus": (F(5), F(8))}),
+        ],
+    )
+    def test_witness_matches_explicit_sums(self, label, changes):
+        t = parse_type(label)
+        bad = corrupt(parameters(t), **changes)
+        report = check_gamma_specializations(t, 12, params=bad)
+        assert not report.passed
+        assert report.witness == specialization_witness_by_sums(t, 12, bad)
+
 
 class TestGamma34:
     @pytest.mark.parametrize("label", ["A2", "E8", "H4", "I2(9)", "C5"])
@@ -430,6 +476,28 @@ class TestMethodsSuite:
         report = check_methods(parse_type("E8"), n_max=6, params=bad)
         assert not report.passed
         assert re.fullmatch(r"n=\d+, p=\d+: todd \S+ != direct \S+", report.witness)
+
+    def test_closed_routes_run_up_to_the_powersums_limits(self, monkeypatch):
+        import coxsums.powersums as powersums_module
+
+        seen = {"powersum_closed": set(), "heightsum_closed": set()}
+
+        def recording(name):
+            real = getattr(powersums_module, name)
+
+            def route(t, n, params=None):
+                seen[name].add(n)
+                return real(t, n, params=params)
+
+            return route
+
+        for name in seen:
+            monkeypatch.setattr(powersums_module, name, recording(name))
+        monkeypatch.setattr(powersums_module, "POWERSUM_CLOSED_MAX_N", 3)
+        monkeypatch.setattr(powersums_module, "HEIGHTSUM_CLOSED_MAX_N", 2)
+        report = check_methods(parse_type("E8"), n_max=6)
+        assert report.passed, report.witness
+        assert seen == {"powersum_closed": {0, 1, 2, 3}, "heightsum_closed": {0, 1, 2}}
 
 
 class TestRunAll:
