@@ -47,8 +47,6 @@ from .powersums import (
 )
 from .series import TruncatedSeries
 from .todd import (
-    GammaSeries,
-    ToddValues,
     bernoulli_polynomial,
     faulhaber,
     gamma_series,
@@ -71,7 +69,6 @@ __all__ = [
     "CoxeterType",
     "DualPartition",
     "ExponentList",
-    "GammaSeries",
     "IntPolynomial",
     "InternalMismatch",
     "NonzeroConstantTerm",
@@ -82,7 +79,6 @@ __all__ = [
     "PowerSumResult",
     "ProfileMismatch",
     "RangeError",
-    "ToddValues",
     "TruncatedSeries",
     "UnsupportedDegree",
     "WrongFamily",

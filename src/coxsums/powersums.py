@@ -71,8 +71,7 @@ def _todd_route(
     if p < 1:
         raise ValueError("p must be >= 1")
     ps = _params(t, params)
-    g = _todd.gamma_series(ps, p, max(n, 2))
-    return ps.r, _todd.todd_values(g, n).values
+    return ps.r, _todd.todd_values(_todd.gamma_series(ps, p, max(n, 2)), n)
 
 
 def powersum_todd_upto(

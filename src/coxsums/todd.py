@@ -5,10 +5,12 @@ The gamma series of a parameter set is
     prod(1 - v*t, v in V-) / prod(1 - v*t, v in V+) * ((1+p*t)/(1-p*t))**(1/p)
 
 for a free positive integer p; its coefficients gamma_n feed the Todd
-polynomials.  It is built from the p-factor's D-finite recurrence with one
-in-place pass per factor (1 - v*t).  Td_n is evaluated for arbitrary n
-without symbolic roots: with P_k the power sums of virtual roots x_j whose
-elementary symmetric functions are the gamma_n,
+polynomials.  gamma_series returns it as a plain TruncatedSeries, built
+from the p-factor's D-finite recurrence with one in-place pass per
+factor (1 - v*t), and todd_values(series, n) returns the plain tuple
+Td_0 .. Td_n.  Td_n is evaluated for arbitrary n without symbolic
+roots: with P_k the power sums of virtual roots x_j whose elementary
+symmetric functions are the gamma_n,
 
     sum_n Td_n t**n = exp(sum_k lambda_k P_k t**k)
 
@@ -17,10 +19,12 @@ One pass over k gives P_k by Newton's identity, then k Td_k = sum_j j lambda_j P
 
 The inner loops run on integers, and each returned coefficient becomes a
 Fraction once.  The p-factor's coefficients are g_k / (k! * w**k) with
-integer g_k; the V+/V- passes scale by the common denominator of V+ and
-V-; Td_k uses weighted homogeneity, Td_k(gamma_i * u**i) = u**k Td_k(gamma),
-for an integer u that clears every gamma_i, and Hirzebruch's Todd
-denominators M_k = prod_p p**(k // (p-1)), which make M_k Td_k an integer
+integer g_k for any multiple w of its smallest scale; the gamma series
+runs that recurrence and the V+/V- passes at one w, the common
+denominator of V+ and V-.  Td_k uses weighted homogeneity,
+Td_k(gamma_i * u**i) = u**k Td_k(gamma), for an integer u that clears
+every gamma_i, and Hirzebruch's Todd denominators
+M_k = prod_p p**(k // (p-1)), which make M_k Td_k an integer
 polynomial.  Every division in the Td pass is checked, so a table that
 breaks this integrality raises InternalMismatch instead of giving a value.
 The pass is generic over the coefficient ring: run over MPoly with c_i in
@@ -36,7 +40,6 @@ denominators and Faulhaber's formula; none is hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, factorial, gcd, lcm
@@ -44,30 +47,11 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .catalog import ParameterSet
-from .errors import ConstraintViolated, InternalMismatch, UnsupportedDegree
+from .errors import ConstantTermNotOne, ConstraintViolated, InternalMismatch, UnsupportedDegree
 from .mpoly import MPoly
 from .series import TruncatedSeries
 
 Rational = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class GammaSeries:
-    """Gamma coefficients (gamma_0 = 1, gamma_1, ...) plus the p used."""
-
-    series: TruncatedSeries
-    p: int
-
-    def __post_init__(self):
-        if self.series[0] != 1:
-            raise ValueError("gamma series must start with 1")
-
-
-@dataclass(frozen=True)
-class ToddValues:
-    """Td_0, Td_1(gamma_1), Td_2(gamma_1, gamma_2), ..."""
-
-    values: tuple[Fraction, ...]
 
 
 # Entries kept by each of the p_factor and gamma_series caches.  --beta admits
@@ -87,17 +71,27 @@ def p_factor(p: int, order: int) -> TruncatedSeries:
 def _quotient_power(pi: Fraction, mu: Fraction, order: int) -> TruncatedSeries:
     """((1+pi*t)/(1-pi*t))**mu by (k+1) f_{k+1} = 2 pi mu f_k + pi**2 (k-1) f_{k-1}.
 
-    With w = lcm(den(2 pi mu), den(pi)), f_k = g_k / (k! w**k) for the
-    integers g_{k+1} = (2 pi mu w) g_k + (pi w)**2 (k-1) k g_{k-1}.
+    The numerators run at w = lcm(den(2 pi mu), den(pi)), the smallest
+    scale at which 2 pi mu w and pi w are integers.
     """
     slope = 2 * pi * mu
     w = lcm(slope.denominator, pi.denominator)
     a = slope.numerator * (w // slope.denominator)
-    b = (pi.numerator * (w // pi.denominator)) ** 2
+    g = _quotient_numerators(a, pi.numerator * (w // pi.denominator), order)
+    return TruncatedSeries(_over_scale(g, w), order=order)
+
+
+def _quotient_numerators(a: int, b: int, order: int) -> list[int]:
+    """g_0 .. g_order, where f_k = g_k / (k! w**k), for a = 2 pi mu w and b = pi w.
+
+    Any scale w that makes a and b integers makes every
+    g_{k+1} = a g_k + b**2 (k-1) k g_{k-1} an integer.
+    """
+    b2 = b * b
     g = [1, a]
     for k in range(1, order):
-        g.append(a * g[k] + b * (k - 1) * k * g[k - 1])
-    return TruncatedSeries(_over_scale(g, w), order=order)
+        g.append(a * g[k] + b2 * (k - 1) * k * g[k - 1])
+    return g
 
 
 def _over_scale(numerators: Sequence[int], u: int) -> list[Fraction]:
@@ -127,17 +121,16 @@ def p_factor_general(
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def gamma_series(params: ParameterSet, p: int, order: int) -> GammaSeries:
+def gamma_series(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
     """Gamma series of a parameter set, from its V+/V- multisets."""
     if order < 2:
         raise ValueError("order must be >= 2")
-    # c_k = y_k / (k! u**k), u clearing every v: the p-factor has c_k = g_k / k!.
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    # gamma_k = y_k / (k! u**k), u clearing every v; the p-factor (pi = p,
+    # mu = 1/p, smallest scale 1) starts y at the same u.
     u = lcm(*(v.denominator for v in params.V_plus + params.V_minus))
-    y, scale = [], 1
-    for k, c in enumerate(p_factor(p, order).coefficients):
-        if k:
-            scale *= k * u
-        y.append(c.numerator * (scale // c.denominator))
+    y = _quotient_numerators(2 * u, p * u, order)
     for v in params.V_plus:  # times 1/(1 - v*t)
         vu = v.numerator * (u // v.denominator)
         for k in range(1, order + 1):
@@ -146,7 +139,7 @@ def gamma_series(params: ParameterSet, p: int, order: int) -> GammaSeries:
         vu = v.numerator * (u // v.denominator)
         for k in range(order, 0, -1):
             y[k] -= vu * k * y[k - 1]
-    return GammaSeries(TruncatedSeries(_over_scale(y, u)), p)
+    return TruncatedSeries(_over_scale(y, u))
 
 
 def x_sequence(params: ParameterSet, n_max: int) -> list[Fraction]:
@@ -168,7 +161,7 @@ def x_sequence(params: ParameterSet, n_max: int) -> list[Fraction]:
     return xs
 
 
-def gamma_series_xn(params: ParameterSet, p: int, order: int) -> GammaSeries:
+def gamma_series_xn(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
     """Same value as gamma_series, computed through the X_n route.
 
     Multiplies (1-(alpha+beta)t+alpha*beta*t**2) by sum(X_n t**n) and the
@@ -180,7 +173,7 @@ def gamma_series_xn(params: ParameterSet, p: int, order: int) -> GammaSeries:
     a, b = params.alpha, params.beta
     quad = TruncatedSeries([1, -(a + b), a * b], order=order)
     xs = TruncatedSeries(x_sequence(params, order), order=order)
-    return GammaSeries(quad * xs * p_factor(p, order), p)
+    return quad * xs * p_factor(p, order)
 
 
 def _todd_factor_log(order: int) -> TruncatedSeries:
@@ -245,9 +238,10 @@ def _todd_pass(a: Sequence) -> list:
     return t
 
 
-def todd_values(g: GammaSeries | TruncatedSeries, n_max: int) -> ToddValues:
-    """Td_0 .. Td_n evaluated at the gamma coefficients of g."""
-    series = g.series if isinstance(g, GammaSeries) else g
+def todd_values(series: TruncatedSeries, n_max: int) -> tuple[Fraction, ...]:
+    """Td_0 .. Td_n evaluated at the gamma coefficients of series."""
+    if series[0] != 1:
+        raise ConstantTermNotOne(f"a gamma series starts with 1, got {series[0]}")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if n_max > series.order:
@@ -267,7 +261,7 @@ def todd_values(g: GammaSeries | TruncatedSeries, n_max: int) -> ToddValues:
     for k, tk in enumerate(t):
         values.append(Fraction(tk, m[k] * scale))
         scale *= u
-    return ToddValues(tuple(values))
+    return tuple(values)
 
 
 # T_0, T_1, ...: T_k = M_k Td_k in Z[c_1..c_k]; rebuilt longer when asked for more.

@@ -532,6 +532,10 @@ class TestVerify:
         assert time.perf_counter() - start < 5
         assert code == 0 and out.endswith("specializations: PASS (23 checks)\nall checks passed\n")
 
+    def test_specializations_at_n_max_one(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "specializations", "--n-max", "1")
+        assert code == 0 and out.endswith("specializations: PASS (23 checks)\nall checks passed\n")
+
     def test_methods_alone_accepts_n_max_zero(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "methods", "--max-rank", "3", "--max-m", "4",

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxsums import (
-    GammaSeries,
     TruncatedSeries,
     applicable_profiles,
     bernoulli_polynomial,
@@ -25,7 +24,12 @@ from coxsums import (
     todd_values,
     x_sequence,
 )
-from coxsums.errors import ConstraintViolated, InternalMismatch, UnsupportedDegree
+from coxsums.errors import (
+    ConstantTermNotOne,
+    ConstraintViolated,
+    InternalMismatch,
+    UnsupportedDegree,
+)
 from coxsums import todd as todd_module
 from coxsums.mpoly import MPoly
 from coxsums.todd import (
@@ -79,6 +83,19 @@ def hirzebruch_denominator(k):
     """M_k = prod over primes p of p**(k // (p-1))."""
     primes = [p for p in range(2, k + 2) if all(p % d for d in range(2, p))]
     return prod(p ** (k // (p - 1)) for p in primes)
+
+
+def quotient_cases():
+    """Every type and profile of catalog(12, 30), then one beta override.
+
+    Each case is named by its type label, plus the profile where the type has two.
+    """
+    for t in catalog(12, 30):
+        profiles = applicable_profiles(t)
+        for prof in profiles:
+            name = f"{t.name}-{prof}" if len(profiles) > 1 else t.name
+            yield pytest.param(t.name, prof, None, id=name)
+    yield pytest.param("I2(7)", "redefined", F(7, 3), id="I2(7)-beta=7/3")
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -168,23 +185,23 @@ def test_property_quotient_power_matches_fraction_recurrence(pi, mu, order):
 class TestGammaSeries:
     def test_a2_frozen(self):
         g = gamma_series(parameters(parse_type("A2")), 1, 4)
-        assert g.series.coefficients == tuple(F(c) for c in (1, 3, 6, 12, 24))
+        assert g.coefficients == tuple(F(c) for c in (1, 3, 6, 12, 24))
 
     def test_e8_low_coefficients(self):
         g = gamma_series(parameters(parse_type("E8")), 1, 2)
-        assert g.series[1] == 30
-        assert g.series[2] == 870
+        assert g[1] == 30
+        assert g[2] == 870
 
     def test_a1_reduces_to_p_factor(self):
         ps = parameters(parse_type("A1"))
         for p in (1, 2, 3):
-            assert gamma_series(ps, p, 8).series == p_factor(p, 8)
+            assert gamma_series(ps, p, 8) == p_factor(p, 8)
 
     def test_first_two_coefficients_across_catalog(self):
         for t in catalog(12, 30):
             ps = parameters(t)
             for p in (1, 2, 3):
-                g = gamma_series(ps, p, 2).series
+                g = gamma_series(ps, p, 2)
                 assert g[1] == ps.h, t.name
                 assert g[2] == ps.gamma - ps.h, t.name
 
@@ -192,30 +209,29 @@ class TestGammaSeries:
         for t in catalog(12, 30):
             ps = parameters(t)
             for p in (1, 2, 3):
-                assert (
-                    gamma_series(ps, p, 12).series == gamma_series_xn(ps, p, 12).series
-                ), (t.name, p)
+                assert gamma_series(ps, p, 12) == gamma_series_xn(ps, p, 12), (t.name, p)
 
-    @pytest.mark.parametrize("label", ["E8", "H4", "I2(7)"])
-    def test_matches_quotient_of_products(self, label):
-        ps = parameters(parse_type(label))
+    @pytest.mark.parametrize("label, profile, beta", list(quotient_cases()))
+    def test_matches_quotient_of_products(self, label, profile, beta):
+        ps = parameters(parse_type(label), profile, beta)
+        num = TruncatedSeries.constant(1, 30)
+        for v in ps.V_minus:
+            num = num * TruncatedSeries([1, -v], order=30)
+        den = TruncatedSeries.constant(1, 30)
+        for v in ps.V_plus:
+            den = den * TruncatedSeries([1, -v], order=30)
+        quotient = num * den.inverse()
         for p in (1, 2, 3):
-            num = TruncatedSeries.constant(1, 30)
-            for v in ps.V_minus:
-                num = num * TruncatedSeries([1, -v], order=30)
-            den = TruncatedSeries.constant(1, 30)
-            for v in ps.V_plus:
-                den = den * TruncatedSeries([1, -v], order=30)
-            want = num * den.inverse() * p_factor(p, 30)
-            assert gamma_series(ps, p, 30).series == want, (label, p)
+            assert gamma_series(ps, p, 30) == quotient * p_factor(p, 30), p
 
     def test_minimum_order(self):
         with pytest.raises(ValueError):
             gamma_series(parameters(parse_type("A2")), 1, 1)
 
-    def test_gamma_series_validates_head(self):
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_requires_positive_p(self, p):
         with pytest.raises(ValueError):
-            GammaSeries(TruncatedSeries([2, 1]), 1)
+            gamma_series(parameters(parse_type("A2")), p, 4)
 
 
 class TestXSequence:
@@ -257,11 +273,11 @@ class TestToddValues:
     def test_a2_frozen(self):
         g = gamma_series(parameters(parse_type("A2")), 1, 3)
         td = todd_values(g, 3)
-        assert td.values == (F(1), F(3, 2), F(5, 4), F(3, 4))
+        assert td == (F(1), F(3, 2), F(5, 4), F(3, 4))
 
     def test_leading_value_is_one(self):
         g = gamma_series(parameters(parse_type("H4")), 2, 6)
-        assert todd_values(g, 6).values[0] == 1
+        assert todd_values(g, 6)[0] == 1
 
     def test_matches_closed_forms_across_catalog(self):
         for t in catalog(12, 30):
@@ -269,9 +285,9 @@ class TestToddValues:
             for p in (1, 2):
                 g = gamma_series(ps, p, 5)
                 td = todd_values(g, 5)
-                cs = g.series.coefficients[1:]
+                cs = g.coefficients[1:]
                 for n in range(6):
-                    assert td.values[n] == todd_closed(n, cs), (t.name, p, n)
+                    assert td[n] == todd_closed(n, cs), (t.name, p, n)
 
     def test_odd_degree_values_ignore_their_top_coefficient(self):
         base = TruncatedSeries([1, 3, -2, F(5, 7), 4, -1, F(2, 3), 9])
@@ -279,17 +295,19 @@ class TestToddValues:
             coeffs = list(base.coefficients)
             coeffs[n] += 17
             perturbed = TruncatedSeries(coeffs)
-            assert todd_values(base, n).values[n] == todd_values(perturbed, n).values[n]
+            assert todd_values(base, n)[n] == todd_values(perturbed, n)[n]
             if n < base.order:
-                assert (
-                    todd_values(base, n + 1).values[n + 1]
-                    != todd_values(perturbed, n + 1).values[n + 1]
-                )
+                assert todd_values(base, n + 1)[n + 1] != todd_values(perturbed, n + 1)[n + 1]
 
     def test_order_bound(self):
         g = gamma_series(parameters(parse_type("A2")), 1, 3)
         with pytest.raises(ValueError):
             todd_values(g, 4)
+
+    def test_rejects_constant_term_not_one(self):
+        for head in (2, 0, F(1, 2), -1):
+            with pytest.raises(ConstantTermNotOne):
+                todd_values(TruncatedSeries([head, 1, 1]), 2)
 
     def test_matches_exp_of_closed_form_power_sums(self):
         # log gamma = (1/p) log((1+pt)/(1-pt)) - sum_{V+} log(1-vt) + sum_{V-} log(1-vt)
@@ -310,7 +328,7 @@ class TestToddValues:
                         for k in range(1, order + 1)
                     ]
                     arg = TruncatedSeries([0] + [lam[k] * pk for k, pk in enumerate(power, 1)])
-                    got = todd_values(gamma_series(ps, p, order), order).values
+                    got = todd_values(gamma_series(ps, p, order), order)
                     assert got == arg.exp().coefficients, (t.name, prof, p)
 
     def test_log_coefficients_match_log_of_inverse(self):
@@ -328,7 +346,7 @@ class TestToddIntegerPass:
         series = TruncatedSeries(
             [1, F(1, 3**9), F(-2, 25), 0, F(5, 7**4), F(1, 3), -4, F(7, 2**10)]
         )
-        assert todd_values(series, 7).values == todd_values_by_newton_exp(series, 7)
+        assert todd_values(series, 7) == todd_values_by_newton_exp(series, 7)
 
     @pytest.mark.parametrize("dropped", [2, 3, 5, 7])
     def test_denominator_table_missing_a_prime_raises(self, monkeypatch, dropped):
@@ -356,7 +374,7 @@ class TestToddIntegerPass:
 def test_property_todd_values_match_fraction_route(coefficients, data):
     series = TruncatedSeries([1] + coefficients)
     n = data.draw(st.integers(min_value=0, max_value=len(coefficients)))
-    assert todd_values(series, n).values == todd_values_by_newton_exp(series, n)
+    assert todd_values(series, n) == todd_values_by_newton_exp(series, n)
 
 
 def printed_todd_numerators(c):
