@@ -60,11 +60,15 @@ _MAX_OUTPUT_BITS = int(_MAX_OUTPUT_DIGITS / math.log10(2))  # 2**bits <= 10**dig
 _MAX_TODD_N = 1000
 
 
+def _check_output_bits(bits: int) -> None:
+    if bits > _MAX_OUTPUT_BITS:
+        raise CoxError(f"a value exceeds the output bound of {_MAX_OUTPUT_DIGITS} digits")
+
+
 def _rational(value: Fraction | int):
     """JSON-facing value: plain int when integral, 'a/b' string otherwise."""
     f = Fraction(value)
-    if max(f.numerator.bit_length(), f.denominator.bit_length()) > _MAX_OUTPUT_BITS:
-        raise CoxError(f"a value exceeds the output bound of {_MAX_OUTPUT_DIGITS} digits")
+    _check_output_bits(max(f.numerator.bit_length(), f.denominator.bit_length()))
     if f.denominator == 1:
         return int(f)
     return f"{f.numerator}/{f.denominator}"
@@ -258,6 +262,8 @@ def _cmd_powersum(args) -> int:
         hint = " (use --method direct for larger n)" if args.method == "all" else ""
         raise CoxError(f"the todd method needs n <= {_MAX_TODD_N}{hint}")
     params = parameters(t, args.profile, _parse_beta(args.beta))
+    # The value is at least (h-1)**n >= 2**(n * (bit_length(h-1) - 1)).
+    _check_output_bits(n * ((params.h - 1).bit_length() - 1) + 1)
     routes = {
         "direct": lambda: _powersums.powersum_direct(t, n),
         "todd": lambda: _powersums.powersum_todd(t, n, args.p, params=params),

@@ -68,10 +68,8 @@ def _todd_route(
     """The rank r and Td_0 .. Td_n of the gamma series."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if p < 1:
-        raise ValueError("p must be >= 1")
     ps = _params(t, params)
-    return ps.r, _todd.todd_values(_todd.gamma_series(ps, p, max(n, 2)), n)
+    return ps.r, _todd.todd_values(_todd.gamma_series(ps, p, n), n)
 
 
 def powersum_todd_upto(

@@ -5,12 +5,12 @@ The gamma series of a parameter set is
     prod(1 - v*t, v in V-) / prod(1 - v*t, v in V+) * ((1+p*t)/(1-p*t))**(1/p)
 
 for a free positive integer p; its coefficients gamma_n feed the Todd
-polynomials.  gamma_series returns it as a plain TruncatedSeries, built
-from the p-factor's D-finite recurrence with one in-place pass per
-factor (1 - v*t), and todd_values(series, n) returns the plain tuple
-Td_0 .. Td_n.  Td_n is evaluated for arbitrary n without symbolic
-roots: with P_k the power sums of virtual roots x_j whose elementary
-symmetric functions are the gamma_n,
+polynomials.  gamma_series returns it to any order >= 0 as a plain
+TruncatedSeries over integer numerators, built from the p-factor's
+D-finite recurrence with one in-place pass per factor (1 - v*t), and
+todd_values(series, n) returns the plain tuple Td_0 .. Td_n.  Td_n is
+evaluated for arbitrary n without symbolic roots: with P_k the power
+sums of virtual roots x_j whose elementary symmetric functions are the gamma_n,
 
     sum_n Td_n t**n = exp(sum_k lambda_k P_k t**k)
 
@@ -19,11 +19,11 @@ One pass over k gives P_k by Newton's identity, then k Td_k = sum_j j lambda_j P
 
 The inner loops run on integers, and each returned coefficient becomes a
 Fraction once.  The p-factor's coefficients are g_k / (k! * w**k) with
-integer g_k for any multiple w of its smallest scale; the gamma series
-runs that recurrence and the V+/V- passes at one w, the common
-denominator of V+ and V-.  Td_k uses weighted homogeneity,
-Td_k(gamma_i * u**i) = u**k Td_k(gamma), for an integer u that clears
-every gamma_i, and Hirzebruch's Todd denominators
+integer g_k for any multiple w of its smallest scale; p_factor runs that
+recurrence at w = 1, and the gamma numerators run it and the V+/V-
+passes at one w, the common denominator of V+ and V-.  Td_k uses
+weighted homogeneity, Td_k(gamma_i * u**i) = u**k Td_k(gamma), for an
+integer u that clears every gamma_i, and Hirzebruch's Todd denominators
 M_k = prod_p p**(k // (p-1)), which make M_k Td_k an integer
 polynomial.  Every division in the Td pass is checked, so a table that
 breaks this integrality raises InternalMismatch instead of giving a value.
@@ -55,17 +55,17 @@ Rational = Union[int, Fraction]
 
 
 # Entries kept by each of the p_factor and gamma_series caches.  --beta admits
-# any rational and -p/-n any integer, so the keys are unbounded; a default
-# verify sweep uses 320 gamma_series keys and 11 p_factor keys.
+# any rational and -p/-n any integer, so the keys are unbounded.  A default
+# verify makes 320 gamma_series calls (320 keys) and 6 p_factor calls: no hit.
 _CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def p_factor(p: int, order: int) -> TruncatedSeries:
-    """Expansion of ((1+p*t)/(1-p*t))**(1/p)."""
+    """Expansion of ((1+p*t)/(1-p*t))**(1/p): pi = p, mu = 1/p at their smallest scale, 1."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return p_factor_general([(p, Fraction(1, p))], 1, order)
+    return TruncatedSeries(_over_scale(_quotient_numerators(2, p, order), 1), order=order)
 
 
 def _quotient_power(pi: Fraction, mu: Fraction, order: int) -> TruncatedSeries:
@@ -88,7 +88,7 @@ def _quotient_numerators(a: int, b: int, order: int) -> list[int]:
     g_{k+1} = a g_k + b**2 (k-1) k g_{k-1} an integer.
     """
     b2 = b * b
-    g = [1, a]
+    g = [1, a][: order + 1]
     for k in range(1, order):
         g.append(a * g[k] + b2 * (k - 1) * k * g[k - 1])
     return g
@@ -120,17 +120,12 @@ def p_factor_general(
     return reduce(mul, factors or [TruncatedSeries.constant(1, order)])
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def gamma_series(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
-    """Gamma series of a parameter set, from its V+/V- multisets."""
-    if order < 2:
-        raise ValueError("order must be >= 2")
+def _gamma_numerators(params: ParameterSet, p: int, order: int) -> tuple[list[int], int]:
+    """y_0 .. y_order and u, where gamma_k = y_k / (k! u**k) and u clears every v."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    # gamma_k = y_k / (k! u**k), u clearing every v; the p-factor (pi = p,
-    # mu = 1/p, smallest scale 1) starts y at the same u.
     u = lcm(*(v.denominator for v in params.V_plus + params.V_minus))
-    y = _quotient_numerators(2 * u, p * u, order)
+    y = _quotient_numerators(2 * u, p * u, order)  # the p-factor, at scale u
     for v in params.V_plus:  # times 1/(1 - v*t)
         vu = v.numerator * (u // v.denominator)
         for k in range(1, order + 1):
@@ -139,7 +134,13 @@ def gamma_series(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
         vu = v.numerator * (u // v.denominator)
         for k in range(order, 0, -1):
             y[k] -= vu * k * y[k - 1]
-    return TruncatedSeries(_over_scale(y, u))
+    return y, u
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def gamma_series(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
+    """Gamma series of a parameter set, from its V+/V- multisets."""
+    return TruncatedSeries(_over_scale(*_gamma_numerators(params, p, order)), order=order)
 
 
 def x_sequence(params: ParameterSet, n_max: int) -> list[Fraction]:
@@ -168,8 +169,6 @@ def gamma_series_xn(params: ParameterSet, p: int, order: int) -> TruncatedSeries
     p-factor; exact agreement with gamma_series is a cross-check, since
     this route never touches the V+/V- factorization.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
     a, b = params.alpha, params.beta
     quad = TruncatedSeries([1, -(a + b), a * b], order=order)
     xs = TruncatedSeries(x_sequence(params, order), order=order)

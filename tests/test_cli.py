@@ -158,11 +158,19 @@ class TestPowersum:
         assert out.split()[-1] == decimal(expected)
 
     def test_value_beyond_output_bound_is_refused_quickly(self, capsys):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "powersum", "E8", "-n", "100000", "--method", "direct")
-        assert time.perf_counter() - start < 1
-        assert code == 2 and not out
-        assert err == "error: a value exceeds the output bound of 100000 digits\n"
+        # E8 at n >= 83048 is refused before any work (29**n >= 2**(4n) has more
+        # than 332192 bits); at n = 83047 the rendered value is refused.
+        for n in ("83047", "83048", "100000", "5000000"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "powersum", "E8", "-n", n, "--method", "direct")
+            assert time.perf_counter() - start < 1, n
+            assert code == 2 and not out, n
+            assert err == "error: a value exceeds the output bound of 100000 digits\n", n
+
+    def test_a1_renders_at_any_n(self, capsys):
+        code, out, err = run(capsys, "powersum", "A1", "-n", "5000000", "--method", "direct")
+        assert code == 0 and not err
+        assert out.split()[-1] == "1"
 
     @pytest.mark.parametrize("n", ["20000", "100000"])
     def test_digit_limit_restored(self, capsys, n):

@@ -143,6 +143,13 @@ class TestSweeps:
                 if n <= 4:
                     assert heightsum_closed(t, n).value == heightsum_direct(t, n).value
 
+    def test_todd_route_at_orders_zero_and_one(self):
+        for t in catalog(6, 10):
+            for p in (1, 2, 3):
+                for k in (0, 1):
+                    want = tuple(powersum_direct(t, j).value for j in range(k + 1))
+                    assert powersum_todd_upto(t, k, p) == want, (t.name, k, p)
+
     @pytest.mark.parametrize("p", [1, 3])
     def test_todd_route_at_depth(self, p):
         # At p = 3 the gamma series has denominators, so the Todd pass scales.

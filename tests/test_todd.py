@@ -224,9 +224,28 @@ class TestGammaSeries:
         for p in (1, 2, 3):
             assert gamma_series(ps, p, 30) == quotient * p_factor(p, 30), p
 
-    def test_minimum_order(self):
-        with pytest.raises(ValueError):
-            gamma_series(parameters(parse_type("A2")), 1, 1)
+    def test_orders_zero_and_one_truncate_order_two(self):
+        sets = [parameters(t, prof) for t in catalog(6, 10) for prof in applicable_profiles(t)]
+        sets.append(parameters(parse_type("I2(7)"), "redefined", F(7, 3)))
+        for ps in sets:
+            for p in (1, 2, 3):
+                two = gamma_series(ps, p, 2)
+                for k in (0, 1):
+                    assert gamma_series(ps, p, k) == two.truncate(k), (ps, p, k)
+                    assert gamma_series_xn(ps, p, k) == two.truncate(k), (ps, p, k)
+        for p in (1, 2, 3):
+            for k in (0, 1):
+                assert p_factor(p, k) == p_factor(p, 2).truncate(k)
+
+    @pytest.mark.parametrize("label", ["A2", "E8", "H4"])
+    def test_rejects_negative_order(self, label):
+        ps = parameters(parse_type(label))
+        for build in (gamma_series, gamma_series_xn):
+            for order in (-1, -3):
+                with pytest.raises(ValueError, match="order must be >= 0"):
+                    build(ps, 1, order)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            p_factor(1, -1)
 
     @pytest.mark.parametrize("p", [0, -1])
     def test_requires_positive_p(self, p):

@@ -401,6 +401,16 @@ class TestSpecializations:
         assert gamma_series(ps, 1, 3)[3] == 202
         assert gamma_series(ps, 2, 2)[2] == 34
 
+    @pytest.mark.parametrize("label", ["A3", "C4"])
+    def test_passes_at_a_scale_above_one(self, label):
+        # A factor (1 - v*t) in both V+ and V- cancels, but makes u = 12.
+        t = parse_type(label)
+        ps = parameters(t)
+        extra = (F(1, 3), F(-5, 4))
+        scaled = corrupt(ps, V_plus=ps.V_plus + extra, V_minus=ps.V_minus + extra)
+        report = check_gamma_specializations(t, 30, params=scaled)
+        assert report.passed, report.witness
+
     def test_wrong_family(self):
         with pytest.raises(WrongFamily):
             check_gamma_specializations(parse_type("E8"), 4)
@@ -423,6 +433,8 @@ class TestSpecializations:
             ("A5", {"V_plus": (F(3), F(7))}),
             ("C3", {"V_minus": (F(1), F(4))}),
             ("C4", {"V_plus": (F(5), F(8))}),
+            ("A3", {"V_minus": (F(2, 3), F(3))}),
+            ("C3", {"V_plus": (F(5, 4), F(1, 6))}),
         ],
     )
     def test_witness_matches_explicit_sums(self, label, changes):
