@@ -49,14 +49,15 @@ _MAX_BETA_EXPONENT = 4300
 _MAX_OUTPUT_DIGITS = 100_000
 _MAX_OUTPUT_BITS = int(_MAX_OUTPUT_DIGITS / math.log10(2))  # 2**bits <= 10**digits
 
-# The Todd route costs about n**2 big-integer products whose operands grow
-# with n: E8 at n = 1000 takes seconds, at n = 5000 far longer.  Beyond this
-# bound --method todd and --method all are refused before any work, and so
-# is verify --n-max when a suite that reads it runs: methods takes the Todd
-# route and specializations the gamma series up to n-max.  The direct
-# route of heights is bounded by it too: Faulhaber's formula reads the
-# Bernoulli numbers up to n, which the Todd pass also reads, built by an
-# O(n**2) tangent-number pass (E8 at n = 4000 takes seconds).
+# The Todd and closed routes cost about n**2 big-integer products whose
+# operands grow with n: E8 at n = 1000 takes seconds, at n = 5000 far
+# longer.  Beyond this bound every method but powersum's direct one is
+# refused before any work, and so is verify --n-max when a suite that reads
+# it runs: methods takes the Todd and closed routes and specializations the
+# gamma series up to n-max.  The direct route of heights is bounded by it
+# too: Faulhaber's formula reads the Bernoulli numbers up to n, which the
+# Todd recurrence also reads, built by an O(n**2) tangent-number pass (E8 at
+# n = 4000 takes seconds).
 _MAX_TODD_N = 1000
 
 
@@ -230,17 +231,13 @@ def _cmd_exponents(args) -> int:
     return _print_row(args, row)
 
 
-def _compare_routes(args, t, columns, routes, closed_max, cells) -> int:
-    """One row per route that --method selects, in the order of routes;
-    --method all leaves out closed above closed_max.  Exit 1 when the
-    routes' values differ."""
-    selected = [
-        m for m in routes
-        if args.method in (m, "all") and not (m == "closed" and args.n > closed_max)
-    ]
+def _compare_routes(args, t, columns, routes, cells) -> int:
+    """One row per route that --method selects, in the order of routes.
+    Exit 1 when the routes' values differ."""
     rows = [
         {"type": t.name, "n": args.n, "method": m, "value": routes[m]().value, **cells(m)}
-        for m in selected
+        for m in routes
+        if args.method in (m, "all")
     ]
     print(OutputDocument(columns, rows).render(args.format))
     if len({row["value"] for row in rows}) > 1:
@@ -251,16 +248,14 @@ def _compare_routes(args, t, columns, routes, closed_max, cells) -> int:
 
 def _cmd_powersum(args) -> int:
     t, n = normalize(parse_type(args.type)), args.n
-    closed_max = _powersums.POWERSUM_CLOSED_MAX_N
     if n < 0:
         raise CoxError("n must be >= 0")
     if args.p < 1:
         raise CoxError("p must be >= 1")
-    if args.method == "closed" and n > closed_max:
-        raise CoxError(f"the closed method needs n <= {closed_max}")
-    if args.method in ("todd", "all") and n > _MAX_TODD_N:
+    if args.method != "direct" and n > _MAX_TODD_N:
+        method = "todd" if args.method == "all" else args.method
         hint = " (use --method direct for larger n)" if args.method == "all" else ""
-        raise CoxError(f"the todd method needs n <= {_MAX_TODD_N}{hint}")
+        raise CoxError(f"the {method} method needs n <= {_MAX_TODD_N}{hint}")
     params = parameters(t, args.profile, _parse_beta(args.beta))
     # The value is at least (h-1)**n >= 2**(n * (bit_length(h-1) - 1)).
     _check_output_bits(n * ((params.h - 1).bit_length() - 1) + 1)
@@ -271,19 +266,17 @@ def _cmd_powersum(args) -> int:
     }
     columns = ["type", "n", "method", "p", "value"]
     return _compare_routes(
-        args, t, columns, routes, closed_max, lambda m: {"p": args.p if m == "todd" else ""}
+        args, t, columns, routes, lambda m: {"p": args.p if m == "todd" else ""}
     )
 
 
 def _cmd_heights(args) -> int:
     t, n = normalize(parse_type(args.type)), args.n
-    closed_max = _powersums.HEIGHTSUM_CLOSED_MAX_N
     if n < 0:
         raise CoxError("n must be >= 0")
-    if args.method == "closed" and n > closed_max:
-        raise CoxError(f"the closed method needs n <= {closed_max}")
-    if args.method in ("direct", "all") and n > _MAX_TODD_N:
-        raise CoxError(f"the direct method needs n <= {_MAX_TODD_N}")
+    if n > _MAX_TODD_N:
+        method = "direct" if args.method == "all" else args.method
+        raise CoxError(f"the {method} method needs n <= {_MAX_TODD_N}")
     params = parameters(t, args.profile, _parse_beta(args.beta))
     routes = {
         "direct": lambda: _powersums.heightsum_direct(t, n),
@@ -291,7 +284,7 @@ def _cmd_heights(args) -> int:
     }
     note = "" if t.is_crystallographic else "formal height sum"
     columns = ["type", "n", "method", "value", "note"]
-    return _compare_routes(args, t, columns, routes, closed_max, lambda m: {"note": note})
+    return _compare_routes(args, t, columns, routes, lambda m: {"note": note})
 
 
 def _cmd_table(args) -> int:

@@ -38,7 +38,7 @@ class ConstraintViolated(CoxError):
 
 
 class UnsupportedDegree(CoxError):
-    """No closed form is available at this degree."""
+    """No printed closed form is stored at this degree (todd_closed beyond Td_5)."""
 
 
 class WrongFamily(CoxError):

@@ -1,20 +1,23 @@
 """Power sums of exponents and of root heights, by independent methods.
 
-Three routes compute sum(m_i**n): direct summation over the exponents,
-the Todd route n! * r * Td_n(gamma_1..gamma_n), and closed forms in
-(r, h, gamma, alpha, beta) for n <= POWERSUM_CLOSED_MAX_N.  Height power
-sums come from the S_k = sum(m_i**k) by Faulhaber's formula for
-sum_i (1**n + ... + m_i**n), and from closed forms for
-n <= HEIGHTSUM_CLOSED_MAX_N; roots are never constructed, so the
-noncrystallographic types evaluate the same formulas (their CLI output
-is labeled a formal height sum).
+Three routes compute sum(m_i**n) at every n: direct summation over the
+exponents, the Todd route n! * r * Td_n(gamma_1..gamma_n) from the gamma
+series of V+ and V-, and the closed route, the paper's polynomial in
+(h, r, alpha, beta) evaluated through the same Todd recurrence from the
+virtual-root power sums (closed_power_sums).  The closed route never reads
+gamma; the table value of gamma is checked by the gamma and gamma34
+suites of cox verify.  Height power sums come from the S_k = sum(m_i**k)
+by Faulhaber's formula for sum_i (1**n + ... + m_i**n), over the direct or
+the closed S_k; roots are never constructed, so the noncrystallographic
+types evaluate the same formulas (their CLI output is labeled a formal
+height sum).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import todd as _todd
 from .catalog import (
@@ -26,13 +29,7 @@ from .catalog import (
     normalize,
     parameters,
 )
-from .errors import InternalMismatch, UnsupportedDegree
-
-# The largest n with a closed form: powersum_closed and heightsum_closed
-# refuse larger n, the CLI's closed method is bounded by them, and the
-# methods suite of cox verify compares the closed forms up to them.
-POWERSUM_CLOSED_MAX_N = 5
-HEIGHTSUM_CLOSED_MAX_N = 4
+from .errors import InternalMismatch
 
 
 @dataclass(frozen=True)
@@ -88,40 +85,44 @@ def powersum_todd(
     return PowerSumResult(normalize(t), n, factorial(n) * r * td[n], "todd")
 
 
-def _r45(ps: ParameterSet) -> Fraction:
-    h, g = ps.h, ps.gamma
-    s, q = ps.alpha + ps.beta, ps.alpha * ps.beta
-    return (h * h - g - h + 2) * ((h - 2 + s) * s - q) + (h - 2) * (h - 2 + s) * q
+def closed_power_sums(params: ParameterSet, n: int) -> list[int]:
+    """S_0 .. S_n from (h, r, alpha, beta) alone, through the Todd recurrence at p = 1.
+
+    At p = 1 the gamma series is (1+t)(1-alpha t)(1-beta t) / ((1-t)(1-A t)(1-B t)),
+    so its virtual roots have power sums
+    P_k = 1 + (-alpha)**k + (-beta)**k - (-1)**k - (-A)**k - (-B)**k, where
+    L_k = (-A)**k + (-B)**k runs L_k = -s L_{k-1} - q L_{k-2} from L_0 = 2,
+    L_1 = -s, with s = A + B = h - 2 + alpha + beta and q = A B = r alpha beta.
+    At the scale u = lcm(den alpha, den beta) every u**k P_k is an integer,
+    the recurrence gives T_k = M_k u**k Td_k, and S_k = k! r T_k / (M_k u**k),
+    a division that must be exact.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    a, b, r = params.alpha, params.beta, params.r
+    u = lcm(a.denominator, b.denominator)
+    au, bu = a.numerator * (u // a.denominator), b.numerator * (u // b.denominator)
+    su, qu = (params.h - 2) * u + au + bu, r * au * bu  # s u and q u**2
+    lucas, p = [2, -su], [1]  # u**k L_k; T_0 = 1, then u**k P_k
+    for k in range(1, n + 1):
+        if k >= 2:
+            lucas.append(-su * lucas[k - 1] - qu * lucas[k - 2])
+        p.append(u**k + (-au) ** k + (-bu) ** k - (-u) ** k - lucas[k])
+    m, _ = _todd._todd_tables(n)
+    sums = []
+    for k, tk in enumerate(_todd._todd_recurrence(p)):
+        sk, rest = divmod(factorial(k) * r * tk, m[k] * u**k)
+        if rest:
+            raise InternalMismatch(f"closed route: S_{k} is not an integer")
+        sums.append(sk)
+    return sums
 
 
 def powersum_closed(
     t: CoxeterType, n: int, params: ParameterSet | None = None
 ) -> PowerSumResult:
-    """Closed forms for sum(m_i**n), n <= POWERSUM_CLOSED_MAX_N."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > POWERSUM_CLOSED_MAX_N:
-        raise UnsupportedDegree(f"no closed power-sum form for n = {n}")
-    ps = _params(t, params)
-    r, h, g = ps.r, ps.h, ps.gamma
-    if n == 0:
-        value = Fraction(r)
-    elif n == 1:
-        value = Fraction(r * h, 2)
-    elif n == 2:
-        value = Fraction(r, 6) * (h * h + g - h)
-    elif n == 3:
-        value = Fraction(r, 4) * h * (g - h)
-    elif n == 4:
-        value = Fraction(r, 30) * (
-            -(h**4) + 5 * h * h * g + 2 * g * g - 7 * h**3 - 2 * h * g
-            + 4 * h * h - 2 * g - 2 * h + 2 + _r45(ps)
-        )
-    else:
-        value = Fraction(r, 12) * h * (
-            2 * g * g - 2 * h**3 - 2 * h * g + 4 * h * h - 2 * g - 2 * h + 2
-            + _r45(ps)
-        )
+    """sum(m_i**n) by the closed route, from (h, r, alpha, beta)."""
+    value = Fraction(closed_power_sums(_params(t, params), n)[n])
     return PowerSumResult(normalize(t), n, value, "closed")
 
 
@@ -150,26 +151,8 @@ def heightsum_direct(t: CoxeterType, n: int) -> PowerSumResult:
 def heightsum_closed(
     t: CoxeterType, n: int, params: ParameterSet | None = None
 ) -> PowerSumResult:
-    """Closed forms for the height power sums, n <= HEIGHTSUM_CLOSED_MAX_N."""
+    """The height power sum by Faulhaber's formula over the closed route's S_k."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > HEIGHTSUM_CLOSED_MAX_N:
-        raise UnsupportedDegree(f"no closed height-sum form for n = {n}")
-    ps = _params(t, params)
-    r, h, g = ps.r, ps.h, ps.gamma
-    if n == 0:
-        value = Fraction(r * h, 2)
-    elif n == 1:
-        value = Fraction(r, 12) * (h * h + g + 2 * h)
-    elif n == 2:
-        value = Fraction(r, 12) * (h + 1) * g
-    elif n == 3:
-        value = Fraction(r, 120) * (
-            -(h**4) + 5 * h * h * g + 2 * g * g - 7 * h**3 + 13 * h * g
-            - 6 * h * h + 3 * g - 7 * h + 2 + _r45(ps)
-        )
-    else:
-        value = Fraction(r, 60) * (h + 1) * (
-            2 * g * g - 3 * h**3 + 3 * h * g - 2 * g - 3 * h + 2 + _r45(ps)
-        )
+    value = _todd.faulhaber_sum(n, closed_power_sums(_params(t, params), n + 1))
     return PowerSumResult(normalize(t), n, value, "closed")

@@ -15,7 +15,8 @@ sums of virtual roots x_j whose elementary symmetric functions are the gamma_n,
     sum_n Td_n t**n = exp(sum_k lambda_k P_k t**k)
 
 where lambda_k = -B_k / (k * k!) is the t**k coefficient of log(t / (1 - exp(-t))).
-One pass over k gives P_k by Newton's identity, then k Td_k = sum_j j lambda_j P_j Td_{k-j}.
+One pass over k gives P_k by Newton's identity, then k Td_k = sum_j j lambda_j P_j Td_{k-j};
+the second step also takes the P_k directly (the closed route of coxsums.powersums).
 
 The inner loops run on integers, and each returned coefficient becomes a
 Fraction once.  The p-factor's coefficients are g_k / (k! * w**k) with
@@ -215,13 +216,19 @@ def _todd_pass(a: Sequence) -> list:
     The a_i may lie in any ring where ints act by multiplication, with
     divmod by an int: ints, or MPoly for the polynomials themselves.
     """
-    n = len(a) - 1
-    m, weights = _todd_tables(n)
-    q = [0] * (n + 1)  # P_k, by Newton's identity
-    weighted = []  # (j, M_j, M_j * j * lambda_j * P_j), skipping lambda_j = 0 (odd j >= 3)
-    t = [a[0]]
-    for k in range(1, n + 1):
+    q = list(a)  # a_0 = T_0, then P_k by Newton's identity
+    for k in range(1, len(a)):
         q[k] = sum((a[i] * q[k - i] for i in range(1, k)), k * a[k])
+    return _todd_recurrence(q)
+
+
+def _todd_recurrence(q: Sequence) -> list:
+    """T_0 .. T_n from q_0 = T_0 = 1 and the virtual-root power sums q_k = P_k."""
+    n = len(q) - 1
+    m, weights = _todd_tables(n)
+    weighted = []  # (j, M_j, M_j * j * lambda_j * P_j), skipping lambda_j = 0 (odd j >= 3)
+    t = [q[0]]
+    for k in range(1, n + 1):
         wk = weights[k]
         if wk:
             weight = _exact_div(wk.numerator * m[k], wk.denominator, f"M_{k} {k} lambda_{k}")
@@ -354,10 +361,16 @@ def faulhaber_sum(n: int, sums: Sequence[int]) -> Fraction:
     """sum_i (1**n + 2**n + ... + x_i**n) from the power sums S_j = sum_i x_i**j.
 
     Faulhaber's formula (1/(n+1)) sum_{k<=n} C(n+1, k) B_k S_{n+1-k} with
-    B_1 taken as +1/2; reads S_1 .. S_{n+1}.
+    B_1 taken as +1/2; reads S_1 .. S_{n+1}.  The sum runs in integers over
+    M_n, which every den(B_k) with k <= n divides (von Staudt-Clausen).
     """
-    b = [-x if k == 1 else x for k, x in enumerate(_bernoulli_numbers(n))]
-    return sum(comb(n + 1, k) * b[k] * sums[n + 1 - k] for k in range(n + 1)) / (n + 1)
+    m = _todd_tables(n)[0][n]
+    total = 0
+    for k, b in enumerate(_bernoulli_numbers(n)):
+        if b:
+            bm = b.numerator * (m // b.denominator)
+            total += comb(n + 1, k) * (-bm if k == 1 else bm) * sums[n + 1 - k]
+    return Fraction(total, m * (n + 1))
 
 
 def faulhaber(n: int, r: int) -> Fraction:

@@ -422,13 +422,14 @@ def check_t_examples(
 
 def _gamma_specializations(
     family: str, r: int, n_max: int
-) -> Iterator[tuple[int, int, Fraction]]:
+) -> Iterator[tuple[int, int, int]]:
     """(p, n, gamma_n) by the closed forms of check_gamma_specializations, for
     n = 1..n_max in check order (for C_r, p = 1 then p = 2 at each n).
 
-    Each value comes from running values in O(1) operations: with x = 2r,
+    Each value comes from running integers in O(1) operations: with x = 2r,
     G_n = sum(x**j, j <= n-2) and S_n = sum(Catalan(j-1) x**(n-2j), 2j <= n),
-    S_n = x**2 S_{n-2} + Catalan(n//2 - 1) x**(n % 2) from S_0 = -1/2, S_1 = -r.
+    S_n = x**2 S_{n-2} + Catalan(n//2 - 1) x**(n % 2) from S_0 = -1/2, S_1 = -r,
+    and the p = 2 value gamma_n = -2 S_n runs from 1 and 2r.
     """
     if family == "A":
         power = 1  # r**(n-1)
@@ -438,12 +439,15 @@ def _gamma_specializations(
         return
     x = 2 * r
     power, geometric = 1, 0  # x**(n-1) and G_n
-    by_parity = [Fraction(-1, 2), Fraction(-r)]  # S_n for the last even and odd n
+    by_parity = [1, 2 * r]  # -2 S_n for the last even and odd n
+    cat = 1  # Catalan(n//2 - 1)
     for n in range(1, n_max + 1):
         yield 1, n, power * x - 2 * geometric
+        if n >= 4 and n % 2 == 0:  # Catalan(k+1) = Catalan(k) 2(2k+1) / (k+2)
+            cat = cat * 2 * (n - 3) // (n // 2)
         if n >= 2:
-            by_parity[n % 2] = x * x * by_parity[n % 2] + catalan(n // 2 - 1) * x ** (n % 2)
-        yield 2, n, -2 * by_parity[n % 2]
+            by_parity[n % 2] = x * x * by_parity[n % 2] - 2 * cat * x ** (n % 2)
+        yield 2, n, by_parity[n % 2]
         geometric += power
         power *= x
 
@@ -516,16 +520,15 @@ def check_methods(
     exps: ExponentList | None = None,
     params: ParameterSet | None = None,
 ) -> CheckReport:
-    """Todd, closed-form and direct power sums agree; heights too."""
+    """Todd, closed and direct power sums agree at every n <= n_max; heights too."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     resolved = _resolve(t, None, params)
     el = _exps(t, exps)
-    closed_max = _powersums.POWERSUM_CLOSED_MAX_N
-    hclosed_max = _powersums.HEIGHTSUM_CLOSED_MAX_N
-    # The height sum of degree n reads S_0 .. S_{n+1}.
-    sums = _powersums.exponent_power_sums(el, max(n_max, closed_max, hclosed_max + 1))
-    heights = [_powersums.exponent_heightsum(el, n, sums) for n in range(hclosed_max + 1)]
+    # The height sum of degree n reads S_0 .. S_{n+1}; the simply-laced check reads degree 1.
+    sums = _powersums.exponent_power_sums(el, max(n_max, 1) + 1)
+    heights = [_powersums.exponent_heightsum(el, n, sums) for n in range(max(n_max, 1) + 1)]
+    closed = _powersums.closed_power_sums(resolved, n_max + 1)
     todd = {p: _powersums.powersum_todd_upto(t, n_max, p, resolved) for p in ps_values}
     failures = []
     for n in range(n_max + 1):
@@ -537,16 +540,16 @@ def check_methods(
                 break
         if failures:
             break
-        if n <= closed_max:
-            closed = _powersums.powersum_closed(t, n, params=resolved).value
-            if closed != direct:
-                failures.append(f"n={n}: closed {closed} != direct {direct}")
-                break
-        if n <= hclosed_max:
-            hclosed = _powersums.heightsum_closed(t, n, params=resolved).value
-            if hclosed != heights[n]:
-                failures.append(f"heights n={n}: closed {hclosed} != direct {heights[n]}")
-                break
+        if closed[n] != direct:
+            failures.append(f"n={n}: closed {closed[n]} != direct {direct}")
+            break
+    # After every S_n: the height sum of degree n reads S_{n+1}.
+    for n in range(n_max + 1):
+        if failures:
+            break
+        hclosed = _todd.faulhaber_sum(n, closed)
+        if hclosed != heights[n]:
+            failures.append(f"heights n={n}: closed {hclosed} != direct {heights[n]}")
     tn = normalize(t)
     if not failures and tn.family in ("A", "D", "E"):
         # Simply-laced: gamma = h**2 forces the classical height-sum form.

@@ -138,14 +138,27 @@ class TestPowersum:
         assert code == 0
         assert all(row["value"] == 4 for row in json.loads(out))
 
-    def test_closed_degree_limit(self, capsys):
-        code, _, err = run(capsys, "powersum", "A2", "-n", "6", "--method", "closed")
-        assert code == 2 and err
+    def test_closed_method_beyond_degree_five(self, capsys):
+        code, out, err = run(capsys, "powersum", "A2", "-n", "6", "--method", "closed")
+        assert code == 0 and not err
+        assert out.split()[-1] == str(1 + 2**6)
 
-    def test_all_skips_closed_beyond_degree_five(self, capsys):
+    def test_all_keeps_closed_beyond_degree_five(self, capsys):
         code, out, _ = run(capsys, "powersum", "A2", "-n", "7", "--format", "json")
         assert code == 0
-        assert [row["method"] for row in json.loads(out)] == ["direct", "todd"]
+        rows = json.loads(out)
+        assert [row["method"] for row in rows] == ["direct", "todd", "closed"]
+        assert all(row["value"] == 1 + 2**7 for row in rows)
+
+    def test_all_routes_agree_on_a_dihedral_beta_override(self, capsys):
+        code, out, err = run(
+            capsys, "powersum", "I2(9)", "-n", "40", "--profile", "redefined",
+            "--beta", "5/2", "--format", "json",
+        )
+        assert code == 0 and not err
+        rows = json.loads(out)
+        assert [row["method"] for row in rows] == ["direct", "todd", "closed"]
+        assert all(row["value"] == 1 + 8**40 for row in rows)
 
     def test_bad_p(self, capsys):
         code, _, err = run(capsys, "powersum", "A2", "-n", "2", "--p", "0")
@@ -209,6 +222,10 @@ class TestPowersum:
             assert code == 0 and out.split()[-1] == str(s10)
             code, _, err = run(capsys, "powersum", "E8", "-n", "11", "--method", method)
             assert code == 2 and err.startswith("error: the todd method needs n <= 10")
+        code, out, _ = run(capsys, "powersum", "E8", "-n", "10", "--method", "closed")
+        assert code == 0 and out.split()[-1] == str(s10)
+        code, _, err = run(capsys, "powersum", "E8", "-n", "11", "--method", "closed")
+        assert code == 2 and err == "error: the closed method needs n <= 10\n"
         code, _, _ = run(capsys, "powersum", "E8", "-n", "11", "--method", "direct")
         assert code == 0
 
@@ -250,9 +267,17 @@ class TestHeights:
         assert all(row["value"] == 61 for row in rows)
         assert all(row["note"] == "formal height sum" for row in rows)
 
-    def test_closed_degree_limit(self, capsys):
-        code, _, err = run(capsys, "heights", "A2", "-n", "5", "--method", "closed")
-        assert code == 2 and err
+    def test_closed_method_beyond_degree_four(self, capsys):
+        code, out, err = run(capsys, "heights", "A2", "-n", "5", "--method", "closed")
+        assert code == 0 and not err
+        assert out.split()[-1] == str(2 + 2**5)
+
+    def test_all_routes_agree_on_e8_at_degree_40(self, capsys):
+        code, out, err = run(capsys, "heights", "E8", "-n", "40", "--format", "json")
+        assert code == 0 and not err
+        rows = json.loads(out)
+        assert [row["method"] for row in rows] == ["direct", "closed"]
+        assert rows[0]["value"] == rows[1]["value"]
 
     def test_route_disagreement_exits_one(self, capsys, monkeypatch):
         import dataclasses
@@ -290,30 +315,27 @@ class TestHeights:
             assert code == 2 and not out
             assert err == "error: the direct method needs n <= 10\n"
 
-    @pytest.mark.parametrize("n", ["5", "1001"])
-    def test_closed_keeps_its_own_message(self, capsys, n):
-        code, out, err = run(capsys, "heights", "E8", "-n", n, "--method", "closed")
+    def test_closed_bound_is_inclusive(self, capsys, monkeypatch):
+        import coxsums.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_MAX_TODD_N", 10)
+        code, out, _ = run(capsys, "heights", "A2", "-n", "10", "--method", "closed")
+        assert code == 0 and out.split()[-1] == str(2**10 + 2)
+        code, out, err = run(capsys, "heights", "A2", "-n", "11", "--method", "closed")
         assert code == 2 and not out
-        assert err == "error: the closed method needs n <= 4\n"
+        assert err == "error: the closed method needs n <= 10\n"
 
 
-class TestClosedLimits:
-    """The CLI reads the closed limits from coxsums.powersums when it runs."""
+class TestClosedBound:
+    """The closed route runs at every n up to the Todd route's bound."""
 
-    @pytest.mark.parametrize(
-        "command, constant, n",
-        [("powersum", "POWERSUM_CLOSED_MAX_N", 3), ("heights", "HEIGHTSUM_CLOSED_MAX_N", 2)],
-    )
-    def test_lowered_limit(self, capsys, monkeypatch, command, constant, n):
-        import coxsums.powersums as powersums_module
-
-        monkeypatch.setattr(powersums_module, constant, n)
-        code, out, _ = run(capsys, command, "A2", "-n", str(n), "--format", "json")
-        assert code == 0 and json.loads(out)[-1]["method"] == "closed"
-        code, out, _ = run(capsys, command, "A2", "-n", str(n + 1), "--format", "json")
-        assert code == 0 and "closed" not in [row["method"] for row in json.loads(out)]
-        code, _, err = run(capsys, command, "A2", "-n", str(n + 1), "--method", "closed")
-        assert code == 2 and err == f"error: the closed method needs n <= {n}\n"
+    @pytest.mark.parametrize("command", ["powersum", "heights"])
+    def test_deep_closed_route_is_refused_quickly(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "E8", "-n", "1001", "--method", "closed")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == "error: the closed method needs n <= 1000\n"
 
 
 class TestTable:

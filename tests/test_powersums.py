@@ -1,5 +1,6 @@
 """Cross-method power sums and height sums."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -19,8 +20,13 @@ from coxsums import (
     powersum_todd,
     powersum_todd_upto,
 )
-from coxsums.errors import UnsupportedDegree
-from coxsums.powersums import exponent_power_sums
+from coxsums.catalog import profile_parameters
+from coxsums.errors import InternalMismatch
+from coxsums.powersums import closed_power_sums, exponent_power_sums
+
+
+def corrupt(ps, **changes):
+    return dataclasses.replace(ps, **changes)
 
 
 class TestDirect:
@@ -68,9 +74,12 @@ class TestClosed:
         assert powersum_closed(parse_type("A2"), 4).value == 17
         assert powersum_closed(parse_type("A2"), 5).value == 33
 
-    def test_degree_bound(self):
-        with pytest.raises(UnsupportedDegree):
-            powersum_closed(parse_type("A2"), 6)
+    def test_every_degree(self):
+        e8 = parse_type("E8")
+        want = exponent_power_sums(exponents(e8), 40)
+        assert [powersum_closed(e8, n).value for n in range(41)] == want
+        with pytest.raises(ValueError):
+            powersum_closed(e8, -1)
 
     def test_beta_override_does_not_change_values(self):
         t = parse_type("A2")
@@ -104,9 +113,12 @@ class TestHeightSums:
         assert heightsum_closed(parse_type("H3"), 1).value == 61
         assert heightsum_direct(parse_type("H3"), 1).value == 61
 
-    def test_degree_bound(self):
-        with pytest.raises(UnsupportedDegree):
-            heightsum_closed(parse_type("A2"), 5)
+    def test_closed_route_at_every_degree(self):
+        e8 = parse_type("E8")
+        for n in range(30):
+            assert heightsum_closed(e8, n).value == heightsum_direct(e8, n).value, n
+        with pytest.raises(ValueError):
+            heightsum_closed(e8, -1)
 
     def test_direct_equals_dual_partition_enumeration(self):
         for label in ("E6", "C5", "H4", "I2(11)"):
@@ -198,3 +210,120 @@ def test_property_todd_equals_direct_for_any_free_beta(label, beta, p):
     t = parse_type(label)
     got = powersum_todd_upto(t, 10, p, parameters(t, beta=beta))
     assert got == tuple(powersum_direct(t, n).value for n in range(11))
+
+
+def _r45(ps):
+    h, g = ps.h, ps.gamma
+    s, q = ps.alpha + ps.beta, ps.alpha * ps.beta
+    return (h * h - g - h + 2) * ((h - 2 + s) * s - q) + (h - 2) * (h - 2 + s) * q
+
+
+def ladder_powersum(ps, n):
+    """The printed closed forms of sum(m_i**n) in (r, h, gamma, alpha, beta), n <= 5."""
+    r, h, g = ps.r, ps.h, ps.gamma
+    return [
+        lambda: F(r),
+        lambda: F(r * h, 2),
+        lambda: F(r, 6) * (h * h + g - h),
+        lambda: F(r, 4) * h * (g - h),
+        lambda: F(r, 30) * (
+            -(h**4) + 5 * h * h * g + 2 * g * g - 7 * h**3 - 2 * h * g
+            + 4 * h * h - 2 * g - 2 * h + 2 + _r45(ps)
+        ),
+        lambda: F(r, 12) * h * (
+            2 * g * g - 2 * h**3 - 2 * h * g + 4 * h * h - 2 * g - 2 * h + 2 + _r45(ps)
+        ),
+    ][n]()
+
+
+def ladder_heightsum(ps, n):
+    """The printed closed forms of the height power sums, n <= 4."""
+    r, h, g = ps.r, ps.h, ps.gamma
+    return [
+        lambda: F(r * h, 2),
+        lambda: F(r, 12) * (h * h + g + 2 * h),
+        lambda: F(r, 12) * (h + 1) * g,
+        lambda: F(r, 120) * (
+            -(h**4) + 5 * h * h * g + 2 * g * g - 7 * h**3 + 13 * h * g
+            - 6 * h * h + 3 * g - 7 * h + 2 + _r45(ps)
+        ),
+        lambda: F(r, 60) * (h + 1) * (
+            2 * g * g - 3 * h**3 + 3 * h * g - 2 * g - 3 * h + 2 + _r45(ps)
+        ),
+    ][n]()
+
+
+def _sweep_parameter_sets(max_rank, max_m):
+    for t in catalog(max_rank, max_m):
+        for profile, ps in profile_parameters(t):
+            yield t, profile, ps
+
+
+# One beta override per family whose table leaves beta free.
+BETA_OVERRIDES = (
+    ("A3", 7), ("C4", F(5, 3)), ("G2", F(9, 2)), ("H2", 3), ("H3", F(11, 4)), ("I2(9)", F(5, 2)),
+)
+
+
+def _with_overrides(max_rank, max_m):
+    yield from _sweep_parameter_sets(max_rank, max_m)
+    for label, beta in BETA_OVERRIDES:
+        t = parse_type(label)
+        yield t, f"beta={beta}", parameters(t, beta=beta)
+
+
+class TestClosedRoute:
+    """closed_power_sums reads (h, r, alpha, beta) and gives S_n at every n."""
+
+    def test_equals_the_printed_ladders(self):
+        for t, profile, ps in _with_overrides(12, 30):
+            sums = closed_power_sums(ps, 6)
+            for n in range(6):
+                assert sums[n] == ladder_powersum(ps, n), (t.name, profile, n)
+                assert powersum_closed(t, n, params=ps).value == sums[n], (t.name, profile, n)
+            for n in range(5):
+                want = ladder_heightsum(ps, n)
+                assert heightsum_closed(t, n, params=ps).value == want, (t.name, profile, n)
+
+    def test_equals_direct_on_the_desk_sweep_to_degree_40(self):
+        for t, profile, ps in _with_overrides(12, 30):
+            want = exponent_power_sums(exponents(t), 40)
+            assert closed_power_sums(ps, 40) == want, (t.name, profile)
+
+    def test_equals_direct_on_the_wide_sweep_to_degree_12(self):
+        for t, profile, ps in _sweep_parameter_sets(120, 600):
+            want = exponent_power_sums(exponents(t), 12)
+            assert closed_power_sums(ps, 12) == want, (t.name, profile)
+
+    def test_deep_e8(self):
+        e8 = parse_type("E8")
+        assert closed_power_sums(parameters(e8), 300) == exponent_power_sums(exponents(e8), 300)
+
+    def test_never_reads_gamma(self):
+        ps = parameters(parse_type("E8"))
+        assert closed_power_sums(corrupt(ps, gamma=901, V_plus=()), 12) == closed_power_sums(ps, 12)
+
+    def test_corrupt_alpha_is_caught(self):
+        e8 = parse_type("E8")
+        ps = corrupt(parameters(e8), alpha=F(13, 2))
+        want = exponent_power_sums(exponents(e8), 12)
+        with pytest.raises(InternalMismatch, match="closed route: S_"):
+            closed_power_sums(ps, 12)
+        assert closed_power_sums(corrupt(ps, alpha=F(4)), 12)[2] == 2472 != want[2]
+        assert list(powersum_todd_upto(e8, 12, 1, ps)) == want
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            closed_power_sums(parameters(parse_type("A2")), -1)
+        assert closed_power_sums(parameters(parse_type("F4")), 0) == [4]
+
+
+@settings(max_examples=64, deadline=None)
+@given(
+    st.sampled_from(FREE_BETA_TYPES),
+    st.fractions(min_value=0, max_value=40, max_denominator=12).filter(bool),
+)
+def test_property_closed_equals_direct_for_any_free_beta(label, beta):
+    t = parse_type(label)
+    got = closed_power_sums(parameters(t, beta=beta), 12)
+    assert got == exponent_power_sums(exponents(t), 12)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from math import comb, factorial, prod
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,10 @@ from coxsums.todd import (
     _bernoulli_numbers,
     _quotient_power,
     _todd_factor_log,
+    _todd_pass,
+    _todd_recurrence,
     _todd_tables,
+    faulhaber_sum,
     todd_polynomials,
 )
 
@@ -378,6 +382,11 @@ class TestToddIntegerPass:
         with pytest.raises(InternalMismatch):
             todd_values(g, n)
 
+    def test_recurrence_takes_power_sums_directly(self):
+        # a_i = (-1)**(i-1) e_i of the roots 1, 2, 3, so P_k = 1 + 2**k + 3**k.
+        a = [1, 6, -11, 6] + [0] * 9
+        assert _todd_recurrence([1] + [1 + 2**k + 3**k for k in range(1, 13)]) == _todd_pass(a)
+
     def test_denominator_table_breaking_divisibility_raises(self, monkeypatch):
         # M_1 M_3 no longer divides M_4; lambda_3 = 0, so no weight notices.
         table = [hirzebruch_denominator(k) for k in range(13)]
@@ -508,6 +517,18 @@ class TestBernoulliFaulhaber:
             faulhaber(-1, 3)
         with pytest.raises(ValueError):
             bernoulli_polynomial(-1)
+
+    def test_faulhaber_sum_matches_fraction_formula_on_random_sums(self):
+        rng = Random(5)
+        for n in range(60):
+            sums = [rng.randint(-(10**30), 10**30) for _ in range(n + 2)]
+            assert faulhaber_sum(n, sums) == faulhaber_sum_by_fractions(n, sums), n
+
+
+def faulhaber_sum_by_fractions(n, sums):
+    """Faulhaber's formula in Fractions, B_1 taken as +1/2."""
+    b = [-x if k == 1 else x for k, x in enumerate(_bernoulli_numbers(n))]
+    return sum(comb(n + 1, k) * b[k] * sums[n + 1 - k] for k in range(n + 1)) / (n + 1)
 
 
 def test_gamma_invariant_alias_consistency():

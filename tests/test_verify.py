@@ -14,11 +14,14 @@ from coxsums import (
     ExponentList,
     TruncatedSeries,
     catalog,
+    exponents,
     parameters,
     parse_type,
+    powersum_todd_upto,
     run_all,
 )
 from coxsums.errors import ConstantTermNotOne, WrongFamily
+from coxsums.powersums import exponent_power_sums
 from coxsums.verify import (
     catalan,
     check_beta_formula,
@@ -489,27 +492,62 @@ class TestMethodsSuite:
         assert not report.passed
         assert re.fullmatch(r"n=\d+, p=\d+: todd \S+ != direct \S+", report.witness)
 
-    def test_closed_routes_run_up_to_the_powersums_limits(self, monkeypatch):
+    def test_closed_route_runs_once_per_type(self, monkeypatch):
         import coxsums.powersums as powersums_module
 
-        seen = {"powersum_closed": set(), "heightsum_closed": set()}
+        real, calls = powersums_module.closed_power_sums, []
 
-        def recording(name):
-            real = getattr(powersums_module, name)
+        def recording(params, n):
+            calls.append(n)
+            return real(params, n)
 
-            def route(t, n, params=None):
-                seen[name].add(n)
-                return real(t, n, params=params)
+        def unused(*args, **kwargs):
+            raise AssertionError("check_methods reads closed_power_sums only")
 
-            return route
-
-        for name in seen:
-            monkeypatch.setattr(powersums_module, name, recording(name))
-        monkeypatch.setattr(powersums_module, "POWERSUM_CLOSED_MAX_N", 3)
-        monkeypatch.setattr(powersums_module, "HEIGHTSUM_CLOSED_MAX_N", 2)
+        monkeypatch.setattr(powersums_module, "closed_power_sums", recording)
+        monkeypatch.setattr(powersums_module, "powersum_closed", unused)
+        monkeypatch.setattr(powersums_module, "heightsum_closed", unused)
         report = check_methods(parse_type("E8"), n_max=6)
         assert report.passed, report.witness
-        assert seen == {"powersum_closed": {0, 1, 2, 3}, "heightsum_closed": {0, 1, 2}}
+        assert calls == [7]
+
+    @pytest.mark.parametrize(
+        "index, witness",
+        [
+            (6, "n=6: closed 820758681 != direct 820758680"),
+            (13, "heights n=12: closed 13450128285371419201/13 != direct 1034625252720878400"),
+        ],
+        ids=["power-sum", "height-sum"],
+    )
+    def test_closed_sums_are_compared_up_to_n_max(self, monkeypatch, index, witness):
+        import coxsums.powersums as powersums_module
+
+        real = powersums_module.closed_power_sums
+
+        def shifted(params, n):
+            sums = real(params, n)
+            sums[index] += 1
+            return sums
+
+        monkeypatch.setattr(powersums_module, "closed_power_sums", shifted)
+        report = check_methods(parse_type("E8"), n_max=12)
+        assert not report.passed
+        assert report.witness == witness
+
+    def test_fails_with_corrupt_alpha_on_the_closed_route(self):
+        e8 = parse_type("E8")
+        bad = corrupt(parameters(e8), alpha=F(4))
+        direct = tuple(exponent_power_sums(exponents(e8), 12))
+        for p in (1, 2, 3):
+            assert powersum_todd_upto(e8, 12, p, bad) == direct
+        report = check_methods(e8, n_max=12, params=bad)
+        assert not report.passed
+        assert report.witness == "n=2: closed 2472 != direct 2360"
+
+    def test_passes_at_n_max_zero(self):
+        for label in ("A3", "D4", "E8", "H4", "I2(7)"):
+            report = check_methods(parse_type(label), n_max=0)
+            assert report.passed, (label, report.witness)
 
 
 class TestRunAll:
