@@ -31,7 +31,6 @@ from .errors import (
     ParseError,
     ProfileMismatch,
     RangeError,
-    UnsupportedDegree,
     WrongFamily,
     ZeroConstantTerm,
 )
@@ -53,7 +52,6 @@ from .todd import (
     gamma_series_xn,
     p_factor,
     p_factor_general,
-    todd_closed,
     todd_values,
     x_sequence,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "ProfileMismatch",
     "RangeError",
     "TruncatedSeries",
-    "UnsupportedDegree",
     "WrongFamily",
     "ZeroConstantTerm",
     "applicable_profiles",
@@ -107,7 +104,6 @@ __all__ = [
     "powersum_todd_upto",
     "run_all",
     "t_transform",
-    "todd_closed",
     "todd_values",
     "x_sequence",
 ]

@@ -37,10 +37,6 @@ class ConstraintViolated(CoxError):
     """Arguments violate a precondition that links them."""
 
 
-class UnsupportedDegree(CoxError):
-    """No printed closed form is stored at this degree (todd_closed beyond Td_5)."""
-
-
 class WrongFamily(CoxError):
     """Check only applies to certain type families."""
 

@@ -22,6 +22,7 @@ from math import factorial, lcm
 from . import todd as _todd
 from .catalog import (
     CoxeterType,
+    DualPartition,
     ExponentList,
     ParameterSet,
     dual_partition,
@@ -59,30 +60,33 @@ def powersum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     return PowerSumResult(normalize(t), n, value, "direct")
 
 
-def _todd_route(
-    t: CoxeterType, n: int, p: int, params: ParameterSet | None
-) -> tuple[int, tuple[Fraction, ...]]:
-    """The rank r and Td_0 .. Td_n of the gamma series."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    ps = _params(t, params)
-    return ps.r, _todd.todd_values(_todd.gamma_series(ps, p, n), n)
-
-
 def powersum_todd_upto(
     t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
 ) -> tuple[Fraction, ...]:
-    """sum(m_i**k) = k! * r * Td_k for k = 0..n, from one gamma series."""
-    r, td = _todd_route(t, n, p, params)
-    return tuple(factorial(k) * r * td[k] for k in range(n + 1))
+    """sum(m_i**k) = k! * r * Td_k for k = 0..n, from one pass over the gamma numerators.
+
+    gamma_k = y_k / (k! w**k), and the Todd pass gives T_k = M_k u**k Td_k,
+    so S_k = k! r T_k / (M_k u**k): one Fraction per k, left a Fraction so
+    that a table breaking integrality shows as a value, not an error.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    ps = _params(t, params)
+    y, w = _todd._gamma_numerators(ps, p, n)
+    gammas, scale = [], 1
+    for k in range(1, n + 1):
+        scale *= k * w
+        gammas.append((y[k], scale))
+    scaled, u = _todd._scaled_todd_pass(gammas)
+    m, _ = _todd._todd_tables(n)
+    return tuple(Fraction(factorial(k) * ps.r * tk, m[k] * u**k) for k, tk in enumerate(scaled))
 
 
 def powersum_todd(
     t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
 ) -> PowerSumResult:
     """sum(m_i**n) as n! * r * Td_n of the gamma series."""
-    r, td = _todd_route(t, n, p, params)
-    return PowerSumResult(normalize(t), n, factorial(n) * r * td[n], "todd")
+    return PowerSumResult(normalize(t), n, powersum_todd_upto(t, n, p, params)[n], "todd")
 
 
 def closed_power_sums(params: ParameterSet, n: int) -> list[int]:
@@ -126,11 +130,12 @@ def powersum_closed(
     return PowerSumResult(normalize(t), n, value, "closed")
 
 
-def exponent_heightsum(exps: ExponentList, n: int, sums: list[int]) -> Fraction:
+def exponent_heightsum(
+    exps: ExponentList, n: int, sums: list[int], dual: DualPartition
+) -> Fraction:
     """sum over positive roots of ht**n by Faulhaber's formula over S_0..S_{n+1},
-    checked against the dual partition (k_j roots of height j)."""
+    checked against dual = dual_partition(exps) (k_j roots of height j)."""
     by_faulhaber = _todd.faulhaber_sum(n, sums)
-    dual = dual_partition(exps)
     by_dual = sum(k * j**n for j, k in enumerate(dual.counts, start=1))
     if by_faulhaber != by_dual:
         raise InternalMismatch(
@@ -144,7 +149,7 @@ def heightsum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     if n < 0:
         raise ValueError("n must be >= 0")
     exps = exponents(t)
-    value = exponent_heightsum(exps, n, exponent_power_sums(exps, n + 1))
+    value = exponent_heightsum(exps, n, exponent_power_sums(exps, n + 1), dual_partition(exps))
     return PowerSumResult(normalize(t), n, value, "direct")
 
 

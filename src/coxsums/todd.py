@@ -26,8 +26,12 @@ passes at one w, the common denominator of V+ and V-.  Td_k uses
 weighted homogeneity, Td_k(gamma_i * u**i) = u**k Td_k(gamma), for an
 integer u that clears every gamma_i, and Hirzebruch's Todd denominators
 M_k = prod_p p**(k // (p-1)), which make M_k Td_k an integer
-polynomial.  Every division in the Td pass is checked, so a table that
-breaks this integrality raises InternalMismatch instead of giving a value.
+polynomial.  One step, _scaled_todd_pass, finds u and runs the pass from
+integer (numerator, denominator) pairs: todd_values feeds it a series'
+Fractions, and the Todd power sums of coxsums.powersums feed it the gamma
+numerators directly, with no Fraction on the way.  Every division in the
+Td pass is checked, so a table that breaks this integrality raises
+InternalMismatch instead of giving a value.
 The pass is generic over the coefficient ring: run over MPoly with c_i in
 place of gamma_i, it gives the integer polynomials M_k Td_k themselves.
 
@@ -48,7 +52,7 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .catalog import ParameterSet
-from .errors import ConstantTermNotOne, ConstraintViolated, InternalMismatch, UnsupportedDegree
+from .errors import ConstantTermNotOne, ConstraintViolated, InternalMismatch
 from .mpoly import MPoly
 from .series import TruncatedSeries
 
@@ -57,7 +61,8 @@ Rational = Union[int, Fraction]
 
 # Entries kept by each of the p_factor and gamma_series caches.  --beta admits
 # any rational and -p/-n any integer, so the keys are unbounded.  A default
-# verify makes 320 gamma_series calls (320 keys) and 6 p_factor calls: no hit.
+# verify makes 128 gamma_series calls (128 keys, all from gamma34) and 6
+# p_factor calls: no hit.
 _CACHE_SIZE = 512
 
 
@@ -203,13 +208,6 @@ def _todd_tables(n: int) -> tuple[list[int], list[Fraction]]:
     return m, weights
 
 
-def _exact_div(a, b: int, what: str):
-    q, r = divmod(a, b)
-    if r:
-        raise InternalMismatch(f"Todd pass: {what} is not an integer")
-    return q
-
-
 def _todd_pass(a: Sequence) -> list:
     """T_0 .. T_n, T_k = M_k Td_k(gamma), from a_i = (-1)**(i-1) gamma_i and a_0 = 1.
 
@@ -231,7 +229,9 @@ def _todd_recurrence(q: Sequence) -> list:
     for k in range(1, n + 1):
         wk = weights[k]
         if wk:
-            weight = _exact_div(wk.numerator * m[k], wk.denominator, f"M_{k} {k} lambda_{k}")
+            weight, rest = divmod(wk.numerator * m[k], wk.denominator)
+            if rest:
+                raise InternalMismatch(f"Todd pass: M_{k} {k} lambda_{k} is not an integer")
             weighted.append((k, m[k], weight * q[k]))
         # k T_k = sum_j (M_j j lambda_j P_j) (M_k / (M_j M_{k-j})) T_{k-j}
         mk, acc = m[k], 0
@@ -240,8 +240,31 @@ def _todd_recurrence(q: Sequence) -> list:
             if rest:
                 raise InternalMismatch(f"Todd pass: M_{k} / (M_{j} M_{k - j}) is not an integer")
             acc += carry * t[k - j] * w
-        t.append(_exact_div(acc, k, f"M_{k} Td_{k}"))
+        tk, rest = divmod(acc, k)
+        if rest:
+            raise InternalMismatch(f"Todd pass: M_{k} Td_{k} is not an integer")
+        t.append(tk)
     return t
+
+
+def _scaled_todd_pass(gammas: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """T_0 .. T_n and u, T_k = M_k u**k Td_k, from gamma_i = y_i / d_i for i = 1..n.
+
+    The pairs need not be in lowest terms.  The integer u is grown greedily
+    until every gamma_i u**i is an integer; by weighted homogeneity the pass
+    over those integers gives T_k.
+    """
+    u, reduced = 1, []
+    for i, (y, d) in enumerate(gammas, 1):
+        g = gcd(y, d)
+        y, d = y // g, d // g
+        ui = u**i
+        if ui % d:
+            u *= d // gcd(d, ui)
+        reduced.append((y, d))
+    # (-1)**(i-1) gamma_i u**i, so that Newton's identity is a plain sum.
+    a = [1] + [(y if i % 2 else -y) * (u**i // d) for i, (y, d) in enumerate(reduced, 1)]
+    return _todd_pass(a), u
 
 
 def todd_values(series: TruncatedSeries, n_max: int) -> tuple[Fraction, ...]:
@@ -252,22 +275,10 @@ def todd_values(series: TruncatedSeries, n_max: int) -> tuple[Fraction, ...]:
         raise ValueError("n_max must be >= 0")
     if n_max > series.order:
         raise ValueError("n_max exceeds the order of the gamma series")
-    # (-1)**(i-1) gamma_i, so that Newton's identity is a plain sum.
-    e = [c if i % 2 else -c for i, c in enumerate(series.coefficients[: n_max + 1])]
-    u = 1  # e_i u**i is an integer for every i
-    for i in range(1, n_max + 1):
-        d, ui = e[i].denominator, u**i
-        if ui % d:
-            u *= d // gcd(d, ui)
-    # By weighted homogeneity the pass over e_i u**i gives T_k = M_k u**k Td_k.
-    a = [1] + [c.numerator * (u**i // c.denominator) for i, c in enumerate(e[1:], 1)]
-    t = _todd_pass(a)
+    gammas = [(c.numerator, c.denominator) for c in series.coefficients[1 : n_max + 1]]
+    t, u = _scaled_todd_pass(gammas)
     m, _ = _todd_tables(n_max)
-    values, scale = [], 1
-    for k, tk in enumerate(t):
-        values.append(Fraction(tk, m[k] * scale))
-        scale *= u
-    return tuple(values)
+    return tuple(Fraction(tk, m[k] * u**k) for k, tk in enumerate(t))
 
 
 # T_0, T_1, ...: T_k = M_k Td_k in Z[c_1..c_k]; rebuilt longer when asked for more.
@@ -284,32 +295,6 @@ def todd_polynomials(n: int) -> tuple[MPoly, ...]:
         signed = [ci if i % 2 else -ci for i, ci in enumerate(c, 1)]
         table[:] = _todd_pass([MPoly({(): 1})] + signed)
     return tuple(table[: n + 1])
-
-
-def todd_closed(n: int, c: Sequence[Rational]) -> Fraction:
-    """The printed closed forms Td_0 .. Td_5; oracle for todd_values."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > 5:
-        raise UnsupportedDegree(f"no closed form stored for Td_{n}")
-    if len(c) < n:
-        raise ValueError(f"need at least {n} coefficients, got {len(c)}")
-    cs = [Fraction(x) for x in c]
-    if n == 0:
-        return Fraction(1)
-    c1 = cs[0]
-    if n == 1:
-        return c1 / 2
-    c2 = cs[1]
-    if n == 2:
-        return (c1**2 + c2) / 12
-    c3 = cs[2]
-    if n == 3:
-        return c1 * c2 / 24
-    c4 = cs[3]
-    if n == 4:
-        return (-(c1**4) + 4 * c1**2 * c2 + c1 * c3 + 3 * c2**2 - c4) / 720
-    return (-(c1**3) * c2 + 3 * c1 * c2**2 + c1**2 * c3 - c1 * c4) / 1440
 
 
 _BERNOULLI = [Fraction(1)]  # B_0, B_1, ... (B_1 = -1/2); only ever appended to

@@ -67,6 +67,26 @@ class TestTodd:
         with pytest.raises(ValueError):
             powersum_todd(parse_type("A2"), 2, 0)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_corrupt_table_keeps_rational_values(self, p):
+        # V+ = {20, 25} breaks integrality: the route returns S_k, never a floor or an error.
+        e8 = parse_type("E8")
+        bad = corrupt(parameters(e8), V_plus=(F(20), F(25)))
+        want = (8, 124, F(7544, 3), 57350, F(7059272, 5), F(109947700, 3), 987767144)
+        assert powersum_todd_upto(e8, 6, p, bad) == want
+        assert powersum_todd(e8, 6, p, bad).value == want[6]
+
+    def test_reads_the_gamma_numerators_directly(self, monkeypatch):
+        from coxsums import todd as todd_module
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the Todd route runs the integer pass directly")
+
+        monkeypatch.setattr(todd_module, "todd_values", unused)
+        monkeypatch.setattr(todd_module, "gamma_series", unused)
+        e8 = parse_type("E8")
+        assert powersum_todd_upto(e8, 4, 3)[4] == powersum_todd(e8, 4, 3).value == 1246568
+
 
 class TestClosed:
     def test_spot_values(self):

@@ -21,16 +21,10 @@ from coxsums import (
     p_factor_general,
     parameters,
     parse_type,
-    todd_closed,
     todd_values,
     x_sequence,
 )
-from coxsums.errors import (
-    ConstantTermNotOne,
-    ConstraintViolated,
-    InternalMismatch,
-    UnsupportedDegree,
-)
+from coxsums.errors import ConstantTermNotOne, ConstraintViolated, InternalMismatch
 from coxsums import todd as todd_module
 from coxsums.mpoly import MPoly
 from coxsums.todd import (
@@ -303,14 +297,15 @@ class TestToddValues:
         assert todd_values(g, 6)[0] == 1
 
     def test_matches_closed_forms_across_catalog(self):
+        m, _ = _todd_tables(5)
         for t in catalog(12, 30):
             ps = parameters(t)
             for p in (1, 2):
                 g = gamma_series(ps, p, 5)
                 td = todd_values(g, 5)
-                cs = g.coefficients[1:]
+                printed = printed_todd_numerators(g.coefficients[1:])
                 for n in range(6):
-                    assert td[n] == todd_closed(n, cs), (t.name, p, n)
+                    assert td[n] == F(printed[n]) / m[n], (t.name, p, n)
 
     def test_odd_degree_values_ignore_their_top_coefficient(self):
         base = TruncatedSeries([1, 3, -2, F(5, 7), 4, -1, F(2, 3), 9])
@@ -393,7 +388,8 @@ class TestToddIntegerPass:
         table[3] *= 11
         monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
         g = gamma_series(parameters(parse_type("E8")), 1, 12)
-        with pytest.raises(InternalMismatch):
+        message = r"^Todd pass: M_4 / \(M_1 M_3\) is not an integer$"
+        with pytest.raises(InternalMismatch, match=message):
             todd_values(g, 12)
 
 
@@ -424,12 +420,6 @@ class TestToddPolynomials:
         printed = [MPoly({(): 1})] + printed_todd_numerators(variables)[1:]
         assert [p.terms for p in todd_polynomials(5)] == [p.terms for p in printed]
 
-    def test_printed_forms_are_todd_closed(self):
-        point = [F(2, 3), F(-5), F(7, 4), F(1, 9), F(3)]
-        m, _ = _todd_tables(5)
-        for k, numerator in enumerate(printed_todd_numerators(point)):
-            assert F(numerator) / m[k] == todd_closed(k, point), k
-
     def test_rebuilt_table_is_the_same(self, monkeypatch):
         monkeypatch.setattr(todd_module, "_TODD_POLYNOMIALS", [MPoly({(): 1})])
         short = todd_polynomials(4)
@@ -455,20 +445,16 @@ class TestToddPolynomials:
 
 
 class TestToddClosed:
+    """todd_values at points where the printed closed forms were evaluated by hand."""
+
     def test_fourth_at_ones(self):
-        assert todd_closed(4, [1, 1, 1, 1]) == F(1, 120)
+        assert todd_values(TruncatedSeries([1, 1, 1, 1, 1]), 4)[4] == F(1, 120)
 
     def test_fifth_vanishes_without_higher_coefficients(self):
-        assert todd_closed(5, [1, 0, 0, 0, 99]) == 0
+        assert todd_values(TruncatedSeries([1, 1, 0, 0, 0, 99]), 5)[5] == 0
 
     def test_second(self):
-        assert todd_closed(2, [3, 6]) == F(5, 4)
-
-    def test_degree_and_length_validation(self):
-        with pytest.raises(UnsupportedDegree):
-            todd_closed(6, [1] * 6)
-        with pytest.raises(ValueError):
-            todd_closed(3, [1, 2])
+        assert todd_values(TruncatedSeries([1, 3, 6]), 2)[2] == F(5, 4)
 
 
 class TestBernoulliFaulhaber:

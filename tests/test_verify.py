@@ -14,6 +14,7 @@ from coxsums import (
     ExponentList,
     TruncatedSeries,
     catalog,
+    dual_partition,
     exponents,
     parameters,
     parse_type,
@@ -41,7 +42,7 @@ from coxsums.verify import (
     t_transform,
     _gamma_specializations,
 )
-from coxsums.todd import gamma_series, p_factor, todd_closed
+from coxsums.todd import gamma_series, p_factor, todd_values
 
 
 def corrupt(ps, **changes):
@@ -226,7 +227,8 @@ class TestToddSymmetry:
 
     def test_hand_checked_sample(self):
         # (a, b) = (1, 2) at c = (1, 1, 1): both sides equal 1/12.
-        td = [todd_closed(n, [1, 1, 1]) for n in range(4)]
+        td = todd_values(TruncatedSeries([1, 1, 1, 1]), 3)
+        assert td == (1, F(1, 2), F(1, 6), F(1, 24))
         lhs = sum(
             (-1) ** (1 - j) * comb(1, j) * factorial(3 - j) * td[3 - j]
             for j in range(2)
@@ -249,7 +251,6 @@ class TestToddSymmetry:
         )
 
     def test_fails_with_corrupt_todd_values(self):
-        from coxsums.todd import todd_values
 
         def skewed(series, n_max):
             values = list(todd_values(series, n_max))
@@ -268,7 +269,6 @@ class TestToddSymmetry:
     )
     def test_corrupt_todd_witness_matches_fraction_route(self, a, b, k):
         # todd_fn is wrong in Td_k only at some points, so the failing sample varies.
-        from coxsums.todd import todd_values
 
         def sometimes(series, n_max):
             values = list(todd_values(series, n_max))
@@ -491,6 +491,22 @@ class TestMethodsSuite:
         report = check_methods(parse_type("E8"), n_max=6, params=bad)
         assert not report.passed
         assert re.fullmatch(r"n=\d+, p=\d+: todd \S+ != direct \S+", report.witness)
+
+    def test_dual_partition_built_once_per_type(self, monkeypatch):
+        import coxsums.powersums as powersums_module
+        import coxsums.verify as verify_module
+
+        calls = []
+
+        def counting(exps):
+            calls.append(exps)
+            return dual_partition(exps)
+
+        monkeypatch.setattr(powersums_module, "dual_partition", counting)
+        monkeypatch.setattr(verify_module, "dual_partition", counting)
+        report = check_methods(parse_type("E8"), n_max=12)
+        assert report.passed, report.witness
+        assert len(calls) == 1
 
     def test_closed_route_runs_once_per_type(self, monkeypatch):
         import coxsums.powersums as powersums_module
