@@ -50,20 +50,44 @@ _MAX_OUTPUT_DIGITS = 100_000
 _MAX_OUTPUT_BITS = int(_MAX_OUTPUT_DIGITS / math.log10(2))  # 2**bits <= 10**digits
 
 # The Todd and closed routes cost about n**2 big-integer products whose
-# operands grow with n: E8 at n = 1000 takes seconds, at n = 5000 far
-# longer.  Beyond this bound every method but powersum's direct one is
-# refused before any work, and so is verify --n-max when a suite that reads
-# it runs: methods takes the Todd and closed routes and specializations the
-# gamma series up to n-max.  The direct route of heights is bounded by it
-# too: Faulhaber's formula reads the Bernoulli numbers up to n, which the
-# Todd recurrence also reads, built by an O(n**2) tangent-number pass (E8 at
-# n = 4000 takes seconds).
+# operands grow with n: powersum E8 -n 1000 --method all takes 12 s (2-core
+# host, Python 3.11.7), at n = 5000 far longer.  Beyond this bound every
+# method but powersum's direct one is refused before any work, and so is
+# verify --n-max when a suite that reads it runs: methods takes the Todd
+# and closed routes and specializations the gamma series up to n-max.  The
+# direct route of heights is bounded by it too: Faulhaber's formula reads
+# the Bernoulli numbers up to n, which the Todd recurrence also reads, built
+# by an O(n**2) tangent-number pass (E8 at n = 4000 takes seconds).
 _MAX_TODD_N = 1000
+
+# The same routes' operands grow like n times the bit length b of their
+# inputs, so n within _MAX_TODD_N is not enough: powersum and heights refuse
+# either route before any work when n * b exceeds this bound, b being the
+# bit length of the largest of p and the numerators and denominators of h,
+# r, alpha, beta, V+ and V-.  At a fixed n * b the Todd route is slowest at
+# the largest n; measured on the same host: E8 (b = 5) at n = 1000 takes
+# 10 s, E8 --p 1023 (b = 10, at the bound) 31 s, E8 --p 2**20-1 at n = 500
+# (at the bound) 5 s, while E8 -n 100 --p 10**2000-1 (n * b = 664400) took
+# 23 s and I2(7) -n 400 --beta 1e4000 --method closed 96 s.
+_MAX_TODD_OPERAND_BITS = 10_000
 
 
 def _check_output_bits(bits: int) -> None:
     if bits > _MAX_OUTPUT_BITS:
         raise CoxError(f"a value exceeds the output bound of {_MAX_OUTPUT_DIGITS} digits")
+
+
+def _check_operand_bits(args, method: str, params, p: int = 1) -> None:
+    values = (params.h, params.r, params.alpha, params.beta, *params.V_plus, *params.V_minus)
+    largest = max(p, *(abs(v.numerator) for v in values), *(v.denominator for v in values))
+    bits = largest.bit_length()
+    if args.n * bits > _MAX_TODD_OPERAND_BITS:
+        hint = " (use --method direct)" if args.method == "all" else ""
+        raise CoxError(
+            f"the {method} method needs n * b <= {_MAX_TODD_OPERAND_BITS}, where b = {bits} "
+            "is the bit length of the largest of p and the parameters' numerators and "
+            f"denominators{hint}"
+        )
 
 
 def _rational(value: Fraction | int):
@@ -259,6 +283,8 @@ def _cmd_powersum(args) -> int:
     params = parameters(t, args.profile, _parse_beta(args.beta))
     # The value is at least (h-1)**n >= 2**(n * (bit_length(h-1) - 1)).
     _check_output_bits(n * ((params.h - 1).bit_length() - 1) + 1)
+    if args.method != "direct":
+        _check_operand_bits(args, "todd" if args.method == "all" else args.method, params, args.p)
     routes = {
         "direct": lambda: _powersums.powersum_direct(t, n),
         "todd": lambda: _powersums.powersum_todd(t, n, args.p, params=params),
@@ -278,6 +304,8 @@ def _cmd_heights(args) -> int:
         method = "direct" if args.method == "all" else args.method
         raise CoxError(f"the {method} method needs n <= {_MAX_TODD_N}")
     params = parameters(t, args.profile, _parse_beta(args.beta))
+    if args.method != "direct":
+        _check_operand_bits(args, "closed", params)
     routes = {
         "direct": lambda: _powersums.heightsum_direct(t, n),
         "closed": lambda: _powersums.heightsum_closed(t, n, params=params),

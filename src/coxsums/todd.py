@@ -29,9 +29,12 @@ M_k = prod_p p**(k // (p-1)), which make M_k Td_k an integer
 polynomial.  One step, _scaled_todd_pass, finds u and runs the pass from
 integer (numerator, denominator) pairs: todd_values feeds it a series'
 Fractions, and the Todd power sums of coxsums.powersums feed it the gamma
-numerators directly, with no Fraction on the way.  Every division in the
-Td pass is checked, so a table that breaks this integrality raises
-InternalMismatch instead of giving a value.
+numerators directly, with no Fraction on the way.  The pass's integer
+weights M_j j lambda_j and carries M_k / (M_j M_{k-j}) are built once, as
+their table grows with n, and each of those divisions is checked then;
+the division that gives M_k Td_k is checked on every call.  So a table
+that breaks this integrality raises InternalMismatch instead of giving a
+value.
 The pass is generic over the coefficient ring: run over MPoly with c_i in
 place of gamma_i, it gives the integer polynomials M_k Td_k themselves.
 
@@ -191,6 +194,12 @@ def _todd_factor_log(order: int) -> TruncatedSeries:
 _TODD_DENOMINATORS = [1]
 # j * lambda_j = -B_j / j! for j = 0, 1, ... (+1/2 at j = 1).
 _TODD_WEIGHTS = [Fraction(0)]
+# The Todd recurrence's integer constants over the j with lambda_j != 0
+# (j = 1, then the even j): the weights W_j = M_j j lambda_j, and for each k
+# a row of carries M_k / (M_j M_{k-j}) over those j <= k.  They hold for the
+# denominator list they were built from, the first item; a different
+# _TODD_DENOMINATORS list starts them afresh.
+_TODD_STEPS: tuple[list[int], list[int], list[list[int]]] = (_TODD_DENOMINATORS, [], [[]])
 
 
 def _todd_tables(n: int) -> tuple[list[int], list[Fraction]]:
@@ -208,6 +217,37 @@ def _todd_tables(n: int) -> tuple[list[int], list[Fraction]]:
     return m, weights
 
 
+def _todd_steps(n: int) -> tuple[list[int], list[list[int]]]:
+    """W_j for j = 1, 2, 4, ... and the carry rows 0 .. n (or more) of the Todd recurrence.
+
+    Each weight and carry division is checked once, when its entry is
+    built; a remainder raises InternalMismatch and leaves the row unbuilt.
+    """
+    global _TODD_STEPS
+    m, fractions = _todd_tables(n)
+    if _TODD_STEPS[0] is not m:
+        _TODD_STEPS = (m, [], [[]])
+    _, weights, carries = _TODD_STEPS
+    distinct: dict[int, int] = {}  # one object per value: 57k among the 251k carries to n = 1000
+    for k in range(len(carries), n + 1):
+        js = (1, *range(2, k + 1, 2))  # the j <= k with lambda_j != 0
+        if js[-1] == k:
+            wk = fractions[k]
+            weight, rest = divmod(wk.numerator * m[k], wk.denominator)
+            if rest:
+                raise InternalMismatch(f"Todd pass: M_{k} {k} lambda_{k} is not an integer")
+        row = []
+        for j in js:
+            carry, rest = divmod(m[k], m[j] * m[k - j])
+            if rest:
+                raise InternalMismatch(f"Todd pass: M_{k} / (M_{j} M_{k - j}) is not an integer")
+            row.append(distinct.setdefault(carry, carry))
+        if js[-1] == k:
+            weights.append(weight)
+        carries.append(row)
+    return weights, carries
+
+
 def _todd_pass(a: Sequence) -> list:
     """T_0 .. T_n, T_k = M_k Td_k(gamma), from a_i = (-1)**(i-1) gamma_i and a_0 = 1.
 
@@ -216,30 +256,29 @@ def _todd_pass(a: Sequence) -> list:
     """
     q = list(a)  # a_0 = T_0, then P_k by Newton's identity
     for k in range(1, len(a)):
-        q[k] = sum((a[i] * q[k - i] for i in range(1, k)), k * a[k])
+        q[k] = sum(map(mul, a[1:k], q[k - 1 : 0 : -1]), k * a[k])
     return _todd_recurrence(q)
 
 
 def _todd_recurrence(q: Sequence) -> list:
-    """T_0 .. T_n from q_0 = T_0 = 1 and the virtual-root power sums q_k = P_k."""
+    """T_0 .. T_n from q_0 = T_0 = 1 and the virtual-root power sums q_k = P_k.
+
+    k T_k = sum_j C_{k,j} T_{k-j} w_j over j = 1, 2, 4, ... <= k, with the
+    carries C_{k,j} = M_k / (M_j M_{k-j}) and w_j = W_j P_j from the weights
+    W_j = M_j j lambda_j (lambda_j = 0 at odd j >= 3).  The weights and
+    carries come checked from their table; the division by k, which makes
+    M_k Td_k an integer, is checked on every call.
+    """
     n = len(q) - 1
-    m, weights = _todd_tables(n)
-    weighted = []  # (j, M_j, M_j * j * lambda_j * P_j), skipping lambda_j = 0 (odd j >= 3)
+    weights, carries = _todd_steps(n)
+    w = list(map(mul, weights, q[1:2] + q[2::2]))
+    even = w[1:]
     t = [q[0]]
     for k in range(1, n + 1):
-        wk = weights[k]
-        if wk:
-            weight, rest = divmod(wk.numerator * m[k], wk.denominator)
-            if rest:
-                raise InternalMismatch(f"Todd pass: M_{k} {k} lambda_{k} is not an integer")
-            weighted.append((k, m[k], weight * q[k]))
-        # k T_k = sum_j (M_j j lambda_j P_j) (M_k / (M_j M_{k-j})) T_{k-j}
-        mk, acc = m[k], 0
-        for j, mj, w in weighted:
-            carry, rest = divmod(mk, mj * m[k - j])
-            if rest:
-                raise InternalMismatch(f"Todd pass: M_{k} / (M_{j} M_{k - j}) is not an integer")
-            acc += carry * t[k - j] * w
+        row = carries[k]
+        acc = row[0] * t[k - 1] * w[0]
+        if k > 1:
+            acc += sum(map(mul, map(mul, row[1:], t[k - 2 :: -2]), even))
         tk, rest = divmod(acc, k)
         if rest:
             raise InternalMismatch(f"Todd pass: M_{k} Td_{k} is not an integer")

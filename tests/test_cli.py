@@ -338,6 +338,82 @@ class TestClosedBound:
         assert err == "error: the closed method needs n <= 1000\n"
 
 
+class TestOperandBound:
+    """The Todd and closed routes refuse n * (bit length of p and the parameters) beyond a bound."""
+
+    @staticmethod
+    def message(method, bits, hint=""):
+        return (
+            f"error: the {method} method needs n * b <= 10000, where b = {bits} is the bit "
+            "length of the largest of p and the parameters' numerators and denominators"
+            f"{hint}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, method, bits",
+        [
+            (["E8", "-n", "100", "--p", "9" * 2000, "--method", "todd"], "todd", 6644),
+            (["E8", "-n", "200", "--p", "9" * 2000, "--method", "todd"], "todd", 6644),
+            (["I2(7)", "-n", "400", "--beta", "1e4000", "--method", "closed"], "closed", 13288),
+            (["I2(7)", "-n", "400", "--beta", "1e4000", "--method", "todd"], "todd", 13288),
+        ],
+    )
+    def test_large_operands_are_refused_quickly(self, capsys, argv, method, bits):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "powersum", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == self.message(method, bits)
+
+    def test_all_names_the_todd_method_and_the_direct_way_out(self, capsys):
+        code, out, err = run(capsys, "powersum", "I2(7)", "-n", "400", "--beta", "1e4000")
+        assert code == 2 and not out
+        assert err == self.message("todd", 13288, " (use --method direct)")
+        code, out, _ = run(
+            capsys, "powersum", "I2(7)", "-n", "400", "--beta", "1e4000", "--method", "direct"
+        )
+        assert code == 0 and out.split()[-1] == str(1 + 6**400)
+
+    def test_heights_closed_route_is_bounded(self, capsys):
+        argv = ("heights", "I2(7)", "-n", "400", "--beta", "1e4000")
+        start = time.perf_counter()
+        for method, hint in (("closed", ""), ("all", " (use --method direct)")):
+            code, out, err = run(capsys, *argv, "--method", method)
+            assert code == 2 and not out
+            assert err == self.message("closed", 13288, hint)
+        code, _, _ = run(capsys, *argv, "--method", "direct")
+        assert code == 0
+        assert time.perf_counter() - start < 5
+
+    def test_bound_is_inclusive(self, capsys, monkeypatch):
+        import coxsums.cli as cli_module
+
+        # E8's largest parameter is h = 30, 5 bits, so n = 20 is exactly at 100.
+        monkeypatch.setattr(cli_module, "_MAX_TODD_OPERAND_BITS", 100)
+        s20 = sum(m**20 for m in (1, 7, 11, 13, 17, 19, 23, 29))
+        for method in ("todd", "closed", "all"):
+            code, out, _ = run(capsys, "powersum", "E8", "-n", "20", "--method", method)
+            assert code == 0 and out.split()[-1] == str(s20)
+            code, out, err = run(capsys, "powersum", "E8", "-n", "21", "--method", method)
+            assert code == 2 and not out
+            assert err.startswith("error: the ") and "n * b <= 100, where b = 5 " in err
+        code, _, _ = run(capsys, "powersum", "E8", "-n", "20", "--method", "todd", "--p", "31")
+        assert code == 0
+        code, _, err = run(capsys, "powersum", "E8", "-n", "20", "--method", "todd", "--p", "32")
+        assert code == 2 and "where b = 6 " in err
+        code, _, _ = run(capsys, "powersum", "E8", "-n", "21", "--method", "direct")
+        assert code == 0
+
+    def test_e8_at_the_degree_bound_is_accepted(self):
+        import argparse
+
+        import coxsums.cli as cli_module
+        from coxsums import parameters
+
+        args = argparse.Namespace(n=cli_module._MAX_TODD_N, method="all")
+        cli_module._check_operand_bits(args, "todd", parameters(parse_type("E8")))
+
+
 class TestTable:
     def test_csv_header(self, capsys):
         code, out, _ = run(

@@ -77,6 +77,44 @@ def todd_values_by_newton_exp(series, n):
     return tuple(td)
 
 
+def todd_pass_per_call(a):
+    """The integer Todd pass that forms every weight and carry on each call, in any ring.
+
+    Newton's identity by a generator per k, then the recurrence with one
+    checked weight division per j and one checked carry division per (k, j).
+    """
+    q = list(a)
+    for k in range(1, len(a)):
+        q[k] = sum((a[i] * q[k - i] for i in range(1, k)), k * a[k])
+    return todd_recurrence_per_call(q)
+
+
+def todd_recurrence_per_call(q):
+    """T_0 .. T_n from the power sums q_k = P_k, every division made and checked per call."""
+    n = len(q) - 1
+    m, weights = _todd_tables(n)
+    weighted = []  # (j, M_j, M_j * j * lambda_j * P_j), skipping lambda_j = 0 (odd j >= 3)
+    t = [q[0]]
+    for k in range(1, n + 1):
+        wk = weights[k]
+        if wk:
+            weight, rest = divmod(wk.numerator * m[k], wk.denominator)
+            if rest:
+                raise InternalMismatch(f"Todd pass: M_{k} {k} lambda_{k} is not an integer")
+            weighted.append((k, m[k], weight * q[k]))
+        mk, acc = m[k], 0
+        for j, mj, w in weighted:
+            carry, rest = divmod(mk, mj * m[k - j])
+            if rest:
+                raise InternalMismatch(f"Todd pass: M_{k} / (M_{j} M_{k - j}) is not an integer")
+            acc += carry * t[k - j] * w
+        tk, rest = divmod(acc, k)
+        if rest:
+            raise InternalMismatch(f"Todd pass: M_{k} Td_{k} is not an integer")
+        t.append(tk)
+    return t
+
+
 def hirzebruch_denominator(k):
     """M_k = prod over primes p of p**(k // (p-1))."""
     primes = [p for p in range(2, k + 2) if all(p % d for d in range(2, p))]
@@ -391,6 +429,52 @@ class TestToddIntegerPass:
         message = r"^Todd pass: M_4 / \(M_1 M_3\) is not an integer$"
         with pytest.raises(InternalMismatch, match=message):
             todd_values(g, 12)
+
+
+class TestToddStepTable:
+    """The weights and carries of the Todd recurrence, built once per denominator table."""
+
+    def test_recurrence_matches_per_call_oracle(self, monkeypatch):
+        # A fresh denominator list starts the table empty; n = 5 then reads
+        # rows built for n = 60, and n = 150 grows the table past them.
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", [1])
+        rng = Random(14)  # power sums of virtual integer roots, six kept and two removed
+        for n in (60, 5, 150, 0, 1, 7):
+            roots = [rng.randint(-50, 50) for _ in range(6)]
+            dropped = [rng.randint(-50, 50) for _ in range(2)]
+            q = [1] + [
+                sum(x**k for x in roots) - sum(x**k for x in dropped) for k in range(1, n + 1)
+            ]
+            assert _todd_recurrence(q) == todd_recurrence_per_call(q), n
+        assert len(todd_module._TODD_STEPS[2]) == 151
+
+    def test_polynomials_match_per_call_oracle(self):
+        c = [MPoly.variable(i) for i in range(1, 13)]
+        signed = [ci if i % 2 else -ci for i, ci in enumerate(c, 1)]
+        oracle = todd_pass_per_call([MPoly({(): 1})] + signed)
+        assert [p.terms for p in todd_polynomials(12)] == [p.terms for p in oracle]
+
+    def test_warm_table_does_not_hide_a_broken_denominator_table(self, monkeypatch):
+        g = gamma_series(parameters(parse_type("E8")), 1, 60)
+        todd_values(g, 60)
+        table = [hirzebruch_denominator(k) for k in range(13)]
+        table[3] *= 11
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
+        message = r"^Todd pass: M_4 / \(M_1 M_3\) is not an integer$"
+        with pytest.raises(InternalMismatch, match=message):
+            todd_values(g, 12)
+
+    def test_restored_table_restores_values(self, monkeypatch):
+        g = gamma_series(parameters(parse_type("E8")), 1, 60)
+        warm = todd_values(g, 60)
+        # M_k 2**k passes every check and leaves Td_k unchanged, but its weights
+        # differ from the true table's by 2**j.
+        scaled = [hirzebruch_denominator(k) * 2**k for k in range(61)]
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", scaled)
+        assert todd_values(g, 60) == warm
+        monkeypatch.undo()
+        assert todd_values(g, 60) == warm
+        assert todd_values(g, 60) == todd_values_by_newton_exp(g, 60)
 
 
 @settings(max_examples=150, deadline=None)
