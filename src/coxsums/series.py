@@ -7,18 +7,39 @@ the result never pretends to more precision than its inputs.
 
 Reciprocals come from the recurrence
 b_k = -(a_1 b_{k-1} + ... + a_k b_0) / a_0, and rational powers from J.C.P.
-Miller's recurrence, always on the branch with constant term 1.  The formal
-log and exp stay public; no other operation goes through them.
+Miller's recurrence, always on the branch with constant term 1.  Miller's
+recurrence runs on integer numerators: weighted_scale finds an integer u
+that makes every a_j u**j an integer (the Todd pass of coxsums.todd shares
+it), and each coefficient of the power becomes a Fraction once.  The
+formal log and exp stay public; no other operation goes through them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Union
 
 from .errors import ConstantTermNotOne, NonzeroConstantTerm, ZeroConstantTerm
 
 Scalar = Union[int, Fraction]
+
+
+def weighted_scale(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """A_1 .. A_n and u, A_i = x_i u**i, from x_i = y_i / d_i (d_i > 0) for i = 1..n.
+
+    The pairs need not be in lowest terms.  The integer u is grown greedily,
+    one x_i at a time, until every A_i is an integer.
+    """
+    u, reduced = 1, []
+    for i, (y, d) in enumerate(pairs, 1):
+        g = gcd(y, d)
+        y, d = y // g, d // g
+        ui = u**i
+        if ui % d:
+            u *= d // gcd(d, ui)
+        reduced.append((y, d))
+    return [y * (u**i // d) for i, (y, d) in enumerate(reduced, 1)], u
 
 
 class TruncatedSeries:
@@ -27,7 +48,7 @@ class TruncatedSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[Scalar], order: int | None = None):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")
@@ -160,13 +181,27 @@ class TruncatedSeries:
         """Raise to a rational power on the branch with constant term 1.
 
         J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): b_0 = 1 and
-        k b_k = sum_{j=1..k} ((e+1) j - k) a_j b_{k-j}.
+        k b_k = sum_{j=1..k} ((e+1) j - k) a_j b_{k-j}.  It runs on
+        integers: with A_j = a_j u**j (weighted_scale), e + 1 = P/Q and
+        b_k = B_k / (k! (Q u)**k),
+        B_k = sum_j (P j - Q k) A_j B_{k-j} (k-1)!/(k-j)! Q**(j-1).
         """
         a = self._coeffs
         if a[0] != 1:
             raise ConstantTermNotOne(f"pow needs constant term 1, got {a[0]}")
         e1 = Fraction(exponent) + 1
-        b = [Fraction(1)]
+        p, q = e1.numerator, e1.denominator
+        big_a, u = weighted_scale((c.numerator, c.denominator) for c in a[1:])
+        big_b, out = [1], [Fraction(1)]
+        scale = 1  # k! (Q u)**k
         for k in range(1, len(a)):
-            b.append(sum((e1 * j - k) * a[j] * b[k - j] for j in range(1, k + 1)) / k)
-        return TruncatedSeries(b)
+            acc, carry = 0, 1  # carry = (k-1)!/(k-j)! Q**(j-1)
+            for j in range(1, k + 1):
+                x = big_a[j - 1]
+                if x:
+                    acc += (p * j - q * k) * x * big_b[k - j] * carry
+                carry *= (k - j) * q
+            big_b.append(acc)
+            scale *= k * q * u
+            out.append(Fraction(acc, scale))
+        return TruncatedSeries(out)

@@ -26,7 +26,8 @@ passes at one w, the common denominator of V+ and V-.  Td_k uses
 weighted homogeneity, Td_k(gamma_i * u**i) = u**k Td_k(gamma), for an
 integer u that clears every gamma_i, and Hirzebruch's Todd denominators
 M_k = prod_p p**(k // (p-1)), which make M_k Td_k an integer
-polynomial.  One step, _scaled_todd_pass, finds u and runs the pass from
+polynomial.  One step, _scaled_todd_pass, finds u (the greedy weighted
+scale of coxsums.series, which its pow shares) and runs the pass from
 integer (numerator, denominator) pairs: todd_values feeds it a series'
 Fractions, and the Todd power sums of coxsums.powersums feed it the gamma
 numerators directly, with no Fraction on the way.  The pass's integer
@@ -50,14 +51,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .catalog import ParameterSet
 from .errors import ConstantTermNotOne, ConstraintViolated, InternalMismatch
 from .mpoly import MPoly
-from .series import TruncatedSeries
+from .series import TruncatedSeries, weighted_scale
 
 Rational = Union[int, Fraction]
 
@@ -289,20 +290,13 @@ def _todd_recurrence(q: Sequence) -> list:
 def _scaled_todd_pass(gammas: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """T_0 .. T_n and u, T_k = M_k u**k Td_k, from gamma_i = y_i / d_i for i = 1..n.
 
-    The pairs need not be in lowest terms.  The integer u is grown greedily
-    until every gamma_i u**i is an integer; by weighted homogeneity the pass
-    over those integers gives T_k.
+    The pairs need not be in lowest terms.  u is the weighted scale of
+    coxsums.series, which makes every gamma_i u**i an integer; by weighted
+    homogeneity the pass over those integers gives T_k.
     """
-    u, reduced = 1, []
-    for i, (y, d) in enumerate(gammas, 1):
-        g = gcd(y, d)
-        y, d = y // g, d // g
-        ui = u**i
-        if ui % d:
-            u *= d // gcd(d, ui)
-        reduced.append((y, d))
+    scaled, u = weighted_scale(gammas)
     # (-1)**(i-1) gamma_i u**i, so that Newton's identity is a plain sum.
-    a = [1] + [(y if i % 2 else -y) * (u**i // d) for i, (y, d) in enumerate(reduced, 1)]
+    a = [1] + [x if i % 2 else -x for i, x in enumerate(scaled, 1)]
     return _todd_pass(a), u
 
 

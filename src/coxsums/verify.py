@@ -246,7 +246,10 @@ def check_todd_symmetry(
     todd.todd_values, looked up at call time) is checked at seeded
     pseudo-random rational points (numerators and denominators up to
     100): the same identity over its values must hold exactly at every
-    sample, compared in integers over one common denominator.
+    sample.  Each sample forms one integer, the difference of the two
+    sides over one common denominator, from the signed binomial
+    differences d_j and the factorials (n-j)! built once per pair; the
+    two sides themselves are formed only for a witness.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
@@ -265,24 +268,34 @@ def check_todd_symmetry(
         )
     # Sides times den(c_1)**top * lcm(den(Td_k)): j <= top, and only k >= n - top are read.
     top, low = max(a, b), min(a, b)
+    # d_j = (-1)**(a-j) C(a,j) - (-1)**(b-j) C(b,j), the sign from the parity
+    # (C(x,j) = 0 for j > x), kept as (j, d_j (n-j)!) where d_j != 0.
+    d = [
+        (-1) ** ((a - j) % 2) * comb(a, j) - (-1) ** ((b - j) % 2) * comb(b, j)
+        for j in range(top + 1)
+    ]
+    terms = [(j, dj * factorial(n - j)) for j, dj in enumerate(d) if dj]
     rng = Random(f"{seed}:{a}:{b}")
     failures = []
     for trial in range(samples):
         cs = [
             Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)
         ]
-        series = TruncatedSeries([Fraction(1)] + cs)
-        td = evaluate(series, n)
+        td = evaluate(TruncatedSeries([Fraction(1)] + cs), n)
         c1 = cs[0] if cs else Fraction(0)
+        x, y = c1.numerator, c1.denominator
         den = lcm(*(td[k].denominator for k in range(n + 1)))
-        scaled = [0] * low + [
-            factorial(k) * c1.denominator ** (k - low) * v.numerator * (den // v.denominator)
-            for k, v in enumerate(td[low : n + 1], low)
-        ]
-        lhs = _alternating_sum(a, c1.numerator, scaled, n)
-        rhs = _alternating_sum(b, c1.numerator, scaled, n)
-        if lhs != rhs:
-            whole = c1.denominator**top * den
+        gap = 0
+        for j, dj in terms:
+            v = td[n - j]
+            gap += dj * x**j * y ** (top - j) * v.numerator * (den // v.denominator)
+        if gap:
+            scaled = [0] * low + [
+                factorial(k) * y ** (k - low) * v.numerator * (den // v.denominator)
+                for k, v in enumerate(td[low : n + 1], low)
+            ]
+            whole = y**top * den
+            lhs, rhs = _alternating_sum(a, x, scaled, n), _alternating_sum(b, x, scaled, n)
             failures.append(
                 f"sample {trial}, c = {cs}: {Fraction(lhs, whole)} != {Fraction(rhs, whole)}"
             )

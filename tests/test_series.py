@@ -23,6 +23,18 @@ def coeffs(*values):
     return tuple(F(v) for v in values)
 
 
+def miller_pow_by_fractions(series, exponent):
+    """Miller's recurrence term by term over Fractions, the oracle for pow."""
+    a = series.coefficients
+    if a[0] != 1:
+        raise ConstantTermNotOne(f"pow needs constant term 1, got {a[0]}")
+    e1 = F(exponent) + 1
+    b = [F(1)]
+    for k in range(1, len(a)):
+        b.append(sum((e1 * j - k) * a[j] * b[k - j] for j in range(1, k + 1)) / k)
+    return TruncatedSeries(b)
+
+
 class TestMul:
     def test_binomial_square(self):
         s = TruncatedSeries([1, 1, 0])
@@ -138,6 +150,27 @@ class TestPow:
             TruncatedSeries([2, 1]).pow(F(1, 2))
 
 
+# Coefficients with denominators 1..50, and zeros.
+wide_rationals = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-60, 60), st.integers(1, 50)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(wide_rationals, min_size=0, max_size=12),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+@example([F(1, 2), F(0), F(-3, 4)], F(0))
+@example([F(2, 3), F(0), F(5, 7), F(1, 50)], F(-1))
+@example([F(1, 6), F(-2, 9), F(0), F(7, 10), F(3, 49)], F(-5, 2))
+@example([F(0), F(0), F(11, 25), F(-1, 48), F(0), F(2)], F(7, 3))
+def test_property_pow_matches_fraction_miller(tail, e):
+    a = TruncatedSeries([F(1)] + tail)
+    assert a.pow(e) == miller_pow_by_fractions(a, e)
+
+
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
@@ -202,6 +235,19 @@ def test_constructor_pads_and_truncates():
         TruncatedSeries([])
     with pytest.raises(ValueError):
         TruncatedSeries([1], order=-1)
+
+
+class FractionSubclass(F):
+    """A Fraction subclass, which the constructor must not store as is."""
+
+
+def test_constructor_stores_exact_fractions():
+    given_values = [True, 2, F(1, 2), FractionSubclass(3, 4)]
+    stored = TruncatedSeries(given_values).coefficients
+    assert stored[2] is given_values[2]
+    assert [type(c) for c in stored] == [F] * 4
+    assert list(stored) == given_values
+    assert [hash(c) for c in stored] == [hash(v) for v in given_values]
 
 
 def test_truncate():
