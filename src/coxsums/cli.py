@@ -71,6 +71,16 @@ _MAX_TODD_N = 1000
 # 23 s and I2(7) -n 400 --beta 1e4000 --method closed 96 s.
 _MAX_TODD_OPERAND_BITS = 10_000
 
+# A table's cells S_0 .. S_N of each type are each at least (h-1)**n, so its
+# output grows like N**2 per type: table --types E8 --n-max 5000 takes 3.5 s,
+# 130 MB peak RSS and writes 37 MB.  table refuses, before any work, a table
+# whose cells' lower bound, the sum of n * (bit_length(h-1) - 1) + 1 bits
+# over n <= N and over the types, exceeds this bound.  At the bound, on the
+# same host: E8 --n-max 3161 takes 1.1 s, 62 MB and writes 15 MB; --all
+# --n-max 452 0.5 s, 50 MB; --all --max-rank 120 --max-m 600 --n-max 78
+# 1.9 s, 57 MB.
+_MAX_TABLE_BITS = 20_000_000
+
 
 def _check_output_bits(bits: int) -> None:
     if bits > _MAX_OUTPUT_BITS:
@@ -324,6 +334,16 @@ def _cmd_table(args) -> int:
         raise CoxError("need --types or --all")
     if args.n_max < 0:
         raise CoxError("n-max must be >= 0")
+    n_max = args.n_max
+    bits = sum(
+        ((t.coxeter_number - 1).bit_length() - 1) * n_max * (n_max + 1) // 2 + n_max + 1
+        for t in types
+    )
+    if bits > _MAX_TABLE_BITS:
+        raise CoxError(
+            f"the table's power sums need at least {bits} bits, beyond the bound of "
+            f"{_MAX_TABLE_BITS} (use fewer types or a smaller --n-max)"
+        )
     beta = _parse_beta(args.beta)
     columns = ["type", *_PARAMETER_COLUMNS] + [f"S{n}" for n in range(args.n_max + 1)]
     rows = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from typing import Sequence
 
 from . import todd as _todd
 from .catalog import (
@@ -60,14 +61,15 @@ def powersum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     return PowerSumResult(normalize(t), n, value, "direct")
 
 
-def powersum_todd_upto(
-    t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
-) -> tuple[Fraction, ...]:
-    """sum(m_i**k) = k! * r * Td_k for k = 0..n, from one pass over the gamma numerators.
+def _todd_sums(
+    t: CoxeterType, n: int, p: int, params: ParameterSet | None, degrees: Sequence[int]
+) -> list[Fraction]:
+    """S_k for each k in degrees (all <= n), from one pass over the gamma numerators to n.
 
     gamma_k = y_k / (k! w**k), and the Todd pass gives T_k = M_k u**k Td_k,
-    so S_k = k! r T_k / (M_k u**k): one Fraction per k, left a Fraction so
-    that a table breaking integrality shows as a value, not an error.
+    so S_k = k! r T_k / (M_k u**k): one Fraction per k asked for, left a
+    Fraction so that a table breaking integrality shows as a value, not an
+    error.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -79,14 +81,23 @@ def powersum_todd_upto(
         gammas.append((y[k], scale))
     scaled, u = _todd._scaled_todd_pass(gammas)
     m, _ = _todd._todd_tables(n)
-    return tuple(Fraction(factorial(k) * ps.r * tk, m[k] * u**k) for k, tk in enumerate(scaled))
+    return [Fraction(factorial(k) * ps.r * scaled[k], m[k] * u**k) for k in degrees]
+
+
+def powersum_todd_upto(
+    t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
+) -> tuple[Fraction, ...]:
+    """sum(m_i**k) = k! * r * Td_k for k = 0..n, from one pass over the gamma numerators."""
+    return tuple(_todd_sums(t, n, p, params, range(n + 1)))
 
 
 def powersum_todd(
     t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
 ) -> PowerSumResult:
-    """sum(m_i**n) as n! * r * Td_n of the gamma series."""
-    return PowerSumResult(normalize(t), n, powersum_todd_upto(t, n, p, params)[n], "todd")
+    """sum(m_i**n) as n! * r * Td_n of the gamma series: the pass of
+    powersum_todd_upto, with only S_n formed."""
+    (value,) = _todd_sums(t, n, p, params, (n,))
+    return PowerSumResult(normalize(t), n, value, "todd")
 
 
 def closed_power_sums(params: ParameterSet, n: int) -> list[int]:

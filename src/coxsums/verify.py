@@ -9,11 +9,21 @@ corrupted constant and prove the suite is able to fail.
 The Todd-symmetry suite is an exact identity over Z[c_1..c_n], built
 from the integer polynomials M_k Td_k of ``coxsums.todd``; its seed
 only picks the rational points at which the Todd values are checked.
+Each point is drawn by a rule of this module (``_seeded_point``) from
+``Random(f"{seed}:{a}:{b}").getrandbits``: per coordinate, a numerator
+of 8 bits redrawn while >= 201, minus 100, then a denominator of 7 bits
+redrawn while >= 100, plus 1.  These are the values CPython 3.11's
+``randint(-100, 100)`` and ``randint(1, 100)`` give, but they are defined
+here, not by ``randrange`` internals.
 
 ``build_tasks`` lays out every sub-check of the selected suites in a
 fixed catalog order, from one table that maps each suite name to its
-checks; ``run_tasks`` executes them in that order, and a check that
-raises becomes a failed report.
+checks.  It builds one parameter table per call: ``profile_parameters``
+once per type of the sweep, shared by the five per-profile suites, with
+each type's default set (``parameters(t)``) taken from the same entries
+for methods, gamma34, kostant and specializations.  ``run_tasks``
+executes the tasks in order, and a check that raises becomes a failed
+report.
 """
 
 from __future__ import annotations
@@ -231,6 +241,27 @@ def check_symmetry_identities(
 # -- Todd symmetry: an exact identity, and todd_fn at seeded points -------
 
 
+def _seeded_point(rng: Random, n: int) -> list[Fraction]:
+    """n rationals x/y, -100 <= x <= 100 and 1 <= y <= 100, drawn in that order.
+
+    x is 8 random bits redrawn while >= 201, minus 100; y is 7 bits redrawn
+    while >= 100, plus 1.  This is the rejection rule of CPython 3.11's
+    randint(-100, 100) and randint(1, 100), so the points equal theirs,
+    without the randrange layers around each draw.
+    """
+    bits = rng.getrandbits
+    point = []
+    for _ in range(n):
+        x = bits(8)
+        while x >= 201:
+            x = bits(8)
+        y = bits(7)
+        while y >= 100:
+            y = bits(7)
+        point.append(Fraction(x - 100, y + 1))
+    return point
+
+
 def check_todd_symmetry(
     a: int,
     b: int,
@@ -244,12 +275,13 @@ def check_todd_symmetry(
     Z[c_1..c_n], built from W_k = k! (M_n/M_k) M_k Td_k (todd_polynomials),
     so the identity is proved, not sampled.  Then todd_fn (by default
     todd.todd_values, looked up at call time) is checked at seeded
-    pseudo-random rational points (numerators and denominators up to
-    100): the same identity over its values must hold exactly at every
-    sample.  Each sample forms one integer, the difference of the two
-    sides over one common denominator, from the signed binomial
-    differences d_j and the factorials (n-j)! built once per pair; the
-    two sides themselves are formed only for a witness.
+    pseudo-random rational points (_seeded_point: numerators in
+    [-100, 100], denominators in [1, 100]): the same identity over its
+    values must hold exactly at every sample.  Each sample forms one
+    integer, the difference of the two sides over one common denominator,
+    from the signed binomial differences d_j and the factorials (n-j)!
+    built once per pair; the two sides themselves are formed only for a
+    witness.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
@@ -278,9 +310,7 @@ def check_todd_symmetry(
     rng = Random(f"{seed}:{a}:{b}")
     failures = []
     for trial in range(samples):
-        cs = [
-            Fraction(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)
-        ]
+        cs = _seeded_point(rng, n)
         td = evaluate(TruncatedSeries([Fraction(1)] + cs), n)
         c1 = cs[0] if cs else Fraction(0)
         x, y = c1.numerator, c1.denominator
@@ -608,60 +638,91 @@ Spec = tuple[str, Callable[[], CheckReport]]
 Task = tuple[str, str, Callable[[], CheckReport]]
 
 
-def _per_profile(types: Sequence[CoxeterType], check: Callable[..., CheckReport]) -> list[Spec]:
+class _Sweep:
+    """What the suite builders of one build_tasks call read: the catalog types,
+    n_max, the seed, and each type's parameter sets, built once on first use
+    and shared by every suite."""
+
+    def __init__(self, types: Sequence[CoxeterType], n_max: int, seed: int):
+        self.types, self.n_max, self.seed = types, n_max, seed
+        self._profiles: dict[CoxeterType, tuple[tuple[str, ParameterSet], ...]] = {}
+
+    def profiles(self, t: CoxeterType) -> tuple[tuple[str, ParameterSet], ...]:
+        """profile_parameters(t), looked up when first asked for."""
+        if t not in self._profiles:
+            self._profiles[t] = profile_parameters(t)
+        return self._profiles[t]
+
+    def default(self, t: CoxeterType) -> ParameterSet:
+        """parameters(t) from the same table: redefined, the last entry, for I2
+        types; standard, the first, for every named family, H2 included."""
+        entries = self.profiles(t)
+        return entries[-1][1] if t.family == "I2" else entries[0][1]
+
+
+def _per_profile(sweep: _Sweep, check: Callable[..., CheckReport]) -> list[Spec]:
     return [
         (_subject(t, prof), partial(check, t, prof, ps))
-        for t in types
-        for prof, ps in profile_parameters(t)
+        for t in sweep.types
+        for prof, ps in sweep.profiles(t)
     ]
 
 
-def _t_transform_specs(types: Sequence[CoxeterType], n_max: int, seed: int) -> list[Spec]:
+def _t_transform_specs(sweep: _Sweep) -> list[Spec]:
     rows = [(row[0], partial(check_t_example, *row)) for row in _default_t_rows(20)]
     return rows + [("T**k integrality (k<=5)", partial(check_t_integrality, 5, 30))]
 
 
-def _specialization_specs(types: Sequence[CoxeterType], n_max: int, seed: int) -> list[Spec]:
+def _specialization_specs(sweep: _Sweep) -> list[Spec]:
+    n_max = sweep.n_max
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return [
-        (_subject(t), partial(check_gamma_specializations, t, n_max))
-        for t in types
+        (_subject(t), partial(check_gamma_specializations, t, n_max, params=sweep.default(t)))
+        for t in sweep.types
         if normalize(t).family in ("A", "C")
     ]
 
 
-def _methods_specs(types: Sequence[CoxeterType], n_max: int, seed: int) -> list[Spec]:
+def _methods_specs(sweep: _Sweep) -> list[Spec]:
+    n_max = sweep.n_max
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    specs = [(_subject(t), partial(check_methods, t, n_max)) for t in types]
+    specs = [
+        (_subject(t), partial(check_methods, t, n_max, params=sweep.default(t)))
+        for t in sweep.types
+    ]
     return specs + [("A9 vs D6 (S4 not universal in h, gamma)", check_s4_nonuniversality)]
 
 
-# Suite name -> (types, n_max, seed) -> [(subject, check)], in report order.
-# Builders name the check_* functions in their bodies, so a check patched
-# on this module after import is the one that runs.
-_SUITES: dict[str, Callable[[Sequence[CoxeterType], int, int], list[Spec]]] = {
-    "expsum": lambda types, n_max, seed: _per_profile(types, check_expsum),
-    "multiset": lambda types, n_max, seed: _per_profile(types, check_multiset_laws),
-    "gamma": lambda types, n_max, seed: _per_profile(types, check_gamma_formula),
-    "h-relation": lambda types, n_max, seed: _per_profile(types, check_h_relation),
-    "beta": lambda types, n_max, seed: _per_profile(types, check_beta_formula),
-    "symmetry": lambda types, n_max, seed: [
-        (_subject(t), partial(check_symmetry_identities, t, 4, 4)) for t in types
+# Suite name -> sweep -> [(subject, check)], in report order.  Builders name
+# the check_* functions in their bodies, so a check patched on this module
+# after import is the one that runs.
+_SUITES: dict[str, Callable[[_Sweep], list[Spec]]] = {
+    "expsum": lambda sweep: _per_profile(sweep, check_expsum),
+    "multiset": lambda sweep: _per_profile(sweep, check_multiset_laws),
+    "gamma": lambda sweep: _per_profile(sweep, check_gamma_formula),
+    "h-relation": lambda sweep: _per_profile(sweep, check_h_relation),
+    "beta": lambda sweep: _per_profile(sweep, check_beta_formula),
+    "symmetry": lambda sweep: [
+        (_subject(t), partial(check_symmetry_identities, t, 4, 4)) for t in sweep.types
     ],
-    "todd-symm": lambda types, n_max, seed: [
-        (f"(a={a}, b={total - a})", partial(check_todd_symmetry, a, total - a, 50, seed))
+    "todd-symm": lambda sweep: [
+        (f"(a={a}, b={total - a})", partial(check_todd_symmetry, a, total - a, 50, sweep.seed))
         for total in range(9)
         for a in range(total + 1)
     ],
-    "kostant": lambda types, n_max, seed: [
-        (_subject(t), partial(check_de_kostant, t)) for t in types if t.family in ("D", "E")
+    "kostant": lambda sweep: [
+        (_subject(t), partial(check_de_kostant, t, params=sweep.default(t)))
+        for t in sweep.types
+        if t.family in ("D", "E")
     ],
     "t-transform": _t_transform_specs,
     "specializations": _specialization_specs,
-    "gamma34": lambda types, n_max, seed: [
-        (f"{_subject(t)} (p={p})", partial(check_gamma34, t, p)) for t in types for p in (1, 2)
+    "gamma34": lambda sweep: [
+        (f"{_subject(t)} (p={p})", partial(check_gamma34, t, p, params=sweep.default(t)))
+        for t in sweep.types
+        for p in (1, 2)
     ],
     "methods": _methods_specs,
 }
@@ -678,17 +739,20 @@ def build_tasks(
 ) -> list[Task]:
     """All sub-checks of the selected suites, in deterministic order.
 
-    Arguments a suite cannot run with raise here, before any check runs."""
+    Every suite that reads parameter sets gets them from one table local to
+    this call: profile_parameters once per type, the default set taken from
+    its entries.  Arguments a suite cannot run with raise here, before any
+    check runs."""
     selected = tuple(suites) if suites is not None else SUITE_NAMES
     for name in selected:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    types = catalog(max_rank, max_m)
+    sweep = _Sweep(catalog(max_rank, max_m), n_max, seed)
     return [
         (suite, subject, check)
         for suite in SUITE_NAMES
         if suite in selected
-        for subject, check in _SUITES[suite](types, n_max, seed)
+        for subject, check in _SUITES[suite](sweep)
     ]
 
 

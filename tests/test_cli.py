@@ -452,6 +452,60 @@ class TestTable:
         assert code == 2 and err
 
 
+class TestTableBound:
+    """table refuses, before any work, cells whose lower-bound size exceeds a bound."""
+
+    @staticmethod
+    def message(bits):
+        return (
+            f"error: the table's power sums need at least {bits} bits, beyond the bound of "
+            "20000000 (use fewer types or a smaller --n-max)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, bits",
+        [
+            # E8: h - 1 = 29 has 5 bits, so cell n is at least 4 n + 1 bits.
+            (["--types", "E8", "--n-max", "3162"], 2 * 3162**2 + 3 * 3162 + 1),
+            (["--all", "--n-max", "453"], 20_081_101),
+        ],
+    )
+    def test_large_tables_are_refused_quickly(self, capsys, argv, bits):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "table", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == self.message(bits)
+
+    def test_bound_is_inclusive(self, capsys, monkeypatch):
+        import coxsums.cli as cli_module
+
+        # E6 and E8: h - 1 = 11 and 29, 3 and 4 bits per degree; at n-max 2 that is
+        # (1 + 3 + 1 + 6 + 1) + (1 + 4 + 1 + 8 + 1) = 27 bits.
+        monkeypatch.setattr(cli_module, "_MAX_TABLE_BITS", 27)
+        code, out, _ = run(capsys, "table", "--types", "E6,E8", "--n-max", "2", "--format", "csv")
+        assert code == 0 and out.splitlines()[2].endswith(",8,120,2360")
+        monkeypatch.setattr(cli_module, "_MAX_TABLE_BITS", 26)
+        code, out, err = run(capsys, "table", "--types", "E6,E8", "--n-max", "2")
+        assert code == 2 and not out
+        assert "at least 27 bits, beyond the bound of 26 " in err
+        # A1: every S_n is 1, one bit per cell.
+        monkeypatch.setattr(cli_module, "_MAX_TABLE_BITS", 27)
+        code, out, _ = run(capsys, "table", "--types", "A1", "--n-max", "26", "--format", "csv")
+        assert code == 0 and out.splitlines()[1].endswith(",1" * 27)
+        code, out, err = run(capsys, "table", "--types", "A1", "--n-max", "27")
+        assert code == 2 and not out and "at least 28 bits" in err
+
+    def test_catalog_wide_table_is_accepted(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "table", "--all", "--max-rank", "120", "--max-m", "600",
+            "--n-max", "4", "--format", "csv",
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 0 and len(out.splitlines()) == 959
+
+
 class TestVerify:
     def test_single_suite(self, capsys):
         code, out, _ = run(

@@ -68,6 +68,22 @@ class TestTodd:
             powersum_todd(parse_type("A2"), 2, 0)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_single_value_equals_the_table_entry(self, p):
+        # powersum_todd forms only S_n, from the same pass as powersum_todd_upto.
+        for t in catalog(12, 30):
+            upto = powersum_todd_upto(t, 20, p)
+            for n in range(21):
+                assert powersum_todd(t, n, p).value == upto[n], (t.name, n)
+
+    @pytest.mark.parametrize("route", [powersum_todd, powersum_todd_upto])
+    def test_single_value_and_table_raise_alike(self, route):
+        a2 = parse_type("A2")
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            route(a2, -1)
+        with pytest.raises(ValueError, match="^p must be >= 1$"):
+            route(a2, 2, 0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
     def test_corrupt_table_keeps_rational_values(self, p):
         # V+ = {20, 25} breaks integrality: the route returns S_k, never a floor or an error.
         e8 = parse_type("E8")

@@ -620,3 +620,99 @@ class TestRunAll:
             check()
         want = [(t, prof, ps) for t in catalog(4, 9) for prof, ps in profile_parameters(t)]
         assert seen == want
+
+
+class TestSharedSweep:
+    """build_tasks builds one parameter table per call and draws the todd-symm points
+    by the documented getrandbits rule."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 42])
+    def test_todd_symm_points_are_the_randint_draws(self, monkeypatch, seed):
+        import coxsums.verify as verify_module
+        from coxsums.verify import build_tasks, run_tasks
+
+        seen = []
+
+        def record(series, n):
+            seen.append(list(series.coefficients[1:]))
+            return todd_values(series, n)
+
+        real = verify_module.check_todd_symmetry
+        monkeypatch.setattr(
+            verify_module, "check_todd_symmetry", lambda *args: real(*args, todd_fn=record)
+        )
+        reports = run_tasks(build_tasks(seed=seed, suites=["todd-symm"]))
+        assert len(reports) == 45 and all(r.passed for r in reports)
+        want = []
+        for total in range(9):
+            for a in range(total + 1):
+                rng = Random(f"{seed}:{a}:{total - a}")
+                for _ in range(50):
+                    point = [F(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(total)]
+                    want.append(point)
+        assert seen == want
+
+    def test_default_sweep_builds_each_parameter_set_once(self, monkeypatch):
+        import sys
+
+        from coxsums.verify import build_tasks, run_tasks
+
+        catalog_module = sys.modules["coxsums.catalog"]
+        calls = {"parameters": 0, "profile_parameters": 0}
+        originals = {name: getattr(catalog_module, name) for name in calls}
+
+        def counting(name):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return originals[name](*args, **kwargs)
+
+            return counted
+
+        # Every coxsums module that binds either function, the verify module included.
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("coxsums"):
+                for name, original in originals.items():
+                    if vars(module).get(name) is original:
+                        monkeypatch.setattr(module, name, counting(name))
+        reports = run_tasks(build_tasks())
+        assert len(reports) == 666 and all(r.passed for r in reports)
+        # 64 types; 77 concrete profiles, plus check_s4_nonuniversality's A9 and D6.
+        assert calls == {"profile_parameters": len(catalog(12, 30)), "parameters": 79}
+
+    def test_default_entry_is_the_default_parameter_set(self, monkeypatch):
+        import coxsums.verify as verify_module
+        from coxsums.verify import CheckReport, build_tasks, run_tasks
+
+        seen = {}
+
+        def recorder(name):
+            def record(t, *args, params=None):
+                seen.setdefault(name, {})[t] = params
+                return CheckReport(name, t.name, True)
+
+            return record
+
+        def record_profile(t, profile, params):
+            seen.setdefault("profiles", {}).setdefault(t, []).append(params)
+            return CheckReport("gamma", t.name, True)
+
+        defaults = (
+            "check_methods", "check_gamma34", "check_de_kostant", "check_gamma_specializations"
+        )
+        for name in defaults:
+            monkeypatch.setattr(verify_module, name, recorder(name))
+        monkeypatch.setattr(verify_module, "check_gamma_formula", record_profile)
+        suites = ["gamma", "methods", "gamma34", "kostant", "specializations"]
+        run_tasks(build_tasks(30, 60, 3, 1, suites))
+        types = catalog(30, 60)
+        assert {"H2", "I2(8)", "I2(9)", "I2(59)", "I2(60)"} <= {t.name for t in types}
+        assert list(seen["check_methods"]) == types
+        for t in types:
+            got = seen["check_methods"][t]
+            assert got == parameters(t), t.name
+            # One table: the per-profile suites' set for that profile, not a copy.
+            assert any(got is ps for ps in seen["profiles"][t]), t.name
+            for name in defaults[1:]:
+                if t in seen[name]:
+                    assert seen[name][t] is got, (name, t.name)
+        assert len(seen["check_de_kostant"]) == 27 + 3 and len(seen["check_gamma34"]) == len(types)
