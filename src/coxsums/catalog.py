@@ -21,14 +21,20 @@ two published parameterizations, so three profiles are exposed:
 
 When no profile is given, plain I2 types use ``redefined`` and every
 named family (including H2) uses ``standard``.
+
+The parameters are built on integers: d is an integer or, in the
+dihedral family, a half-integer, so ``parameters`` forms 2d, 2alpha and
+the doubled multisets 2V+ and 2V-, and turns each output field into a
+``Fraction`` once at the end.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import gt, lt, sub
 
 from .errors import ParseError, ProfileMismatch, RangeError
 
@@ -157,7 +163,7 @@ class ExponentList:
         v = self.values
         if not v:
             raise ValueError("empty exponent list")
-        if any(m < 1 for m in v) or any(a > b for a, b in zip(v, v[1:])):
+        if v[0] < 1 or any(map(gt, v, v[1:])):
             raise ValueError("exponents must be positive and nondecreasing")
 
     @property
@@ -206,7 +212,7 @@ class DualPartition:
 
     def __post_init__(self):
         k = self.counts
-        if any(a < b for a, b in zip(k, k[1:])) or (k and k[-1] < 0):
+        if any(map(lt, k, k[1:])) or (k and k[-1] < 0):
             raise ValueError("dual partition must be nonincreasing and nonnegative")
 
     @property
@@ -215,8 +221,11 @@ class DualPartition:
 
 
 def dual_partition(e: ExponentList) -> DualPartition:
-    h, r = e.coxeter_number, e.rank
-    counts = tuple(r - bisect_left(e.values, j) for j in range(1, h))
+    """k_j = r - i on each run m_i < j <= m_{i+1} (m_0 = 0): one repeat per
+    exponent gap, so no height is searched for."""
+    v = e.values
+    gaps = map(sub, v, (0, *v))
+    counts = tuple(chain.from_iterable(map(repeat, range(len(v), 0, -1), gaps)))
     return DualPartition(counts)
 
 
@@ -281,28 +290,33 @@ def _profile_for(t: CoxeterType, profile: str | None) -> str:
     raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
 
 
-def _d_nu(t: CoxeterType, concrete: str) -> tuple[Fraction, int]:
+def _twice_d_nu(t: CoxeterType, concrete: str) -> tuple[int, int]:
+    """(2d, nu): d is an integer, or a half-integer in the dihedral family."""
     f, n = t.family, t.index
     if f == "A":
-        return Fraction(1), 1 if n == 1 else n
+        return 2, 1 if n == 1 else n
     if f == "C":
-        return Fraction(2), n - 2
+        return 4, n - 2
     if f == "D":
-        return Fraction(2), n - 4
+        return 4, n - 4
     if f == "E":
-        return Fraction({6: 3, 7: 4, 8: 6}[n]), 0
+        return {6: 6, 7: 8, 8: 12}[n], 0
     if f == "F":
-        return Fraction(4), 0
+        return 8, 0
     if f == "G":
-        return Fraction(3), 0
+        return 6, 0
     if f == "H":
         if n == 2:
-            return (Fraction(5, 2), 0) if concrete == "redefined" else (Fraction(2), 1)
-        return (Fraction(4), 0) if n == 3 else (Fraction(10), 0)
-    return Fraction(n, 2), 0  # I2(m)
+            return (5, 0) if concrete == "redefined" else (4, 1)
+        return (8, 0) if n == 3 else (20, 0)
+    return n, 0  # I2(m): d = m/2
 
 
-def _remove_one(values: list[Fraction], x: Fraction) -> list[Fraction]:
+def _half(x: int) -> Fraction:
+    return Fraction(x // 2) if x % 2 == 0 else Fraction(x, 2)
+
+
+def _remove_one(values: list[int], x: int) -> list[int]:
     out = list(values)
     out.remove(x)
     return out
@@ -318,25 +332,29 @@ def parameters(
     ``beta`` overrides the table's pinned value in the families where
     that slot is arbitrary (it then replaces the pinned entry in both
     V+ and V-); for the other types it is rejected.
+
+    Every entry is formed doubled, as an integer (2d, 2alpha, 2V+, 2V-),
+    and halved into a ``Fraction`` once; r, h, gamma and nu stay ints.
     """
     t = normalize(t)
     concrete = _profile_for(t, profile)
     r = t.rank
     h = t.coxeter_number
     gamma = gamma_invariant(t)
-    d, nu = _d_nu(t, concrete)
+    d2, nu = _twice_d_nu(t, concrete)
 
-    # Explicit multisets: V- = {d, 2d-2+nu}, V+ = {4d-4+d*nu, h-d-(d-1)*nu}.
-    v_minus = [d, 2 * d - 2 + nu]
-    v_plus = [4 * d - 4 + d * nu, h - d - (d - 1) * nu]
+    # V- = {d, 2d-2+nu}, V+ = {4d-4+d*nu, h-d-(d-1)*nu}, doubled:
+    # 2V- = {2d, 4d-4+2nu}, 2V+ = {8d-8+2d*nu, 2h-2d-(2d-2)*nu}.
+    v_minus = sorted([d2, 2 * d2 - 4 + 2 * nu])
+    v_plus = sorted([4 * d2 - 8 + d2 * nu, 2 * h - d2 - (d2 - 2) * nu])
 
-    if r == 1:
-        alpha = Fraction(1)
-    else:
-        alpha = Fraction(exponents(t).values[1] - 1)
-    if alpha not in v_minus:
+    alpha2 = 2 if r == 1 else 2 * (exponents(t).values[1] - 1)
+    if alpha2 not in v_minus:
         raise AssertionError(f"internal table error for {t.name}")
-    pinned_beta = _remove_one(v_minus, alpha)[0]
+    # d, alpha and the pinned beta are entries of V-, and share its Fractions.
+    vm = tuple(map(_half, v_minus))
+    i = v_minus.index(alpha2)
+    d, alpha, pinned_beta = vm[v_minus.index(d2)], vm[i], vm[1 - i]
 
     key = f"{t.family}{t.index}" if t.family == "H" else t.family
     arbitrary = key in _ARBITRARY_BETA
@@ -346,14 +364,13 @@ def parameters(
         beta_val = Fraction(beta)
         if beta_val <= 0:
             raise ValueError("beta must be positive")
-        a_fixed = _remove_one(v_plus, pinned_beta)[0]
-        v_minus = [alpha, beta_val]
-        v_plus = [a_fixed, beta_val]
+        a_fixed = _half(_remove_one(v_plus, v_minus[1 - i])[0])
+        vp = tuple(sorted([a_fixed, beta_val]))
+        vm = tuple(sorted([alpha, beta_val]))
     else:
         beta_val = pinned_beta
+        vp = tuple(map(_half, v_plus))
 
-    vp = tuple(sorted(v_plus))
-    vm = tuple(sorted(v_minus))
     return ParameterSet(
         r=r,
         h=h,

@@ -81,6 +81,16 @@ _MAX_TODD_OPERAND_BITS = 10_000
 # 1.9 s, 57 MB.
 _MAX_TABLE_BITS = 20_000_000
 
+# table --all and verify build catalog(--max-rank, --max-m), and each type's
+# exponents, dual partition and parameters cost O(r + h): table --all
+# --max-rank 30000 --max-m 3 --n-max 0 did not end in 2 minutes.  Both
+# refuse, before any work, a catalog whose sum of r + h over its types
+# exceeds this bound.  At the bound, on the same host: --max-rank 999
+# --max-m 3 (3995145) table --all --n-max 0 takes 0.6 s, verify --suite
+# expsum 2.3 s and verify 17 s; --max-rank 2 --max-m 2800 verify 17 s.
+# --max-rank 120 --max-m 600 sums to 239571.
+_MAX_CATALOG_WEIGHT = 4_000_000
+
 
 def _check_output_bits(bits: int) -> None:
     if bits > _MAX_OUTPUT_BITS:
@@ -97,6 +107,33 @@ def _check_operand_bits(args, method: str, params, p: int = 1) -> None:
             f"the {method} method needs n * b <= {_MAX_TODD_OPERAND_BITS}, where b = {bits} "
             "is the bit length of the largest of p and the parameters' numerators and "
             f"denominators{hint}"
+        )
+
+
+def _catalog_weight(max_rank: int, max_m: int) -> int:
+    """The sum of r + h over catalog(max_rank, max_m): the types of rank <= 8
+    and m <= 6 one by one, the rest in closed form."""
+
+    def total(lo: int, hi: int, a: int, b: int) -> int:  # sum of a*n + b, lo <= n <= hi
+        count = max(0, hi - lo + 1)
+        return a * (count * (lo + hi) // 2) + b * count
+
+    small = sum(t.rank + t.coxeter_number for t in catalog(min(max_rank, 8), min(max_m, 6)))
+    # Each rank n >= 9 adds A_n, C_n and D_n: (2n + 1) + 3n + (3n - 2); each
+    # m >= 7 adds I2(m): m + 2.
+    return small + total(9, max_rank, 8, -1) + total(7, max_m, 1, 2)
+
+
+def _check_catalog_size(max_rank: int, max_m: int) -> None:
+    """Refuse a catalog beyond _MAX_CATALOG_WEIGHT; sizes that catalog()
+    rejects are left to its own message."""
+    if max_rank < 1 or max_m < 3:
+        return
+    weight = _catalog_weight(max_rank, max_m)
+    if weight > _MAX_CATALOG_WEIGHT:
+        raise CoxError(
+            f"the catalog of --max-rank {max_rank} --max-m {max_m} sums r + h to {weight}, "
+            f"beyond the bound of {_MAX_CATALOG_WEIGHT} (use a smaller --max-rank or --max-m)"
         )
 
 
@@ -329,6 +366,7 @@ def _cmd_table(args) -> int:
     if args.types:
         types = [normalize(parse_type(s)) for s in args.types.split(",")]
     elif args.all:
+        _check_catalog_size(args.max_rank, args.max_m)
         types = catalog(args.max_rank, args.max_m)
     else:
         raise CoxError("need --types or --all")
@@ -369,6 +407,7 @@ def _cmd_verify(args) -> int:
             seed = int(text)
         except ValueError:
             raise CoxError(f"COX_SEED must be an integer, got {text!r}") from None
+    _check_catalog_size(args.max_rank, args.max_m)
     suites = None if args.suite == "all" else [args.suite]
     tasks = _verify.build_tasks(
         max_rank=args.max_rank,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 from typing import Sequence
 
 from . import todd as _todd
@@ -47,10 +48,16 @@ def _params(t: CoxeterType, params: ParameterSet | None) -> ParameterSet:
 
 
 def exponent_power_sums(exps: ExponentList, n: int) -> list[int]:
-    """S_0 .. S_n, where S_k = sum(m_i**k) over the exponents."""
+    """S_0 .. S_n, where S_k = sum(m_i**k) over the exponents: the powers
+    m_i**k run as products, one multiply per exponent per degree."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [sum(m**k for m in exps.values) for k in range(n + 1)]
+    values = exps.values
+    powers, sums = [1] * len(values), [len(values)]
+    for _ in range(n):
+        powers = list(map(mul, powers, values))
+        sums.append(sum(powers))
+    return sums
 
 
 def powersum_direct(t: CoxeterType, n: int) -> PowerSumResult:

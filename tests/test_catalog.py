@@ -1,10 +1,12 @@
 """Classification data: parsing, exponents, parameter tables, catalog."""
 
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
 
 from coxsums import (
+    PROFILES,
     CoxeterType,
     ExponentList,
     applicable_profiles,
@@ -15,7 +17,14 @@ from coxsums import (
     parameters,
     parse_type,
 )
-from coxsums.catalog import profile_parameters
+from coxsums.catalog import (
+    _ARBITRARY_BETA,
+    DualPartition,
+    ParameterSet,
+    _profile_for,
+    gamma_invariant,
+    profile_parameters,
+)
 from coxsums.errors import ParseError, ProfileMismatch, RangeError
 
 
@@ -155,6 +164,32 @@ class TestDualPartition:
             assert len(dp.counts) == t.coxeter_number - 1
 
 
+def bisect_dual_partition(e):
+    """The per-height form of dual_partition: k_j = r - #{m_i < j}, one
+    bisect per height j = 1 .. h-1."""
+    h, r = e.coxeter_number, e.rank
+    return DualPartition(tuple(r - bisect_left(e.values, j) for j in range(1, h)))
+
+
+class TestDualPartitionOracle:
+    """dual_partition, built by runs of equal counts, equals the per-height form."""
+
+    def test_catalog(self):
+        for t in catalog(30, 300):
+            e = exponents(t)
+            assert dual_partition(e) == bisect_dual_partition(e), t.name
+
+    @pytest.mark.parametrize("label", ["D4", "D6", "D8"])
+    def test_repeated_exponent(self, label):
+        e = exponents(parse_type(label))
+        assert len(set(e.values)) < e.rank
+        assert dual_partition(e) == bisect_dual_partition(e)
+
+    def test_large_dihedral(self):
+        e = exponents(CoxeterType("I2", 10**5))
+        assert dual_partition(e) == bisect_dual_partition(e)
+
+
 # One frozen row per line of the parameter table, at the pinned beta.
 # Fields: r, h, gamma, d, nu, {A,B}, {alpha,beta}.
 TABLE_ROWS = {
@@ -265,6 +300,122 @@ class TestParameters:
             parameters(parse_type("E8"), beta=11)
         with pytest.raises(ValueError):
             parameters(parse_type("A2"), beta=-1)
+
+
+def _oracle_d_nu(t, concrete):
+    f, n = t.family, t.index
+    if f == "A":
+        return F(1), 1 if n == 1 else n
+    if f == "C":
+        return F(2), n - 2
+    if f == "D":
+        return F(2), n - 4
+    if f == "E":
+        return F({6: 3, 7: 4, 8: 6}[n]), 0
+    if f == "F":
+        return F(4), 0
+    if f == "G":
+        return F(3), 0
+    if f == "H":
+        if n == 2:
+            return (F(5, 2), 0) if concrete == "redefined" else (F(2), 1)
+        return (F(4), 0) if n == 3 else (F(10), 0)
+    return F(n, 2), 0
+
+
+def _oracle_remove_one(values, x):
+    out = list(values)
+    out.remove(x)
+    return out
+
+
+def fraction_parameters(t, profile=None, beta=None):
+    """parameters() computed on Fractions throughout, from the undoubled
+    multisets V- = {d, 2d-2+nu}, V+ = {4d-4+d*nu, h-d-(d-1)*nu}."""
+    t = normalize(t)
+    concrete = _profile_for(t, profile)
+    r = t.rank
+    h = t.coxeter_number
+    gamma = gamma_invariant(t)
+    d, nu = _oracle_d_nu(t, concrete)
+    v_minus = [d, 2 * d - 2 + nu]
+    v_plus = [4 * d - 4 + d * nu, h - d - (d - 1) * nu]
+    alpha = F(1) if r == 1 else F(exponents(t).values[1] - 1)
+    if alpha not in v_minus:
+        raise AssertionError(f"internal table error for {t.name}")
+    pinned_beta = _oracle_remove_one(v_minus, alpha)[0]
+    key = f"{t.family}{t.index}" if t.family == "H" else t.family
+    if beta is not None:
+        if key not in _ARBITRARY_BETA:
+            raise ValueError(f"beta is determined for type {t.name}")
+        beta_val = F(beta)
+        if beta_val <= 0:
+            raise ValueError("beta must be positive")
+        a_fixed = _oracle_remove_one(v_plus, pinned_beta)[0]
+        v_minus = [alpha, beta_val]
+        v_plus = [a_fixed, beta_val]
+    else:
+        beta_val = pinned_beta
+    vp = tuple(sorted(v_plus))
+    vm = tuple(sorted(v_minus))
+    return ParameterSet(r, h, gamma, d, nu, alpha, beta_val, vp[0], vp[1], vp, vm)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:
+        return e
+
+
+FIELD_TYPES = {
+    "r": int, "h": int, "gamma": int, "nu": int,
+    "d": F, "alpha": F, "beta": F, "A": F, "B": F, "V_plus": tuple, "V_minus": tuple,
+}
+
+
+class TestParametersOracle:
+    """parameters(), built on doubled integers, equals the Fraction oracle."""
+
+    def test_every_profile_and_beta(self):
+        seen = set()
+        for t in catalog(40, 200):
+            for profile in (None, *PROFILES):
+                for beta in (None, 1, F(7, 2), 3):
+                    want = _outcome(fraction_parameters, t, profile, beta)
+                    got = _outcome(parameters, t, profile, beta)
+                    case = (t.name, profile, beta)
+                    assert type(got) is type(want), case
+                    if isinstance(want, Exception):
+                        assert str(got) == str(want), case
+                        seen.add(type(want).__name__)
+                        continue
+                    seen.add("ok")
+                    assert got == want, case
+                    for name, kind in FIELD_TYPES.items():
+                        assert type(getattr(got, name)) is kind, (case, name)
+                    for v in got.V_plus + got.V_minus:
+                        assert type(v) is F, case
+        assert seen == {"ok", "ProfileMismatch", "ValueError"}
+
+    @pytest.mark.parametrize(
+        "label, profile, beta, message",
+        [
+            ("I2(9)", "standard", None, "I2(9) has no standard parameter row; use profile 'redefined'"),
+            ("E8", None, 11, "beta is determined for type E8"),
+            ("D5", "redefined", F(7, 2), "beta is determined for type D5"),
+            ("A2", None, -1, "beta must be positive"),
+            ("I2(8)", "h2-original", 0, "beta must be positive"),
+            ("E8", "bogus", None, "unknown profile 'bogus'; choose from "
+             "('standard', 'redefined', 'h2-original')"),
+        ],
+    )
+    def test_errors_match(self, label, profile, beta, message):
+        t = parse_type(label)
+        want = _outcome(fraction_parameters, t, profile, beta)
+        got = _outcome(parameters, t, profile, beta)
+        assert type(got) is type(want) and isinstance(got, Exception)
+        assert str(got) == str(want) == message
 
 
 class TestCatalog:

@@ -506,6 +506,91 @@ class TestTableBound:
         assert code == 0 and len(out.splitlines()) == 959
 
 
+class TestLargeTable:
+    def test_wide_table_of_one_type_is_fast(self, capsys):
+        # 20000 exponents to degree 200: one multiply per exponent per degree.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "table", "--types", "A20000", "--n-max", "200", "--format", "csv")
+        assert time.perf_counter() - start < 3
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert row[0] == "A20000" and len(row) == 1 + 9 + 201
+        # S_0 = r, S_1 = r (r + 1) / 2, S_2 = r (r + 1) (2r + 1) / 6.
+        assert row[10:13] == ["20000", "200010000", "2666866670000"]
+
+
+class TestCatalogBound:
+    """table --all and verify refuse, before any work, a catalog whose sum of
+    r + h over its types exceeds a bound."""
+
+    @staticmethod
+    def message(max_rank, max_m, weight):
+        return (
+            f"error: the catalog of --max-rank {max_rank} --max-m {max_m} sums r + h to "
+            f"{weight}, beyond the bound of 4000000 (use a smaller --max-rank or --max-m)\n"
+        )
+
+    def test_weight_is_the_catalog_sum(self):
+        from coxsums.catalog import catalog
+        from coxsums.cli import _catalog_weight
+
+        for max_rank in range(1, 25):
+            for max_m in range(3, 25):
+                want = sum(t.rank + t.coxeter_number for t in catalog(max_rank, max_m))
+                assert _catalog_weight(max_rank, max_m) == want, (max_rank, max_m)
+        assert _catalog_weight(120, 600) == 239571
+
+    @pytest.mark.parametrize(
+        "argv, max_rank, max_m, weight",
+        [
+            (["table", "--all", "--max-rank", "30000", "--max-m", "3", "--n-max", "0"],
+             30000, 3, 3600090144),
+            (["table", "--all", "--max-rank", "1000", "--max-m", "3", "--n-max", "0"],
+             1000, 3, 4003144),
+            (["table", "--all", "--max-rank", "1", "--max-m", "10000000"], 1, 10000000, 50000024999996),
+            (["verify", "--max-rank", "30000"], 30000, 30, 3600090636),
+            (["verify", "--suite", "expsum", "--max-rank", "2", "--max-m", str(10**9)],
+             2, 10**9, 500000002499999996),
+        ],
+    )
+    def test_large_catalogs_are_refused_quickly(self, capsys, argv, max_rank, max_m, weight):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == self.message(max_rank, max_m, weight)
+
+    def test_bound_is_inclusive(self, capsys, monkeypatch):
+        import coxsums.cli as cli_module
+
+        # A1, A2, C2/B2, G2, H2: (1 + 2) + (2 + 3) + (2 + 4) + (2 + 6) + (2 + 5) = 29.
+        monkeypatch.setattr(cli_module, "_MAX_CATALOG_WEIGHT", 29)
+        code, out, _ = run(capsys, "table", "--all", "--max-rank", "2", "--max-m", "4", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 6
+        code, out, _ = run(capsys, "verify", "--suite", "expsum", "--max-rank", "2", "--max-m", "4")
+        assert code == 0 and out.splitlines()[-1] == "all checks passed"
+        monkeypatch.setattr(cli_module, "_MAX_CATALOG_WEIGHT", 28)
+        for argv in (["table", "--all"], ["verify", "--suite", "expsum"]):
+            code, out, err = run(capsys, *argv, "--max-rank", "2", "--max-m", "4")
+            assert code == 2 and not out
+            assert "sums r + h to 29, beyond the bound of 28 " in err
+
+    def test_invalid_sizes_keep_their_message(self, capsys):
+        code, out, err = run(capsys, "table", "--all", "--max-rank", "0", "--max-m", str(10**9))
+        assert (code, out, err) == (2, "", "error: max_rank must be >= 1\n")
+        code, out, err = run(capsys, "verify", "--max-rank", str(10**9), "--max-m", "2")
+        assert (code, out, err) == (2, "", "error: max_m must be >= 3\n")
+
+    def test_largest_accepted_rank(self, capsys):
+        from coxsums.cli import _catalog_weight
+
+        assert _catalog_weight(999, 3) <= 4_000_000 < _catalog_weight(1000, 3)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "table", "--all", "--max-rank", "999", "--max-m", "3", "--n-max", "0")
+        assert time.perf_counter() - start < 10
+        assert code == 0 and len(out.splitlines()) == 1 + 999 + 998 + 996 + 3 + 1 + 1 + 3
+
+
 class TestVerify:
     def test_single_suite(self, capsys):
         code, out, _ = run(

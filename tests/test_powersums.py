@@ -20,7 +20,7 @@ from coxsums import (
     powersum_todd,
     powersum_todd_upto,
 )
-from coxsums.catalog import profile_parameters
+from coxsums.catalog import DualPartition, ExponentList, profile_parameters
 from coxsums.errors import InternalMismatch
 from coxsums.powersums import closed_power_sums, exponent_power_sums
 
@@ -175,6 +175,45 @@ def test_power_and_height_sums_match_brute_force_int_sums():
             assert powersum_direct(t, n).value == want, (t.name, n)
             heights = sum(j**n for m in exps for j in range(1, m + 1))
             assert heightsum_direct(t, n).value == heights, (t.name, n)
+
+
+class TestExponentPowerSums:
+    """exponent_power_sums, by running products, equals fresh powers."""
+
+    def test_catalog(self):
+        for t in catalog(30, 300):
+            exps = exponents(t)
+            for n in range(21):
+                want = [sum(m**k for m in exps.values) for k in range(n + 1)]
+                assert exponent_power_sums(exps, n) == want, (t.name, n)
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_degree(self, n):
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            exponent_power_sums(exponents(parse_type("E8")), n)
+
+
+class TestValidation:
+    """ExponentList and DualPartition reject the same inputs with the same messages."""
+
+    @pytest.mark.parametrize("values", [(0, 1), (2, 1), (1, -1)])
+    def test_exponent_list_rejects(self, values):
+        with pytest.raises(ValueError, match=r"^exponents must be positive and nondecreasing$"):
+            ExponentList(values)
+
+    @pytest.mark.parametrize("counts", [(0, 1), (1, 2), (1, -1)])
+    def test_dual_partition_rejects(self, counts):
+        with pytest.raises(
+            ValueError, match=r"^dual partition must be nonincreasing and nonnegative$"
+        ):
+            DualPartition(counts)
+
+    def test_accepted(self):
+        assert ExponentList((1, 2)).values == (1, 2)
+        assert DualPartition((2, 1)).counts == (2, 1)
+        assert DualPartition(()).total == 0
+        with pytest.raises(ValueError, match=r"^empty exponent list$"):
+            ExponentList(())
 
 
 class TestSweeps:
