@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import gt, lt, sub
 
 from .errors import ParseError, ProfileMismatch, RangeError
@@ -163,7 +163,7 @@ class ExponentList:
         v = self.values
         if not v:
             raise ValueError("empty exponent list")
-        if v[0] < 1 or any(map(gt, v, v[1:])):
+        if v[0] < 1 or any(map(gt, v, islice(v, 1, None))):
             raise ValueError("exponents must be positive and nondecreasing")
 
     @property
@@ -212,7 +212,7 @@ class DualPartition:
 
     def __post_init__(self):
         k = self.counts
-        if any(map(lt, k, k[1:])) or (k and k[-1] < 0):
+        if any(map(lt, k, islice(k, 1, None))) or (k and k[-1] < 0):
             raise ValueError("dual partition must be nonincreasing and nonnegative")
 
     @property

@@ -117,7 +117,8 @@ def closed_power_sums(params: ParameterSet, n: int) -> list[int]:
     L_1 = -s, with s = A + B = h - 2 + alpha + beta and q = A B = r alpha beta.
     At the scale u = lcm(den alpha, den beta) every u**k P_k is an integer,
     the recurrence gives T_k = M_k u**k Td_k, and S_k = k! r T_k / (M_k u**k),
-    a division that must be exact.
+    a division that must be exact.  The recurrence reads only P_1 and the
+    even P_k, so the odd P_k with k >= 3 are not formed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -125,14 +126,19 @@ def closed_power_sums(params: ParameterSet, n: int) -> list[int]:
     u = lcm(a.denominator, b.denominator)
     au, bu = a.numerator * (u // a.denominator), b.numerator * (u // b.denominator)
     su, qu = (params.h - 2) * u + au + bu, r * au * bu  # s u and q u**2
-    lucas, p = [2, -su], [1]  # u**k L_k; T_0 = 1, then u**k P_k
-    for k in range(1, n + 1):
-        if k >= 2:
-            lucas.append(-su * lucas[k - 1] - qu * lucas[k - 2])
-        p.append(u**k + (-au) ** k + (-bu) ** k - (-u) ** k - lucas[k])
+    lucas = [2, -su]  # u**k L_k
+    p = [1, 2 * u - au - bu + su]  # T_0 = 1 and u P_1, then u**k P_k
+    a2, b2, ak, bk = au * au, bu * bu, 1, 1
+    for k in range(2, n + 1):
+        lucas.append(-su * lucas[k - 1] - qu * lucas[k - 2])
+        if k % 2:
+            p.append(0)  # the Todd recurrence does not read the odd P_k, k >= 3
+        else:  # P_k = alpha**k + beta**k - L_k, as 1 - (-1)**k = 0
+            ak, bk = ak * a2, bk * b2
+            p.append(ak + bk - lucas[k])
     m, _ = _todd._todd_tables(n)
     sums = []
-    for k, tk in enumerate(_todd._todd_recurrence(p)):
+    for k, tk in enumerate(_todd._todd_recurrence(p[: n + 1])):
         sk, rest = divmod(factorial(k) * r * tk, m[k] * u**k)
         if rest:
             raise InternalMismatch(f"closed route: S_{k} is not an integer")

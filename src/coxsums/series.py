@@ -39,7 +39,11 @@ def weighted_scale(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
         if ui % d:
             u *= d // gcd(d, ui)
         reduced.append((y, d))
-    return [y * (u**i // d) for i, (y, d) in enumerate(reduced, 1)], u
+    scaled, ui = [], 1
+    for y, d in reduced:
+        ui *= u
+        scaled.append(y * (ui // d))
+    return scaled, u
 
 
 class TruncatedSeries:

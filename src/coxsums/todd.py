@@ -15,8 +15,10 @@ sums of virtual roots x_j whose elementary symmetric functions are the gamma_n,
     sum_n Td_n t**n = exp(sum_k lambda_k P_k t**k)
 
 where lambda_k = -B_k / (k * k!) is the t**k coefficient of log(t / (1 - exp(-t))).
-One pass over k gives P_k by Newton's identity, then k Td_k = sum_j j lambda_j P_j Td_{k-j};
-the second step also takes the P_k directly (the closed route of coxsums.powersums).
+As lambda_k = 0 at odd k >= 3, one pass forms only P_1 and the even P_2m,
+by Newton's identity over gamma(t) gamma(-t) = prod(1 - x_j**2 t**2), a
+series in t**2; then k Td_k = sum_j j lambda_j P_j Td_{k-j}.  The second
+step also takes the P_k directly (the closed route of coxsums.powersums).
 
 The inner loops run on integers, and each returned coefficient becomes a
 Fraction once.  The p-factor's coefficients are g_k / (k! * w**k) with
@@ -252,12 +254,24 @@ def _todd_steps(n: int) -> tuple[list[int], list[list[int]]]:
 def _todd_pass(a: Sequence) -> list:
     """T_0 .. T_n, T_k = M_k Td_k(gamma), from a_i = (-1)**(i-1) gamma_i and a_0 = 1.
 
-    The a_i may lie in any ring where ints act by multiplication, with
-    divmod by an int: ints, or MPoly for the polynomials themselves.
+    The recurrence reads only P_1 = a_1 and the even P_2m, so only those are
+    formed: gamma(t) gamma(-t) = prod(1 - x_j**2 t**2) has the P_2m as its
+    Newton sums in t**2.  With s_i = (-1)**i a_i its coefficients give
+    b_m = 2 a_2m - 2 sum_{i<m} s_i a_{2m-i} - s_m a_m, and then
+    P_2m = m b_m + sum_{i<m} b_i P_{2m-2i}: about n**2/4 products, half of
+    Newton's identity over every P_k.  The a_i may lie in any ring where
+    ints act by multiplication, with divmod by an int: ints, or MPoly for
+    the polynomials themselves.
     """
-    q = list(a)  # a_0 = T_0, then P_k by Newton's identity
-    for k in range(1, len(a)):
-        q[k] = sum(map(mul, a[1:k], q[k - 1 : 0 : -1]), k * a[k])
+    n = len(a) - 1
+    s = [-x if i % 2 else x for i, x in enumerate(a[: n // 2 + 1])]
+    q = list(a[:2]) + [0] * (n - 1)  # T_0 = a_0, P_1 = a_1; the odd P_k (k >= 3) stay 0
+    b = []  # b_1, b_2, ...
+    for m in range(1, n // 2 + 1):
+        k = 2 * m
+        bm = 2 * (a[k] - sum(map(mul, s[1:m], a[k - 1 : m : -1]))) - s[m] * a[m]
+        b.append(bm)
+        q[k] = sum(map(mul, b[: m - 1], q[k - 2 : 0 : -2]), m * bm)
     return _todd_recurrence(q)
 
 
@@ -266,7 +280,8 @@ def _todd_recurrence(q: Sequence) -> list:
 
     k T_k = sum_j C_{k,j} T_{k-j} w_j over j = 1, 2, 4, ... <= k, with the
     carries C_{k,j} = M_k / (M_j M_{k-j}) and w_j = W_j P_j from the weights
-    W_j = M_j j lambda_j (lambda_j = 0 at odd j >= 3).  The weights and
+    W_j = M_j j lambda_j (lambda_j = 0 at odd j >= 3), so the odd q_k with
+    k >= 3 are not read and may hold anything.  The weights and
     carries come checked from their table; the division by k, which makes
     M_k Td_k an integer, is checked on every call.
     """

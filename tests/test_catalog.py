@@ -1,5 +1,6 @@
 """Classification data: parsing, exponents, parameter tables, catalog."""
 
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction as F
 
@@ -162,6 +163,30 @@ class TestDualPartition:
             dp = dual_partition(exponents(t))
             assert 2 * dp.total == t.rank * t.coxeter_number
             assert len(dp.counts) == t.coxeter_number - 1
+
+    def test_validation_copies_no_counts(self):
+        # The counts tuple is most of what the result keeps; a validation that
+        # copied it (k[1:]) would double the peak.
+        e = exponents(CoxeterType("I2", 10**6))
+        tracemalloc.start()
+        try:
+            dp = dual_partition(e)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(dp.counts) == 10**6 - 1
+        assert peak <= 1.25 * kept
+
+
+def test_exponent_list_validation_copies_nothing():
+    values = tuple(range(1, 10**5))
+    tracemalloc.start()
+    try:
+        ExponentList(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024  # a copy of the values would take 800 KB
 
 
 def bisect_dual_partition(e):

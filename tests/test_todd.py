@@ -77,16 +77,21 @@ def todd_values_by_newton_exp(series, n):
     return tuple(td)
 
 
-def todd_pass_per_call(a):
-    """The integer Todd pass that forms every weight and carry on each call, in any ring.
-
-    Newton's identity by a generator per k, then the recurrence with one
-    checked weight division per j and one checked carry division per (k, j).
-    """
+def newton_power_sums(a):
+    """a_0, then every P_k = k a_k + sum_{i<k} a_i P_{k-i}: Newton's identity in full."""
     q = list(a)
     for k in range(1, len(a)):
         q[k] = sum((a[i] * q[k - i] for i in range(1, k)), k * a[k])
-    return todd_recurrence_per_call(q)
+    return q
+
+
+def todd_pass_per_call(a):
+    """The integer Todd pass that forms every weight and carry on each call, in any ring.
+
+    Newton's identity over every P_k, then the recurrence with one checked
+    weight division per j and one checked carry division per (k, j).
+    """
+    return todd_recurrence_per_call(newton_power_sums(a))
 
 
 def todd_recurrence_per_call(q):
@@ -431,6 +436,43 @@ class TestToddIntegerPass:
             todd_values(g, 12)
 
 
+def power_sums_read_by_the_pass(monkeypatch, a):
+    """The q that _todd_pass hands to _todd_recurrence, caught before the recurrence runs."""
+    seen = []
+    monkeypatch.setattr(todd_module, "_todd_recurrence", lambda q: seen.append(q) or q)
+    _todd_pass(a)
+    (q,) = seen
+    return q
+
+
+class TestToddPassPowerSums:
+    """The pass forms P_1 and the even P_2m only, from gamma(t) gamma(-t)."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 60, 150])
+    def test_read_power_sums_match_newton(self, monkeypatch, n):
+        rng = Random(n)
+        a = [1] + [rng.randint(-(10**12), 10**12) for _ in range(n)]
+        q, full = power_sums_read_by_the_pass(monkeypatch, a), newton_power_sums(a)
+        assert len(q) == n + 1
+        assert q[:2] == full[:2] and q[2::2] == full[2::2]
+
+    def test_read_power_sums_match_newton_over_mpoly(self, monkeypatch):
+        c = [MPoly.variable(i) for i in range(1, 11)]
+        a = [MPoly({(): 1})] + [ci if i % 2 else -ci for i, ci in enumerate(c, 1)]
+        q, full = power_sums_read_by_the_pass(monkeypatch, a), newton_power_sums(a)
+        assert [p.terms for p in q[:2] + q[2::2]] == [p.terms for p in full[:2] + full[2::2]]
+
+    def test_recurrence_does_not_read_odd_power_sums(self):
+        # The closed route leaves the odd P_k (k >= 3) unformed on this contract.
+        rng = Random(18)
+        roots = [rng.randint(-50, 50) for _ in range(7)]
+        q = [1] + [sum(x**k for x in roots) for k in range(1, 61)]
+        changed = list(q)
+        changed[3::2] = [rng.randint(-(10**9), 10**9) for _ in changed[3::2]]
+        assert changed != q
+        assert _todd_recurrence(changed) == _todd_recurrence(q)
+
+
 class TestToddStepTable:
     """The weights and carries of the Todd recurrence, built once per denominator table."""
 
@@ -449,10 +491,10 @@ class TestToddStepTable:
         assert len(todd_module._TODD_STEPS[2]) == 151
 
     def test_polynomials_match_per_call_oracle(self):
-        c = [MPoly.variable(i) for i in range(1, 13)]
+        c = [MPoly.variable(i) for i in range(1, 17)]
         signed = [ci if i % 2 else -ci for i, ci in enumerate(c, 1)]
         oracle = todd_pass_per_call([MPoly({(): 1})] + signed)
-        assert [p.terms for p in todd_polynomials(12)] == [p.terms for p in oracle]
+        assert [p.terms for p in todd_polynomials(16)] == [p.terms for p in oracle]
 
     def test_warm_table_does_not_hide_a_broken_denominator_table(self, monkeypatch):
         g = gamma_series(parameters(parse_type("E8")), 1, 60)
