@@ -49,11 +49,8 @@ from .todd import (
     bernoulli_polynomial,
     faulhaber,
     gamma_series,
-    gamma_series_xn,
     p_factor,
-    p_factor_general,
     todd_values,
-    x_sequence,
 )
 from .verify import CheckReport, build_tasks, run_all, t_transform
 
@@ -89,12 +86,10 @@ __all__ = [
     "faulhaber",
     "gamma_invariant",
     "gamma_series",
-    "gamma_series_xn",
     "heightsum_closed",
     "heightsum_direct",
     "normalize",
     "p_factor",
-    "p_factor_general",
     "parameters",
     "parse_type",
     "poly_from_factors",
@@ -105,5 +100,4 @@ __all__ = [
     "run_all",
     "t_transform",
     "todd_values",
-    "x_sequence",
 ]

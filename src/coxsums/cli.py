@@ -91,6 +91,16 @@ _MAX_TABLE_BITS = 20_000_000
 # --max-rank 120 --max-m 600 sums to 239571.
 _MAX_CATALOG_WEIGHT = 4_000_000
 
+# info, exponents and the direct route of heights build the dual partition,
+# h - 1 counts, and info and exponents print it with the exponents: on the
+# same host, exponents I2(1000001) takes 3.3 s, 101 MB and writes 2 MB, info
+# A999999 6.8 s, 177 MB and 14 MB, heights A999999 -n 2 --method direct
+# 1.4 s and 147 MB, and info I2(3000000) 10 s and 252 MB; at h beyond a
+# machine word they ended in an internal OverflowError.  They refuse, before
+# any work, a type whose h - 1 exceeds this bound.  catalog(120, 600) reaches
+# h = 600.
+_MAX_DUAL_PARTITION = 1_000_000
+
 
 def _check_output_bits(bits: int) -> None:
     if bits > _MAX_OUTPUT_BITS:
@@ -107,6 +117,15 @@ def _check_operand_bits(args, method: str, params, p: int = 1) -> None:
             f"the {method} method needs n * b <= {_MAX_TODD_OPERAND_BITS}, where b = {bits} "
             "is the bit length of the largest of p and the parameters' numerators and "
             f"denominators{hint}"
+        )
+
+
+def _check_dual_partition_size(t, hint: str = "") -> None:
+    counts = t.coxeter_number - 1
+    if counts > _MAX_DUAL_PARTITION:
+        raise CoxError(
+            f"the dual partition of {t.name} has h - 1 = {counts} counts, "
+            f"beyond the bound of {_MAX_DUAL_PARTITION}{hint}"
         )
 
 
@@ -283,6 +302,7 @@ def _print_row(args, row: dict) -> int:
 
 def _cmd_info(args) -> int:
     t = normalize(parse_type(args.type))
+    _check_dual_partition_size(t)
     ps = parameters(t, args.profile, _parse_beta(args.beta))
     row = {
         "type": t.name,
@@ -297,6 +317,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_exponents(args) -> int:
     t = normalize(parse_type(args.type))
+    _check_dual_partition_size(t)
     exps = exponents(t)
     row = {"type": t.name, "r": exps.rank, "h": exps.coxeter_number, **_exponent_cells(exps)}
     return _print_row(args, row)
@@ -350,6 +371,8 @@ def _cmd_heights(args) -> int:
     if n > _MAX_TODD_N:
         method = "direct" if args.method == "all" else args.method
         raise CoxError(f"the {method} method needs n <= {_MAX_TODD_N}")
+    if args.method != "closed":
+        _check_dual_partition_size(t, " (use --method closed)")
     params = parameters(t, args.profile, _parse_beta(args.beta))
     if args.method != "direct":
         _check_operand_bits(args, "closed", params)

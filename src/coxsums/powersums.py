@@ -87,7 +87,7 @@ def _todd_sums(
         scale *= k * w
         gammas.append((y[k], scale))
     scaled, u = _todd._scaled_todd_pass(gammas)
-    m, _ = _todd._todd_tables(n)
+    m = _todd._todd_tables(n)
     return [Fraction(factorial(k) * ps.r * scaled[k], m[k] * u**k) for k in degrees]
 
 
@@ -136,7 +136,7 @@ def closed_power_sums(params: ParameterSet, n: int) -> list[int]:
         else:  # P_k = alpha**k + beta**k - L_k, as 1 - (-1)**k = 0
             ak, bk = ak * a2, bk * b2
             p.append(ak + bk - lucas[k])
-    m, _ = _todd._todd_tables(n)
+    m = _todd._todd_tables(n)
     sums = []
     for k, tk in enumerate(_todd._todd_recurrence(p[: n + 1])):
         sk, rest = divmod(factorial(k) * r * tk, m[k] * u**k)

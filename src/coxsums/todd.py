@@ -52,17 +52,15 @@ denominators and Faulhaber's formula; none is hard-coded.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 from .catalog import ParameterSet
-from .errors import ConstantTermNotOne, ConstraintViolated, InternalMismatch
+from .errors import ConstantTermNotOne, InternalMismatch
 from .mpoly import MPoly
 from .series import TruncatedSeries, weighted_scale
-
-Rational = Union[int, Fraction]
 
 
 # Entries kept by each of the p_factor and gamma_series caches.  --beta admits
@@ -78,19 +76,6 @@ def p_factor(p: int, order: int) -> TruncatedSeries:
     if p < 1:
         raise ValueError("p must be >= 1")
     return TruncatedSeries(_over_scale(_quotient_numerators(2, p, order), 1), order=order)
-
-
-def _quotient_power(pi: Fraction, mu: Fraction, order: int) -> TruncatedSeries:
-    """((1+pi*t)/(1-pi*t))**mu by (k+1) f_{k+1} = 2 pi mu f_k + pi**2 (k-1) f_{k-1}.
-
-    The numerators run at w = lcm(den(2 pi mu), den(pi)), the smallest
-    scale at which 2 pi mu w and pi w are integers.
-    """
-    slope = 2 * pi * mu
-    w = lcm(slope.denominator, pi.denominator)
-    a = slope.numerator * (w // slope.denominator)
-    g = _quotient_numerators(a, pi.numerator * (w // pi.denominator), order)
-    return TruncatedSeries(_over_scale(g, w), order=order)
 
 
 def _quotient_numerators(a: int, b: int, order: int) -> list[int]:
@@ -116,22 +101,6 @@ def _over_scale(numerators: Sequence[int], u: int) -> list[Fraction]:
     return out
 
 
-def p_factor_general(
-    pairs: Iterable[tuple[Rational, Rational]], m1: int, order: int
-) -> TruncatedSeries:
-    """Product of ((1+pi*t)/(1-pi*t))**mu over (pi, mu) pairs.
-
-    The weights must satisfy sum(pi * mu) = m1, which pins the linear
-    coefficient of the result to 2*m1.
-    """
-    pairs = [(Fraction(pi), Fraction(mu)) for pi, mu in pairs]
-    weight = sum((pi * mu for pi, mu in pairs), Fraction(0))
-    if weight != m1:
-        raise ConstraintViolated(f"sum(pi*mu) = {weight}, expected {m1}")
-    factors = [_quotient_power(pi, mu, order) for pi, mu in pairs]
-    return reduce(mul, factors or [TruncatedSeries.constant(1, order)])
-
-
 def _gamma_numerators(params: ParameterSet, p: int, order: int) -> tuple[list[int], int]:
     """y_0 .. y_order and u, where gamma_k = y_k / (k! u**k) and u clears every v."""
     if p < 1:
@@ -155,48 +124,8 @@ def gamma_series(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(_over_scale(*_gamma_numerators(params, p, order)), order=order)
 
 
-def x_sequence(params: ParameterSet, n_max: int) -> list[Fraction]:
-    """X_n = sum of A**j * B**(n-j), via the two-term recursion.
-
-    The recursion coefficients come from (h, gamma, alpha, beta) alone:
-    A+B = h-2+alpha+beta and A*B = h**2-gamma+(h-2)(alpha+beta-1)+alpha*beta.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    h, g = params.h, params.gamma
-    ab_sum = h - 2 + params.alpha + params.beta
-    ab_prod = h * h - g + (h - 2) * (params.alpha + params.beta - 1) + params.alpha * params.beta
-    xs = [Fraction(1)]
-    if n_max >= 1:
-        xs.append(Fraction(ab_sum))
-    for _ in range(2, n_max + 1):
-        xs.append(ab_sum * xs[-1] - ab_prod * xs[-2])
-    return xs
-
-
-def gamma_series_xn(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
-    """Same value as gamma_series, computed through the X_n route.
-
-    Multiplies (1-(alpha+beta)t+alpha*beta*t**2) by sum(X_n t**n) and the
-    p-factor; exact agreement with gamma_series is a cross-check, since
-    this route never touches the V+/V- factorization.
-    """
-    a, b = params.alpha, params.beta
-    quad = TruncatedSeries([1, -(a + b), a * b], order=order)
-    xs = TruncatedSeries(x_sequence(params, order), order=order)
-    return quad * xs * p_factor(p, order)
-
-
-def _todd_factor_log(order: int) -> TruncatedSeries:
-    """log of t/(1-exp(-t)), whose derivative is -sum_{k>=1} B_k t**(k-1) / k!."""
-    _, weights = _todd_tables(order)
-    return TruncatedSeries([0] + [weights[k] / k for k in range(1, order + 1)])
-
-
 # M_0, M_1, ...: Hirzebruch's Todd denominators; M_k Td_k has integer coefficients.
 _TODD_DENOMINATORS = [1]
-# j * lambda_j = -B_j / j! for j = 0, 1, ... (+1/2 at j = 1).
-_TODD_WEIGHTS = [Fraction(0)]
 # The Todd recurrence's integer constants over the j with lambda_j != 0
 # (j = 1, then the even j): the weights W_j = M_j j lambda_j, and for each k
 # a row of carries M_k / (M_j M_{k-j}) over those j <= k.  They hold for the
@@ -205,37 +134,41 @@ _TODD_WEIGHTS = [Fraction(0)]
 _TODD_STEPS: tuple[list[int], list[int], list[list[int]]] = (_TODD_DENOMINATORS, [], [[]])
 
 
-def _todd_tables(n: int) -> tuple[list[int], list[Fraction]]:
-    """M_0 .. M_n and j*lambda_j for j <= n (or more), grown from the Bernoulli table.
+def _todd_tables(n: int) -> list[int]:
+    """M_0 .. M_n (or more), grown from the Bernoulli table.
 
     M_k / M_{k-1} = prod(p prime, (p-1) | k) is 2 for odd k and, by von
     Staudt-Clausen, the denominator of B_k for even k.
     """
     b = _bernoulli_numbers(n)
-    m, weights = _TODD_DENOMINATORS, _TODD_WEIGHTS
+    m = _TODD_DENOMINATORS
     for k in range(len(m), n + 1):
         m.append(m[-1] * (b[k].denominator if k % 2 == 0 else 2))
-    for j in range(len(weights), n + 1):
-        weights.append(-b[j] / factorial(j))
-    return m, weights
+    return m
 
 
 def _todd_steps(n: int) -> tuple[list[int], list[list[int]]]:
     """W_j for j = 1, 2, 4, ... and the carry rows 0 .. n (or more) of the Todd recurrence.
 
-    Each weight and carry division is checked once, when its entry is
-    built; a remainder raises InternalMismatch and leaves the row unbuilt.
+    Each weight W_k = M_k (-B_k / k!) is formed from the Bernoulli table
+    only for the k it keeps, k = 1 and the even k.  Each weight and carry
+    division is checked once, when its entry is built, the weight of k
+    before the carries of k; a remainder raises InternalMismatch and leaves
+    the row unbuilt.  A table already built to n is returned as it is.
     """
     global _TODD_STEPS
-    m, fractions = _todd_tables(n)
+    m = _todd_tables(n)
     if _TODD_STEPS[0] is not m:
         _TODD_STEPS = (m, [], [[]])
     _, weights, carries = _TODD_STEPS
+    if len(carries) > n:
+        return weights, carries
+    b = _bernoulli_numbers(n)
     distinct: dict[int, int] = {}  # one object per value: 57k among the 251k carries to n = 1000
     for k in range(len(carries), n + 1):
         js = (1, *range(2, k + 1, 2))  # the j <= k with lambda_j != 0
         if js[-1] == k:
-            wk = fractions[k]
+            wk = -b[k] / factorial(k)  # k lambda_k
             weight, rest = divmod(wk.numerator * m[k], wk.denominator)
             if rest:
                 raise InternalMismatch(f"Todd pass: M_{k} {k} lambda_{k} is not an integer")
@@ -325,7 +258,7 @@ def todd_values(series: TruncatedSeries, n_max: int) -> tuple[Fraction, ...]:
         raise ValueError("n_max exceeds the order of the gamma series")
     gammas = [(c.numerator, c.denominator) for c in series.coefficients[1 : n_max + 1]]
     t, u = _scaled_todd_pass(gammas)
-    m, _ = _todd_tables(n_max)
+    m = _todd_tables(n_max)
     return tuple(Fraction(tk, m[k] * u**k) for k, tk in enumerate(t))
 
 
@@ -397,7 +330,7 @@ def faulhaber_sum(n: int, sums: Sequence[int]) -> Fraction:
     B_1 taken as +1/2; reads S_1 .. S_{n+1}.  The sum runs in integers over
     M_n, which every den(B_k) with k <= n divides (von Staudt-Clausen).
     """
-    m = _todd_tables(n)[0][n]
+    m = _todd_tables(n)[n]
     total = 0
     for k, b in enumerate(_bernoulli_numbers(n)):
         if b:

@@ -290,7 +290,7 @@ def check_todd_symmetry(
     evaluate = todd_fn if todd_fn is not None else _todd.todd_values
     n = a + b
     subject = f"(a={a}, b={b})"
-    m, _ = _todd._todd_tables(n)
+    m = _todd._todd_tables(n)
     w = [factorial(k) * (m[n] // m[k]) * tk for k, tk in enumerate(_todd.todd_polynomials(n))]
     c = MPoly.variable(1)
     lhs, rhs = _alternating_sum(a, c, w, n), _alternating_sum(b, c, w, n)
@@ -450,15 +450,6 @@ def check_t_example(
     if got != expected:
         failures.append(f"T(a) = {got.coefficients[:6]}..., expected {expected.coefficients[:6]}...")
     return _report("t-transform", label, failures)
-
-
-def check_t_examples(
-    order: int = 20,
-    rows: list[tuple[str, TruncatedSeries, TruncatedSeries]] | None = None,
-) -> list[CheckReport]:
-    """The three tabulated T-transformation sequence pairs."""
-    rows = rows if rows is not None else _default_t_rows(order)
-    return [check_t_example(*row) for row in rows]
 
 
 # -- gamma coefficient formulas --------------------------------------------

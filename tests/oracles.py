@@ -1,0 +1,100 @@
+"""Second routes that the tests compare the library against.
+
+None of these runs in a route, a check or a CLI command of coxsums; each
+computes a value the library computes another way, so exact agreement is
+a cross-check: the general p-factor against p_factor, the X_n route
+against gamma_series, the log of the Todd factor against the Bernoulli
+table, and the T-transform rows run one list at a time against the sweep.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import reduce
+from math import factorial, lcm
+from operator import mul
+from typing import Iterable, Union
+
+from coxsums.catalog import ParameterSet
+from coxsums.errors import ConstraintViolated
+from coxsums.series import TruncatedSeries
+from coxsums.todd import _bernoulli_numbers, _over_scale, _quotient_numerators, p_factor
+from coxsums.verify import CheckReport, _default_t_rows, check_t_example
+
+Rational = Union[int, Fraction]
+
+
+def _quotient_power(pi: Fraction, mu: Fraction, order: int) -> TruncatedSeries:
+    """((1+pi*t)/(1-pi*t))**mu by (k+1) f_{k+1} = 2 pi mu f_k + pi**2 (k-1) f_{k-1}.
+
+    The numerators run at w = lcm(den(2 pi mu), den(pi)), the smallest
+    scale at which 2 pi mu w and pi w are integers.
+    """
+    slope = 2 * pi * mu
+    w = lcm(slope.denominator, pi.denominator)
+    a = slope.numerator * (w // slope.denominator)
+    g = _quotient_numerators(a, pi.numerator * (w // pi.denominator), order)
+    return TruncatedSeries(_over_scale(g, w), order=order)
+
+
+def p_factor_general(
+    pairs: Iterable[tuple[Rational, Rational]], m1: int, order: int
+) -> TruncatedSeries:
+    """Product of ((1+pi*t)/(1-pi*t))**mu over (pi, mu) pairs.
+
+    The weights must satisfy sum(pi * mu) = m1, which pins the linear
+    coefficient of the result to 2*m1.
+    """
+    pairs = [(Fraction(pi), Fraction(mu)) for pi, mu in pairs]
+    weight = sum((pi * mu for pi, mu in pairs), Fraction(0))
+    if weight != m1:
+        raise ConstraintViolated(f"sum(pi*mu) = {weight}, expected {m1}")
+    factors = [_quotient_power(pi, mu, order) for pi, mu in pairs]
+    return reduce(mul, factors or [TruncatedSeries.constant(1, order)])
+
+
+def x_sequence(params: ParameterSet, n_max: int) -> list[Fraction]:
+    """X_n = sum of A**j * B**(n-j), via the two-term recursion.
+
+    The recursion coefficients come from (h, gamma, alpha, beta) alone:
+    A+B = h-2+alpha+beta and A*B = h**2-gamma+(h-2)(alpha+beta-1)+alpha*beta.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    h, g = params.h, params.gamma
+    ab_sum = h - 2 + params.alpha + params.beta
+    ab_prod = h * h - g + (h - 2) * (params.alpha + params.beta - 1) + params.alpha * params.beta
+    xs = [Fraction(1)]
+    if n_max >= 1:
+        xs.append(Fraction(ab_sum))
+    for _ in range(2, n_max + 1):
+        xs.append(ab_sum * xs[-1] - ab_prod * xs[-2])
+    return xs
+
+
+def gamma_series_xn(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
+    """Same value as gamma_series, computed through the X_n route.
+
+    Multiplies (1-(alpha+beta)t+alpha*beta*t**2) by sum(X_n t**n) and the
+    p-factor; exact agreement with gamma_series is a cross-check, since
+    this route never touches the V+/V- factorization.
+    """
+    a, b = params.alpha, params.beta
+    quad = TruncatedSeries([1, -(a + b), a * b], order=order)
+    xs = TruncatedSeries(x_sequence(params, order), order=order)
+    return quad * xs * p_factor(p, order)
+
+
+def _todd_factor_log(order: int) -> TruncatedSeries:
+    """log of t/(1-exp(-t)), whose derivative is -sum_{k>=1} B_k t**(k-1) / k!."""
+    b = _bernoulli_numbers(order)
+    return TruncatedSeries([0] + [-b[k] / factorial(k) / k for k in range(1, order + 1)])
+
+
+def check_t_examples(
+    order: int = 20,
+    rows: list[tuple[str, TruncatedSeries, TruncatedSeries]] | None = None,
+) -> list[CheckReport]:
+    """The three tabulated T-transformation sequence pairs."""
+    rows = rows if rows is not None else _default_t_rows(order)
+    return [check_t_example(*row) for row in rows]

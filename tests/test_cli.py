@@ -591,6 +591,70 @@ class TestCatalogBound:
         assert code == 0 and len(out.splitlines()) == 1 + 999 + 998 + 996 + 3 + 1 + 1 + 3
 
 
+class TestDualPartitionBound:
+    """info, exponents and the direct route of heights refuse, before any work,
+    a type whose dual partition has more than a bound of h - 1 counts."""
+
+    HUGE = "I2(99999999999999999999)"
+
+    @staticmethod
+    def message(name, counts, hint=""):
+        return (
+            f"error: the dual partition of {name} has h - 1 = {counts} counts, "
+            f"beyond the bound of 1000000{hint}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, name, counts, hint",
+        [
+            (["info", HUGE], HUGE, 99999999999999999998, ""),
+            (["exponents", HUGE], HUGE, 99999999999999999998, ""),
+            (["heights", HUGE, "-n", "2"], HUGE, 99999999999999999998, " (use --method closed)"),
+            (["heights", HUGE, "-n", "2", "--method", "direct"], HUGE, 99999999999999999998,
+             " (use --method closed)"),
+            (["info", "I2(10000000)", "--format", "json"], "I2(10000000)", 9999999, ""),
+            (["exponents", "I2(10000000000)"], "I2(10000000000)", 9999999999, ""),
+            (["exponents", "A99999999999999999999"], "A99999999999999999999",
+             99999999999999999999, ""),
+            (["heights", "A10000000", "-n", "2"], "A10000000", 10000000, " (use --method closed)"),
+        ],
+    )
+    def test_huge_types_are_refused_quickly(self, capsys, argv, name, counts, hint):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == self.message(name, counts, hint)
+
+    def test_bound_is_inclusive(self, capsys, monkeypatch):
+        import coxsums.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_MAX_DUAL_PARTITION", 10)
+        for argv in (["info", "I2(11)"], ["exponents", "I2(11)"], ["heights", "I2(11)", "-n", "2"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out, argv
+        for argv in (["info", "I2(12)"], ["exponents", "I2(12)"], ["heights", "I2(12)", "-n", "2"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out, argv
+            assert "has h - 1 = 11 counts, beyond the bound of 10" in err
+
+    def test_catalog_is_accepted(self):
+        from coxsums.catalog import catalog
+        from coxsums.cli import _MAX_DUAL_PARTITION
+
+        assert max(t.coxeter_number - 1 for t in catalog(120, 600)) <= _MAX_DUAL_PARTITION
+
+    def test_routes_without_a_dual_partition_stay_unbounded(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "heights", self.HUGE, "-n", "2", "--method", "closed")
+        assert code == 0 and not err
+        assert "333333333333333333318333333333333333333550000000000000000000" in out
+        code, out, err = run(capsys, "powersum", self.HUGE, "-n", "2")
+        assert code == 0 and not err
+        assert out.count("9999999999999999999600000000000000000005") == 3
+        assert time.perf_counter() - start < 1
+
+
 class TestVerify:
     def test_single_suite(self, capsys):
         code, out, _ = run(

@@ -16,26 +16,28 @@ from coxsums import (
     faulhaber,
     gamma_invariant,
     gamma_series,
-    gamma_series_xn,
     p_factor,
-    p_factor_general,
     parameters,
     parse_type,
     todd_values,
-    x_sequence,
 )
 from coxsums.errors import ConstantTermNotOne, ConstraintViolated, InternalMismatch
 from coxsums import todd as todd_module
 from coxsums.mpoly import MPoly
 from coxsums.todd import (
     _bernoulli_numbers,
-    _quotient_power,
-    _todd_factor_log,
     _todd_pass,
     _todd_recurrence,
     _todd_tables,
     faulhaber_sum,
     todd_polynomials,
+)
+from oracles import (
+    _quotient_power,
+    _todd_factor_log,
+    gamma_series_xn,
+    p_factor_general,
+    x_sequence,
 )
 
 
@@ -97,7 +99,8 @@ def todd_pass_per_call(a):
 def todd_recurrence_per_call(q):
     """T_0 .. T_n from the power sums q_k = P_k, every division made and checked per call."""
     n = len(q) - 1
-    m, weights = _todd_tables(n)
+    m = _todd_tables(n)
+    weights = [-b / factorial(j) for j, b in enumerate(_bernoulli_numbers(n))]  # j lambda_j
     weighted = []  # (j, M_j, M_j * j * lambda_j * P_j), skipping lambda_j = 0 (odd j >= 3)
     t = [q[0]]
     for k in range(1, n + 1):
@@ -340,7 +343,7 @@ class TestToddValues:
         assert todd_values(g, 6)[0] == 1
 
     def test_matches_closed_forms_across_catalog(self):
-        m, _ = _todd_tables(5)
+        m = _todd_tables(5)
         for t in catalog(12, 30):
             ps = parameters(t)
             for p in (1, 2):
@@ -399,7 +402,7 @@ class TestToddValues:
 
 class TestToddIntegerPass:
     def test_denominators_are_hirzebruchs(self):
-        denominators, _ = _todd_tables(60)
+        denominators = _todd_tables(60)
         assert denominators[:61] == [hirzebruch_denominator(k) for k in range(61)]
 
     def test_scaled_series_matches_fraction_route(self):
@@ -409,16 +412,26 @@ class TestToddIntegerPass:
         )
         assert todd_values(series, 7) == todd_values_by_newton_exp(series, 7)
 
-    @pytest.mark.parametrize("dropped", [2, 3, 5, 7])
-    def test_denominator_table_missing_a_prime_raises(self, monkeypatch, dropped):
+    @pytest.mark.parametrize(
+        "dropped, message",
+        [
+            (2, "Todd pass: M_1 1 lambda_1 is not an integer"),
+            (3, "Todd pass: M_2 2 lambda_2 is not an integer"),
+            (5, "Todd pass: M_4 4 lambda_4 is not an integer"),
+            (7, "Todd pass: M_6 6 lambda_6 is not an integer"),
+        ],
+        ids=["2", "3", "5", "7"],
+    )
+    def test_denominator_table_missing_a_prime_raises(self, monkeypatch, dropped, message):
         n = 12
         table = [
             hirzebruch_denominator(k) // dropped ** (k // (dropped - 1)) for k in range(n + 1)
         ]
         monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
         g = gamma_series(parameters(parse_type("E8")), 1, n)
-        with pytest.raises(InternalMismatch):
+        with pytest.raises(InternalMismatch) as caught:
             todd_values(g, n)
+        assert str(caught.value) == message
 
     def test_recurrence_takes_power_sums_directly(self):
         # a_i = (-1)**(i-1) e_i of the roots 1, 2, 3, so P_k = 1 + 2**k + 3**k.
