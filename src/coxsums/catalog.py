@@ -312,6 +312,18 @@ def _twice_d_nu(t: CoxeterType, concrete: str) -> tuple[int, int]:
     return n, 0  # I2(m): d = m/2
 
 
+def _second_exponent(t: CoxeterType) -> int:
+    """m_2 of a normalized type of rank >= 2, in O(1): no exponent list is built."""
+    f = t.family
+    if f == "A":
+        return 2
+    if f in ("C", "D"):
+        return 3
+    if f == "I2":
+        return t.index - 1
+    return _EXCEPTIONAL_EXPONENTS[(f, t.index)][1]
+
+
 def _half(x: int) -> Fraction:
     return Fraction(x // 2) if x % 2 == 0 else Fraction(x, 2)
 
@@ -348,7 +360,7 @@ def parameters(
     v_minus = sorted([d2, 2 * d2 - 4 + 2 * nu])
     v_plus = sorted([4 * d2 - 8 + d2 * nu, 2 * h - d2 - (d2 - 2) * nu])
 
-    alpha2 = 2 if r == 1 else 2 * (exponents(t).values[1] - 1)
+    alpha2 = 2 if r == 1 else 2 * (_second_exponent(t) - 1)
     if alpha2 not in v_minus:
         raise AssertionError(f"internal table error for {t.name}")
     # d, alpha and the pinned beta are entries of V-, and share its Fractions.

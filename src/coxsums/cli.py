@@ -55,9 +55,10 @@ _MAX_OUTPUT_BITS = int(_MAX_OUTPUT_DIGITS / math.log10(2))  # 2**bits <= 10**dig
 # method but powersum's direct one is refused before any work, and so is
 # verify --n-max when a suite that reads it runs: methods takes the Todd
 # and closed routes and specializations the gamma series up to n-max.  The
-# direct route of heights is bounded by it too: Faulhaber's formula reads
-# the Bernoulli numbers up to n, which the Todd recurrence also reads, built
-# by an O(n**2) tangent-number pass (E8 at n = 4000 takes seconds).
+# direct route of heights is bounded by it too: it forms the h - 1 powers
+# j**n, each of up to n * log2(h) bits, so its time grows with n as well as
+# h: heights --method direct on A20000 at n = 1000 takes 0.9 s, on A100000
+# 4.6 s, and on A999999 (at _MAX_DUAL_PARTITION) 57 s.
 _MAX_TODD_N = 1000
 
 # The same routes' operands grow like n times the bit length b of their
@@ -88,7 +89,11 @@ _MAX_TABLE_BITS = 20_000_000
 # exceeds this bound.  At the bound, on the same host: --max-rank 999
 # --max-m 3 (3995145) table --all --n-max 0 takes 0.6 s, verify --suite
 # expsum 2.3 s and verify 17 s; --max-rank 2 --max-m 2800 verify 17 s.
-# --max-rank 120 --max-m 600 sums to 239571.
+# --max-rank 120 --max-m 600 sums to 239571.  table (with --types too) and
+# the direct route of powersum build only the exponents, r per type, and
+# refuse more than this many in all: at the bound, table --types A4000000
+# --n-max 3 takes 1.7 s and 566 MB, and powersum A4000000 -n 2 --method
+# direct 1.0 s and 170 MB.  The Todd and closed routes read no exponent list.
 _MAX_CATALOG_WEIGHT = 4_000_000
 
 # info, exponents and the direct route of heights build the dual partition,
@@ -153,6 +158,15 @@ def _check_catalog_size(max_rank: int, max_m: int) -> None:
         raise CoxError(
             f"the catalog of --max-rank {max_rank} --max-m {max_m} sums r + h to {weight}, "
             f"beyond the bound of {_MAX_CATALOG_WEIGHT} (use a smaller --max-rank or --max-m)"
+        )
+
+
+def _check_exponent_count(types, subject: str, hint: str) -> None:
+    """Refuse direct work over more than _MAX_CATALOG_WEIGHT exponents in all."""
+    count = sum(t.rank for t in types)
+    if count > _MAX_CATALOG_WEIGHT:
+        raise CoxError(
+            f"{subject} reads {count} exponents, beyond the bound of {_MAX_CATALOG_WEIGHT} ({hint})"
         )
 
 
@@ -353,6 +367,8 @@ def _cmd_powersum(args) -> int:
     _check_output_bits(n * ((params.h - 1).bit_length() - 1) + 1)
     if args.method != "direct":
         _check_operand_bits(args, "todd" if args.method == "all" else args.method, params, args.p)
+    if args.method in ("direct", "all"):
+        _check_exponent_count([t], "the direct method", "use --method closed")
     routes = {
         "direct": lambda: _powersums.powersum_direct(t, n),
         "todd": lambda: _powersums.powersum_todd(t, n, args.p, params=params),
@@ -406,10 +422,12 @@ def _cmd_table(args) -> int:
             f"{_MAX_TABLE_BITS} (use fewer types or a smaller --n-max)"
         )
     beta = _parse_beta(args.beta)
+    params = [parameters(t, args.profile, beta) for t in types]
+    _check_exponent_count(types, "the table", "use fewer or smaller types")
     columns = ["type", *_PARAMETER_COLUMNS] + [f"S{n}" for n in range(args.n_max + 1)]
     rows = []
-    for t in types:
-        row = {"type": t.name, **_parameter_cells(parameters(t, args.profile, beta))}
+    for t, ps in zip(types, params):
+        row = {"type": t.name, **_parameter_cells(ps)}
         sums = _powersums.exponent_power_sums(exponents(t), args.n_max)
         row.update((f"S{n}", s) for n, s in enumerate(sums))
         rows.append(row)
@@ -445,7 +463,8 @@ def _cmd_verify(args) -> int:
     )
     reports = _verify.run_tasks(tasks)
     single_suite = suites is not None
-    by_suite: dict[str, list] = {}
+    # Every selected suite gets a line, one with no checks too.
+    by_suite: dict[str, list] = {suite: [] for suite in suites or _verify.SUITE_NAMES}
     for report in reports:
         by_suite.setdefault(report.suite, []).append(report)
         if single_suite:

@@ -6,17 +6,19 @@ series of V+ and V-, and the closed route, the paper's polynomial in
 (h, r, alpha, beta) evaluated through the same Todd recurrence from the
 virtual-root power sums (closed_power_sums).  The closed route never reads
 gamma; the table value of gamma is checked by the gamma and gamma34
-suites of cox verify.  Height power sums come from the S_k = sum(m_i**k)
-by Faulhaber's formula for sum_i (1**n + ... + m_i**n), over the direct or
-the closed S_k; roots are never constructed, so the noncrystallographic
-types evaluate the same formulas (their CLI output is labeled a formal
-height sum).
+suites of cox verify.  Height power sums come two ways, neither reading
+the other's inputs: directly, as sum_j k_j j**n over the dual partition
+(k_j positive roots of height j), and closed, by Faulhaber's formula for
+sum_i (1**n + ... + m_i**n) over the closed route's S_k.  Roots are never
+constructed, so the noncrystallographic types evaluate the same formulas
+(their CLI output is labeled a formal height sum).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, lcm
 from operator import mul
 from typing import Sequence
@@ -154,26 +156,17 @@ def powersum_closed(
     return PowerSumResult(normalize(t), n, value, "closed")
 
 
-def exponent_heightsum(
-    exps: ExponentList, n: int, sums: list[int], dual: DualPartition
-) -> Fraction:
-    """sum over positive roots of ht**n by Faulhaber's formula over S_0..S_{n+1},
-    checked against dual = dual_partition(exps) (k_j roots of height j)."""
-    by_faulhaber = _todd.faulhaber_sum(n, sums)
-    by_dual = sum(k * j**n for j, k in enumerate(dual.counts, start=1))
-    if by_faulhaber != by_dual:
-        raise InternalMismatch(
-            f"height sum routes disagree for {exps.values}: {by_faulhaber} vs {by_dual}"
-        )
-    return by_faulhaber
+def dual_heightsum(dual: DualPartition, n: int) -> int:
+    """sum over positive roots of ht**n: a type has k_j = #{i : m_i >= j}
+    positive roots of height j (Kostant), so the sum is sum_j k_j j**n."""
+    return sum(map(mul, dual.counts, map(pow, range(1, len(dual.counts) + 1), repeat(n))))
 
 
 def heightsum_direct(t: CoxeterType, n: int) -> PowerSumResult:
-    """sum over positive roots of ht**n, from the exponents of t."""
+    """sum over positive roots of ht**n, over the dual partition of t's exponents."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    exps = exponents(t)
-    value = exponent_heightsum(exps, n, exponent_power_sums(exps, n + 1), dual_partition(exps))
+    value = Fraction(dual_heightsum(dual_partition(exponents(t)), n))
     return PowerSumResult(normalize(t), n, value, "direct")
 
 

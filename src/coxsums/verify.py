@@ -560,12 +560,10 @@ def check_methods(
         raise ValueError("n_max must be >= 0")
     resolved = _resolve(t, None, params)
     el = _exps(t, exps)
-    # The height sum of degree n reads S_0 .. S_{n+1}; the simply-laced check reads degree 1.
-    sums = _powersums.exponent_power_sums(el, max(n_max, 1) + 1)
+    sums = _powersums.exponent_power_sums(el, n_max)
     dual = dual_partition(el)
-    heights = [
-        _powersums.exponent_heightsum(el, n, sums, dual) for n in range(max(n_max, 1) + 1)
-    ]
+    # The simply-laced check reads the height sum of degree 1.
+    heights = [_powersums.dual_heightsum(dual, n) for n in range(max(n_max, 1) + 1)]
     closed = _powersums.closed_power_sums(resolved, n_max + 1)
     todd = {p: _powersums.powersum_todd_upto(t, n_max, p, resolved) for p in ps_values}
     failures = []

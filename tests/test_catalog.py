@@ -423,6 +423,35 @@ class TestParametersOracle:
                         assert type(v) is F, case
         assert seen == {"ok", "ProfileMismatch", "ValueError"}
 
+    def test_no_exponent_list_is_built(self, monkeypatch):
+        """parameters reads m_2 in O(1), so a type of huge rank has parameters."""
+        import sys
+
+        catalog_module = sys.modules["coxsums.catalog"]
+
+        def outcomes():
+            return [
+                repr(_outcome(parameters, t, profile, beta))
+                for t in catalog(12, 30)
+                for profile in (None, *PROFILES)
+                for beta in (None, 3)
+            ]
+
+        want, calls = outcomes(), []
+        real = catalog_module.exponents
+
+        def counting(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(catalog_module, "exponents", counting)
+        assert outcomes() == want
+        huge = (("A99999999999999999999", 1), ("I2(99999999999999999999)", 10**20 - 3))
+        for label, alpha in huge:
+            ps = parameters(parse_type(label))
+            assert ps.alpha == alpha and ps.h == parse_type(label).coxeter_number, label
+        assert calls == []
+
     @pytest.mark.parametrize(
         "label, profile, beta, message",
         [

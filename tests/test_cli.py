@@ -8,6 +8,7 @@ import pytest
 
 from coxsums import PowerSumResult, parse_type
 from coxsums.cli import main
+from coxsums.verify import SUITE_NAMES
 
 
 def run(capsys, *argv):
@@ -292,9 +293,25 @@ class TestHeights:
             return dataclasses.replace(dual, counts=counts)
 
         monkeypatch.setattr(powersums_module, "dual_partition", shifted)
-        code, _, err = run(capsys, "heights", "A3", "-n", "2")
+        code, out, err = run(capsys, "heights", "A3", "-n", "2", "--format", "json")
         assert code == 1
-        assert err.startswith("error: height sum routes disagree")
+        rows = json.loads(out)
+        # Heights 1, 1, 1, 2, 2, 3 sum their squares to 20; the shift adds 1.
+        assert [(row["method"], row["value"]) for row in rows] == [
+            ("direct", 21),
+            ("closed", 20),
+        ]
+        assert err == "error: methods disagree\n"
+
+    def test_direct_route_at_the_degree_bound_on_a_large_rank(self, capsys):
+        # h - 1 powers j**n: no power-sum table over the r exponents.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "heights", "A20000", "-n", "1000", "--method", "direct", "--format", "csv"
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 0 and not err
+        assert out.splitlines()[1].startswith("A20000,1000,direct,")
 
     @pytest.mark.parametrize("method", ["direct", "all"])
     def test_deep_direct_route_is_refused_quickly(self, capsys, method):
@@ -655,6 +672,85 @@ class TestDualPartitionBound:
         assert time.perf_counter() - start < 1
 
 
+class TestHugeRank:
+    """Types of huge rank or h end every command in a value or a refusal:
+    parameters reads m_2 without the exponent list, and the routes that
+    build the exponents refuse more than a bound of them."""
+
+    N = 10**20 - 1
+    TYPES = ("A99999999999999999999", "I2(99999999999999999999)")
+
+    @pytest.mark.parametrize("label", TYPES)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info"],
+            ["exponents"],
+            *(["powersum", "-n", "2", "--method", m] for m in ("direct", "todd", "closed", "all")),
+            *(["heights", "-n", "2", "--method", m] for m in ("direct", "closed", "all")),
+            ["table", "--types"],
+        ],
+        ids=" ".join,
+    )
+    def test_every_command_ends_quickly(self, capsys, argv, label):
+        start = time.perf_counter()
+        code, _, err = run(capsys, *argv[:1], label, *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert code in (0, 2)
+        assert "internal error" not in err
+
+    def test_closed_routes_print_their_values(self, capsys):
+        n = self.N
+        code, out, err = run(capsys, "powersum", self.TYPES[0], "-n", "2", "--method", "closed")
+        assert code == 0 and not err
+        assert out.split()[-1] == str(n * (n + 1) * (2 * n + 1) // 6)
+        code, out, err = run(capsys, "heights", self.TYPES[0], "-n", "2", "--method", "closed")
+        assert code == 0 and not err
+        assert out.split()[-1] == str(n * (n + 1) ** 2 * (n + 2) // 12)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["powersum", "A99999999999999999999", "-n", "2", "--method", "direct"],
+             "the direct method reads 99999999999999999999 exponents, beyond the bound of "
+             "4000000 (use --method closed)"),
+            (["powersum", "A99999999999999999999", "-n", "2"],
+             "the direct method reads 99999999999999999999 exponents, beyond the bound of "
+             "4000000 (use --method closed)"),
+            (["table", "--types", "E8,A99999999999999999999", "--n-max", "0"],
+             "the table reads 100000000000000000007 exponents, beyond the bound of "
+             "4000000 (use fewer or smaller types)"),
+        ],
+    )
+    def test_exponent_lists_beyond_the_bound_are_refused(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"error: {message}\n"
+
+    def test_bound_is_inclusive(self, capsys, monkeypatch):
+        import coxsums.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "_MAX_CATALOG_WEIGHT", 10)
+        accepted = (["powersum", "A10", "-n", "2"], ["table", "--types", "A4,E6"])
+        for argv in accepted:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out, argv
+        for argv in (["powersum", "A11", "-n", "2"], ["table", "--types", "A5,E6"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out, argv
+            assert "reads 11 exponents, beyond the bound of 10 " in err
+
+    def test_existing_refusals_come_first(self, capsys):
+        code, _, err = run(capsys, "table", "--types", "A99999999999999999999", "--n-max", "-1")
+        assert (code, err) == (2, "error: n-max must be >= 0\n")
+        code, _, err = run(
+            capsys, "table", "--types", "A99999999999999999999,E8", "--beta", "3", "--n-max", "0"
+        )
+        assert (code, err) == (2, "error: beta is determined for type E8\n")
+        code, _, err = run(capsys, "powersum", "A99999999999999999999", "-n", "2", "--p", "0")
+        assert (code, err) == (2, "error: p must be >= 1\n")
+
+
 class TestVerify:
     def test_single_suite(self, capsys):
         code, out, _ = run(
@@ -684,6 +780,23 @@ class TestVerify:
             "methods: PASS (65 checks)\n"
             "all checks passed\n"
         )
+
+    def test_a_selected_suite_with_no_checks_is_listed(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--suite", "kostant", "--max-rank", "3", "--seed", "42"
+        )
+        assert code == 0 and not err
+        assert out == (
+            "verify: suites=kostant max-rank=3 max-m=30 n-max=12 seed=42\n"
+            "kostant: PASS (0 checks)\n"
+            "all checks passed\n"
+        )
+        code, out, err = run(capsys, "verify", "--max-rank", "1", "--max-m", "3", "--seed", "42")
+        assert code == 0 and not err
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines[1:-1]] == list(SUITE_NAMES)
+        assert "kostant: PASS (0 checks)" in lines
+        assert lines[-1] == "all checks passed"
 
     def test_full_small_sweep(self, capsys):
         code, out, _ = run(

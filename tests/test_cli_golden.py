@@ -3,10 +3,21 @@
 The pins cover every output format of ``info``, ``exponents``, ``powersum``,
 ``heights`` and ``table``, and the order of their usage errors.  A change
 that moves one byte of output breaks the pin; if the change is meant,
-re-record the line and say why.
+re-record the line and say why.  To record a line, run this file:
+
+    PYTHONPATH=src python tests/test_cli_golden.py 'heights A2 -n 5' ...
+
+It prints one entry per line, in the form GOLDEN uses, from the same
+``main(line.split())`` call that the test makes.
 """
 
 import hashlib
+import io
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +159,22 @@ GOLDEN = [
         'powersum A1 -n 9 --method closed --beta x', 2,
         "error: bad rational 'x': Invalid literal for Fraction: 'x'\n", EMPTY,
     ),
+    (
+        'heights I2(600) -n 4 --method direct', 0, '',
+        'ef7900d8574dbf8ed02ce8f6021e01e445e5d17d2b36d61b621f8a616bbd03e7',
+    ),
+    (
+        'heights A120 -n 3 --format csv', 0, '',
+        '4a22cb3c7a0c4bec2f22974a5c0f4014129389562d5d6f3893ed939cc3e816c9',
+    ),
+    (
+        'heights D4 -n 12 --method direct --format json', 0, '',
+        '7dc82f7a1ed785159b474a201dbd6bf5054b263a1463d07ecb7f0bc5a6aa4ae5',
+    ),
+    (
+        'heights H4 -n 7 --format latex', 0, '',
+        'd13105d555fb83e563178e590e9ba6cc9477973c8634aa8d73bf98c43c2ff536',
+    ),
 ]
 
 
@@ -157,3 +184,35 @@ def test_golden(capsys, line, code, err, digest):
     captured = capsys.readouterr()
     assert captured.err == err
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+def test_recorder_prints_entries_back():
+    """Run as a script, this file prints GOLDEN entries in their own form."""
+    entries = [GOLDEN[0], next(entry for entry in GOLDEN if entry[3] == EMPTY)]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, __file__, *(entry[0] for entry in entries)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert eval(f"[{done.stdout}]", {"EMPTY": EMPTY}) == entries
+    assert done.stdout == "".join(entry_text(entry) + "\n" for entry in entries)
+
+
+def record(line):
+    """(line, code, err, digest) for one command line, as test_golden reads it."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(line.split())
+    return line, code, err.getvalue(), hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def entry_text(entry):
+    """One GOLDEN entry as source text, the empty digest written EMPTY."""
+    line, code, err, digest = entry
+    digest_text = "EMPTY" if digest == EMPTY else repr(digest)
+    return f"    (\n        {line!r}, {code}, {err!r},\n        {digest_text},\n    ),"
+
+
+if __name__ == "__main__":
+    for line in sys.argv[1:]:
+        print(entry_text(record(line)))

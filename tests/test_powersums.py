@@ -23,6 +23,7 @@ from coxsums import (
 from coxsums.catalog import DualPartition, ExponentList, profile_parameters
 from coxsums.errors import InternalMismatch
 from coxsums.powersums import closed_power_sums, exponent_power_sums
+from coxsums.todd import faulhaber_sum
 
 
 def corrupt(ps, **changes):
@@ -156,6 +157,18 @@ class TestHeightSums:
         with pytest.raises(ValueError):
             heightsum_closed(e8, -1)
 
+    def test_direct_route_reads_only_the_dual_partition(self, monkeypatch):
+        import coxsums.powersums as powersums_module
+        import coxsums.todd as todd_module
+
+        def unused(*args, **kwargs):
+            raise AssertionError("heightsum_direct sums over the dual partition only")
+
+        monkeypatch.setattr(powersums_module, "exponent_power_sums", unused)
+        monkeypatch.setattr(todd_module, "faulhaber_sum", unused)
+        assert heightsum_direct(parse_type("E8"), 3).value == 338332
+        assert heightsum_direct(parse_type("A2"), 0).value == 3
+
     def test_direct_equals_dual_partition_enumeration(self):
         for label in ("E6", "C5", "H4", "I2(11)"):
             t = parse_type(label)
@@ -166,15 +179,18 @@ class TestHeightSums:
 
 
 def test_power_and_height_sums_match_brute_force_int_sums():
+    """Each height sum also equals Faulhaber's formula over the direct S_k,
+    the identity that joins the direct power sums to the direct heights."""
     for t in catalog(12, 30):
         exps = exponents(t).values
-        sums = exponent_power_sums(exponents(t), 8)
-        for n in range(9):
+        sums = exponent_power_sums(exponents(t), 13)
+        for n in range(13):
             want = sum(m**n for m in exps)
             assert sums[n] == want, (t.name, n)
             assert powersum_direct(t, n).value == want, (t.name, n)
             heights = sum(j**n for m in exps for j in range(1, m + 1))
             assert heightsum_direct(t, n).value == heights, (t.name, n)
+            assert faulhaber_sum(n, sums[: n + 2]) == heights, (t.name, n)
 
 
 class TestExponentPowerSums:
