@@ -55,6 +55,9 @@ class MPoly:
             return NotImplemented
         return self + -MPoly._lift(other)
 
+    def __rsub__(self, other) -> MPoly:
+        return -self + other
+
     def __mul__(self, other) -> MPoly:
         if isinstance(other, int):
             return MPoly({e: c * other for e, c in self.terms.items()})

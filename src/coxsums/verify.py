@@ -8,13 +8,14 @@ corrupted constant and prove the suite is able to fail.
 
 The Todd-symmetry suite is an exact identity over Z[c_1..c_n], built
 from the integer polynomials M_k Td_k of ``coxsums.todd``; its seed
-only picks the rational points at which the Todd values are checked.
-Each point is drawn by a rule of this module (``_seeded_point``) from
-``Random(f"{seed}:{a}:{b}").getrandbits``: per coordinate, a numerator
-of 8 bits redrawn while >= 201, minus 100, then a denominator of 7 bits
-redrawn while >= 100, plus 1.  These are the values CPython 3.11's
-``randint(-100, 100)`` and ``randint(1, 100)`` give, but they are defined
-here, not by ``randrange`` internals.
+only picks the rational points at which the integer Todd pass is
+checked, by the same evaluation of the two sides, scaled to integers
+by M_n u**n.  Each point is drawn by a rule of this module
+(``_seeded_point``) from ``Random(f"{seed}:{a}:{b}").getrandbits``: per
+coordinate, a numerator of 8 bits redrawn while >= 201, minus 100, then
+a denominator of 7 bits redrawn while >= 100, plus 1.  These are the
+values CPython 3.11's ``randint(-100, 100)`` and ``randint(1, 100)``
+give, but they are defined here, not by ``randrange`` internals.
 
 ``build_tasks`` lays out every sub-check of the selected suites in a
 fixed catalog order, from one table that maps each suite name to its
@@ -32,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from random import Random
 from typing import Callable, Iterator, Sequence
 
@@ -49,7 +50,7 @@ from .catalog import (
     parameters,
     profile_parameters,
 )
-from .errors import ConstantTermNotOne, WrongFamily
+from .errors import ConstantTermNotOne, InternalMismatch, WrongFamily
 from .intpoly import IntPolynomial, one_minus_power_product
 from .mpoly import MPoly
 from .series import TruncatedSeries
@@ -241,8 +242,8 @@ def check_symmetry_identities(
 # -- Todd symmetry: an exact identity, and todd_fn at seeded points -------
 
 
-def _seeded_point(rng: Random, n: int) -> list[Fraction]:
-    """n rationals x/y, -100 <= x <= 100 and 1 <= y <= 100, drawn in that order.
+def _seeded_point(rng: Random, n: int) -> list[tuple[int, int]]:
+    """n pairs (x, y) for x/y, -100 <= x <= 100 and 1 <= y <= 100, drawn in that order.
 
     x is 8 random bits redrawn while >= 201, minus 100; y is 7 bits redrawn
     while >= 100, plus 1.  This is the rejection rule of CPython 3.11's
@@ -258,7 +259,7 @@ def _seeded_point(rng: Random, n: int) -> list[Fraction]:
         y = bits(7)
         while y >= 100:
             y = bits(7)
-        point.append(Fraction(x - 100, y + 1))
+        point.append((x - 100, y + 1))
     return point
 
 
@@ -267,67 +268,52 @@ def check_todd_symmetry(
     b: int,
     samples: int = 50,
     seed: int = 42,
-    todd_fn: Callable[[TruncatedSeries, int], Sequence[Fraction]] | None = None,
+    todd_fn: Callable[[Sequence[tuple[int, int]]], tuple[Sequence[int], int]] | None = None,
 ) -> CheckReport:
     """Alternating binomial identity between c_1**j (a+b-j)! Td_{a+b-j} terms.
 
-    With n = a+b, both sides times M_n are compared as polynomials in
-    Z[c_1..c_n], built from W_k = k! (M_n/M_k) M_k Td_k (todd_polynomials),
-    so the identity is proved, not sampled.  Then todd_fn (by default
-    todd.todd_values, looked up at call time) is checked at seeded
-    pseudo-random rational points (_seeded_point: numerators in
-    [-100, 100], denominators in [1, 100]): the same identity over its
-    values must hold exactly at every sample.  Each sample forms one
-    integer, the difference of the two sides over one common denominator,
-    from the signed binomial differences d_j and the factorials (n-j)!
-    built once per pair; the two sides themselves are formed only for a
-    witness.
+    With n = a+b, sides(c_1, T) forms both sides times M_n from
+    w_k = k! (M_n/M_k) T_k, where T_k = M_k Td_k.  Over Z[c_1..c_n], from
+    todd_polynomials, this proves the identity.  Then at seeded rational
+    points (_seeded_point) todd_fn, by default todd._scaled_todd_pass looked
+    up at call time, maps the (numerator, denominator) pairs to T and u with
+    T_k = M_k u**k Td_k; sides(c_1 u, T) are then M_n u**n times both sides,
+    integers that must be equal.  A u that does not clear c_1 raises
+    InternalMismatch.  The sides become Fractions only for a witness.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    evaluate = todd_fn if todd_fn is not None else _todd.todd_values
+    evaluate = todd_fn if todd_fn is not None else _todd._scaled_todd_pass
     n = a + b
     subject = f"(a={a}, b={b})"
     m = _todd._todd_tables(n)
-    w = [factorial(k) * (m[n] // m[k]) * tk for k, tk in enumerate(_todd.todd_polynomials(n))]
-    c = MPoly.variable(1)
-    lhs, rhs = _alternating_sum(a, c, w, n), _alternating_sum(b, c, w, n)
+
+    def sides(c1, t):
+        w = [factorial(k) * (m[n] // m[k]) * tk for k, tk in enumerate(t)]
+        return _alternating_sum(a, c1, w, n), _alternating_sum(b, c1, w, n)
+
+    lhs, rhs = sides(MPoly.variable(1), _todd.todd_polynomials(n))
     if lhs != rhs:
         return _report(
             "todd-symm", subject, [f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"]
         )
-    # Sides times den(c_1)**top * lcm(den(Td_k)): j <= top, and only k >= n - top are read.
-    top, low = max(a, b), min(a, b)
-    # d_j = (-1)**(a-j) C(a,j) - (-1)**(b-j) C(b,j), the sign from the parity
-    # (C(x,j) = 0 for j > x), kept as (j, d_j (n-j)!) where d_j != 0.
-    d = [
-        (-1) ** ((a - j) % 2) * comb(a, j) - (-1) ** ((b - j) % 2) * comb(b, j)
-        for j in range(top + 1)
-    ]
-    terms = [(j, dj * factorial(n - j)) for j, dj in enumerate(d) if dj]
     rng = Random(f"{seed}:{a}:{b}")
     failures = []
     for trial in range(samples):
-        cs = _seeded_point(rng, n)
-        td = evaluate(TruncatedSeries([Fraction(1)] + cs), n)
-        c1 = cs[0] if cs else Fraction(0)
-        x, y = c1.numerator, c1.denominator
-        den = lcm(*(td[k].denominator for k in range(n + 1)))
-        gap = 0
-        for j, dj in terms:
-            v = td[n - j]
-            gap += dj * x**j * y ** (top - j) * v.numerator * (den // v.denominator)
-        if gap:
-            scaled = [0] * low + [
-                factorial(k) * y ** (k - low) * v.numerator * (den // v.denominator)
-                for k, v in enumerate(td[low : n + 1], low)
-            ]
-            whole = y**top * den
-            lhs, rhs = _alternating_sum(a, x, scaled, n), _alternating_sum(b, x, scaled, n)
+        point = _seeded_point(rng, n)
+        t, u = evaluate(point)
+        x, y = point[0] if point else (0, 1)
+        c1u, rest = divmod(x * u, y)
+        if rest:
+            raise InternalMismatch(f"sample {trial}: u = {u} does not clear c_1 = {x}/{y}")
+        lhs, rhs = sides(c1u, t)
+        if lhs != rhs:
+            whole = m[n] * u**n
             failures.append(
-                f"sample {trial}, c = {cs}: {Fraction(lhs, whole)} != {Fraction(rhs, whole)}"
+                f"sample {trial}, c = {[Fraction(*c) for c in point]}: "
+                f"{Fraction(lhs, whole)} != {Fraction(rhs, whole)}"
             )
             break
     return _report("todd-symm", subject, failures)

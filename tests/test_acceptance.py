@@ -27,6 +27,7 @@ from coxsums import (
     todd_values,
 )
 from coxsums.cli import main as cli_main
+from coxsums.todd import _scaled_todd_pass, _todd_tables
 from coxsums.verify import (
     check_beta_formula,
     check_de_kostant,
@@ -230,11 +231,11 @@ def test_criterion_8_negative_controls():
     ps_e8, ps_a2 = parameters(e8), parameters(a2)
     bad_exps = ExponentList((1, 7, 11, 13, 17, 19, 23, 28))
 
-    def skewed(series, n_max):
-        values = list(todd_values(series, n_max))
-        if n_max >= 2:
-            values[2] += 1
-        return values
+    def skewed(pairs):  # Td_2 += 1, as T_2 = M_2 u**2 Td_2 from the integer Todd pass
+        t, u = _scaled_todd_pass(pairs)
+        if len(pairs) >= 2:
+            t[2] += _todd_tables(2)[2] * u**2
+        return t, u
 
     injected = {
         "expsum": check_expsum(

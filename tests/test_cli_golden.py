@@ -1,7 +1,8 @@
 """Golden CLI output: exit code, stderr and the sha256 of stdout per command line.
 
 The pins cover every output format of ``info``, ``exponents``, ``powersum``,
-``heights`` and ``table``, and the order of their usage errors.  A change
+``heights`` and ``table``, the order of their usage errors, and the report
+of ``verify`` on a small sweep and on the todd-symm suite at two seeds.  A change
 that moves one byte of output breaks the pin; if the change is meant,
 re-record the line and say why.  To record a line, run this file:
 
@@ -174,6 +175,18 @@ GOLDEN = [
     (
         'heights H4 -n 7 --format latex', 0, '',
         'd13105d555fb83e563178e590e9ba6cc9477973c8634aa8d73bf98c43c2ff536',
+    ),
+    (
+        'verify --suite todd-symm --seed 5', 0, '',
+        '71a3e95d13362f2daa43c9cad21fc9442125ae3b5382541e00992f6db8011948',
+    ),
+    (
+        'verify --suite todd-symm --seed 0', 0, '',
+        '8470abdd26730329a678566b46d456c0341b68bdc46dce9d5bbf7615585577c3',
+    ),
+    (
+        'verify --seed 7 --max-rank 4 --max-m 6', 0, '',
+        '90c3192d28fbf73456d91ee2cc94b6e1ff0076ad2872a1844ea4f47a5c2afa05',
     ),
 ]
 

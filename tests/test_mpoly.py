@@ -21,6 +21,14 @@ class TestArithmetic:
         assert c2 * 3 == 3 * c2 == c2 + c2 + c2
         assert -(c1 - 2) == -c1 + 2
 
+    def test_int_minus_poly(self):
+        # P_1 = 2 - alpha - beta + s, with c1, c2, c3 for alpha, beta, s.
+        assert (2 - c1 - c2 + c3).terms == {(): 2, (1,): -1, (0, 1): -1, (0, 0, 1): 1}
+        assert 0 - c4 == -c4
+        assert not (5 - MPoly({(): 5}))
+        with pytest.raises(TypeError):
+            0.5 - c1
+
     def test_sum_starts_from_int_zero(self):
         assert sum([c1, c2, -c1]) == c2
         assert sum([], MPoly()) == MPoly()

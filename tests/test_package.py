@@ -54,3 +54,27 @@ def test_every_top_level_definition_is_reached():
         and not any(statement.name in other for j, other in enumerate(names) if j != i)
     ]
     assert not unreached
+
+
+def test_every_imported_name_is_used():
+    # __init__ imports names to export them; any other module that imports a
+    # name must read it (a mention in a docstring does not count).
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}: {name}")
+    assert not unused

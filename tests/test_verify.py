@@ -4,6 +4,7 @@ import dataclasses
 import re
 import time
 from fractions import Fraction as F
+from functools import partial
 from math import comb, factorial, prod
 from random import Random
 
@@ -21,7 +22,7 @@ from coxsums import (
     powersum_todd_upto,
     run_all,
 )
-from coxsums.errors import ConstantTermNotOne, WrongFamily
+from coxsums.errors import ConstantTermNotOne, InternalMismatch, WrongFamily
 from coxsums.powersums import exponent_power_sums
 from coxsums.verify import (
     catalan,
@@ -41,7 +42,7 @@ from coxsums.verify import (
     t_transform,
     _gamma_specializations,
 )
-from coxsums.todd import gamma_series, p_factor, todd_values
+from coxsums.todd import _scaled_todd_pass, _todd_tables, gamma_series, p_factor, todd_values
 from oracles import check_t_examples
 
 
@@ -73,12 +74,18 @@ def specialization_witness_by_sums(t, n_max, ps):
 
 
 def todd_symmetry_witness_by_fractions(a, b, samples, seed, todd_fn):
-    """The seeded-point part of check_todd_symmetry, term by term over Fractions."""
+    """The seeded-point part of check_todd_symmetry, term by term over Fractions.
+
+    todd_fn maps the drawn (numerator, denominator) pairs to T and u; its
+    values are read here as the Fractions Td_k = T_k / (M_k u**k)."""
     n = a + b
+    m = _todd_tables(n)
     rng = Random(f"{seed}:{a}:{b}")
     for trial in range(samples):
-        cs = [F(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)]
-        td = todd_fn(TruncatedSeries([F(1)] + cs), n)
+        pairs = [(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)]
+        cs = [F(x, y) for x, y in pairs]
+        t, u = todd_fn(pairs)
+        td = [F(tk, m[k] * u**k) for k, tk in enumerate(t)]
         c1 = cs[0] if cs else F(0)
         scaled = [factorial(k) * td[k] for k in range(n + 1)]
         sides = [
@@ -252,11 +259,11 @@ class TestToddSymmetry:
 
     def test_fails_with_corrupt_todd_values(self):
 
-        def skewed(series, n_max):
-            values = list(todd_values(series, n_max))
-            if n_max >= 2:
-                values[2] += 1
-            return values
+        def skewed(pairs):  # Td_2 += 1
+            t, u = _scaled_todd_pass(pairs)
+            if len(pairs) >= 2:
+                t[2] += _todd_tables(2)[2] * u**2
+            return t, u
 
         report = check_todd_symmetry(1, 2, samples=5, seed=1, todd_fn=skewed)
         assert not report.passed and report.witness == (
@@ -278,11 +285,11 @@ class TestToddSymmetry:
         # The sides read Td_k with weight d_{a+b-k}: where that is 0 (always when
         # a == b, and when k < min(a, b)) both routes pass.
 
-        def sometimes(series, n_max):
-            values = list(todd_values(series, n_max))
-            if series.order and series[1] > F(1, 2):
-                values[k] += F(1, 101)  # 101 divides no coordinate denominator and no M_k
-            return values
+        def sometimes(pairs):  # Td_k += 1 where c_1 > 1/2; T_k stays an integer
+            t, u = _scaled_todd_pass(pairs)
+            if pairs and F(*pairs[0]) > F(1, 2):
+                t[k] += _todd_tables(k)[k] * u**k
+            return t, u
 
         report = check_todd_symmetry(a, b, samples=20, seed=4, todd_fn=sometimes)
         want = todd_symmetry_witness_by_fractions(a, b, 20, 4, sometimes)
@@ -312,13 +319,13 @@ class TestToddSymmetry:
         )
 
     def test_polynomials_match_todd_values_at_the_seeded_points(self):
-        from coxsums.todd import _todd_tables, todd_polynomials, todd_values
+        from coxsums.todd import todd_polynomials
 
         seen = []
 
-        def recording(series, n_max):
-            seen.append(series)
-            return todd_values(series, n_max)
+        def recording(pairs):
+            seen.append(pairs)
+            return _scaled_todd_pass(pairs)
 
         for total in range(9):
             for a in range(total + 1):
@@ -326,9 +333,10 @@ class TestToddSymmetry:
         assert len(seen) == 45 * 50
         m = _todd_tables(8)
         polys = todd_polynomials(8)
-        for series in seen:
-            n = series.order
-            c = series.coefficients[1:]
+        for pairs in seen:
+            n = len(pairs)
+            c = [F(x, y) for x, y in pairs]
+            series = TruncatedSeries([1] + c)
             symbolic = tuple(
                 sum(
                     (v * prod(x**e for x, e in zip(c, exps)) for exps, v in p.terms.items()),
@@ -337,6 +345,43 @@ class TestToddSymmetry:
                 for k, p in enumerate(polys[: n + 1])
             )
             assert symbolic == todd_values(series, n)
+
+    def test_points_run_the_integer_todd_pass_only(self, monkeypatch):
+        from coxsums import todd as todd_module
+        from coxsums.verify import build_tasks, run_tasks
+
+        def unused(*args):
+            raise AssertionError("todd_values called")
+
+        calls = []
+
+        def counted(pairs):
+            calls.append(pairs)
+            return _scaled_todd_pass(pairs)
+
+        monkeypatch.setattr(todd_module, "todd_values", unused)
+        monkeypatch.setattr(todd_module, "_scaled_todd_pass", counted)
+        reports = run_tasks(build_tasks(suites=["todd-symm"]))
+        assert len(reports) == 45 and all(r.passed for r in reports)
+        assert len(calls) == 45 * 50
+
+    def test_a_scale_that_does_not_clear_c1_fails(self):
+        from coxsums.verify import run_tasks
+
+        def unscaled(pairs):  # the right T, but u = 1 instead of the scale
+            return _scaled_todd_pass(pairs)[0], 1
+
+        rng = Random("0:1:1")
+        assert (rng.randint(-100, 100), rng.randint(1, 100)) == (93, 76)  # sample 0's c_1
+        # a == b: the sides agree at any c_1, so a floored c_1 u would pass.
+        check = partial(check_todd_symmetry, 1, 1, 5, 0, todd_fn=unscaled)
+        with pytest.raises(InternalMismatch):
+            check()
+        [report] = run_tasks([("todd-symm", "(a=1, b=1)", check)])
+        assert not report.passed
+        assert report.witness == (
+            "raised InternalMismatch('sample 0: u = 1 does not clear c_1 = 93/76')"
+        )
 
 
 class TestKostant:
@@ -633,9 +678,9 @@ class TestSharedSweep:
 
         seen = []
 
-        def record(series, n):
-            seen.append(list(series.coefficients[1:]))
-            return todd_values(series, n)
+        def record(pairs):
+            seen.append([F(x, y) for x, y in pairs])
+            return _scaled_todd_pass(pairs)
 
         real = verify_module.check_todd_symmetry
         monkeypatch.setattr(
