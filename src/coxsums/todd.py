@@ -138,10 +138,13 @@ def _todd_tables(n: int) -> list[int]:
     """M_0 .. M_n (or more), grown from the Bernoulli table.
 
     M_k / M_{k-1} = prod(p prime, (p-1) | k) is 2 for odd k and, by von
-    Staudt-Clausen, the denominator of B_k for even k.
+    Staudt-Clausen, the denominator of B_k for even k.  A table already
+    built to n is returned as it is, without reading the Bernoulli table.
     """
-    b = _bernoulli_numbers(n)
     m = _TODD_DENOMINATORS
+    if len(m) > n:
+        return m
+    b = _bernoulli_numbers(n)
     for k in range(len(m), n + 1):
         m.append(m[-1] * (b[k].denominator if k % 2 == 0 else 2))
     return m
@@ -327,15 +330,21 @@ def faulhaber_sum(n: int, sums: Sequence[int]) -> Fraction:
     """sum_i (1**n + 2**n + ... + x_i**n) from the power sums S_j = sum_i x_i**j.
 
     Faulhaber's formula (1/(n+1)) sum_{k<=n} C(n+1, k) B_k S_{n+1-k} with
-    B_1 taken as +1/2; reads S_1 .. S_{n+1}.  The sum runs in integers over
-    M_n, which every den(B_k) with k <= n divides (von Staudt-Clausen).
+    B_1 taken as +1/2; reads S_1 .. S_{n+1}, and of the B_k only B_0, B_1
+    and the even B_k, as the odd B_k with k >= 3 vanish.  The sum runs in
+    integers over M_n, which every den(B_k) with k <= n divides (von
+    Staudt-Clausen); each of those divisions is checked, and a remainder
+    raises InternalMismatch.
     """
     m = _todd_tables(n)[n]
+    b = _bernoulli_numbers(n)
     total = 0
-    for k, b in enumerate(_bernoulli_numbers(n)):
-        if b:
-            bm = b.numerator * (m // b.denominator)
-            total += comb(n + 1, k) * (-bm if k == 1 else bm) * sums[n + 1 - k]
+    for k in (0, 1, *range(2, n + 1, 2)) if n else (0,):
+        scale, rest = divmod(m, b[k].denominator)
+        if rest:
+            raise InternalMismatch(f"Faulhaber sum n={n}: den(B_{k}) does not divide M_{n}")
+        bm = b[k].numerator * scale
+        total += comb(n + 1, k) * (-bm if k == 1 else bm) * sums[n + 1 - k]
     return Fraction(total, m * (n + 1))
 
 

@@ -33,7 +33,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import comb, factorial
+from operator import mul
 from random import Random
 from typing import Callable, Iterator, Sequence
 
@@ -207,9 +209,9 @@ def check_beta_formula(
     return _report("beta", _subject(t, profile), failures)
 
 
-def _alternating_sum(x: int, y, w: Sequence, n: int):
-    """sum_j (-1)**(x-j) C(x,j) y**j w[n-j] over 0 <= j <= x."""
-    return sum((-1) ** (x - j) * comb(x, j) * y**j * w[n - j] for j in range(x + 1))
+def _signed_binomials(x: int) -> list[int]:
+    """(-1)**(x-j) C(x,j) for 0 <= j <= x: the alternating binomial row of degree x."""
+    return [(-1) ** (x - j) * comb(x, j) for j in range(x + 1)]
 
 
 def check_symmetry_identities(
@@ -222,18 +224,25 @@ def check_symmetry_identities(
 
     For every 0 <= a <= a_max, 0 <= b <= b_max:
     sum_j (-1)**(a-j) C(a,j) h**j S_{a+b-j} = same with a <-> b,
-    where S_k = sum(m_i**k).
+    where S_k = sum(m_i**k).  The integer rows (-1)**(x-j) C(x,j) h**j are
+    built once per check, for x <= max(a_max, b_max); each side is the dot
+    product of a row with S_{a+b}, S_{a+b-1}, ...
     """
     if a_max < 0 or b_max < 0:
         raise ValueError("a_max and b_max must be >= 0")
     el = _exps(t, exps)
     h = el.coxeter_number
     sums = _powersums.exponent_power_sums(el, a_max + b_max)
+    rows = [
+        [s * h**j for j, s in enumerate(_signed_binomials(x))]
+        for x in range(max(a_max, b_max) + 1)
+    ]
     failures = []
     for a in range(a_max + 1):
         for b in range(b_max + 1):
-            lhs = _alternating_sum(a, h, sums, a + b)
-            rhs = _alternating_sum(b, h, sums, a + b)
+            tail = sums[a + b :: -1]
+            lhs = sum(map(mul, rows[a], tail))
+            rhs = sum(map(mul, rows[b], tail))
             if lhs != rhs:
                 failures.append(f"(a={a}, b={b}): {lhs} != {rhs}")
     return _report("symmetry", _subject(t), failures)
@@ -272,14 +281,17 @@ def check_todd_symmetry(
 ) -> CheckReport:
     """Alternating binomial identity between c_1**j (a+b-j)! Td_{a+b-j} terms.
 
-    With n = a+b, sides(c_1, T) forms both sides times M_n from
-    w_k = k! (M_n/M_k) T_k, where T_k = M_k Td_k.  Over Z[c_1..c_n], from
-    todd_polynomials, this proves the identity.  Then at seeded rational
-    points (_seeded_point) todd_fn, by default todd._scaled_todd_pass looked
-    up at call time, maps the (numerator, denominator) pairs to T and u with
-    T_k = M_k u**k Td_k; sides(c_1 u, T) are then M_n u**n times both sides,
-    integers that must be equal.  A u that does not clear c_1 raises
-    InternalMismatch.  The sides become Fractions only for a witness.
+    With n = a+b, sides(c_1, T) forms both sides times M_n, where
+    T_k = M_k Td_k: each is the dot product of one integer row,
+    (-1)**(x-j) C(x,j) (n-j)! M_n/M_{n-j} for j <= x (x = a, then b),
+    with c_1**j T_{n-j}.  The two rows are built once per check.  Over
+    Z[c_1..c_n], from todd_polynomials, this proves the identity.  Then at
+    seeded rational points (_seeded_point) todd_fn, by default
+    todd._scaled_todd_pass looked up at call time, maps the (numerator,
+    denominator) pairs to T and u with T_k = M_k u**k Td_k; sides(c_1 u, T)
+    are then M_n u**n times both sides, integers that must be equal.  A u
+    that does not clear c_1 raises InternalMismatch.  The sides become
+    Fractions only for a witness.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
@@ -289,10 +301,15 @@ def check_todd_symmetry(
     n = a + b
     subject = f"(a={a}, b={b})"
     m = _todd._todd_tables(n)
+    row_a, row_b = (
+        [s * factorial(n - j) * (m[n] // m[n - j]) for j, s in enumerate(_signed_binomials(x))]
+        for x in (a, b)
+    )
 
     def sides(c1, t):
-        w = [factorial(k) * (m[n] // m[k]) * tk for k, tk in enumerate(t)]
-        return _alternating_sum(a, c1, w, n), _alternating_sum(b, c1, w, n)
+        powers = accumulate(repeat(c1, max(a, b)), mul, initial=1)
+        terms = [power * t[n - j] for j, power in enumerate(powers)]  # c_1**j T_{n-j}
+        return sum(map(mul, row_a, terms)), sum(map(mul, row_b, terms))
 
     lhs, rhs = sides(MPoly.variable(1), _todd.todd_polynomials(n))
     if lhs != rhs:

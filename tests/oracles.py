@@ -4,16 +4,18 @@ None of these runs in a route, a check or a CLI command of coxsums; each
 computes a value the library computes another way, so exact agreement is
 a cross-check: the general p-factor against p_factor, the X_n route
 against gamma_series, the log of the Todd factor against the Bernoulli
-table, and the T-transform rows run one list at a time against the sweep.
+table, the T-transform rows run one list at a time against the sweep,
+and the alternating sums term by term against the coefficient rows of
+the two symmetry suites.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import mul
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from coxsums.catalog import ParameterSet
 from coxsums.errors import ConstraintViolated
@@ -98,3 +100,14 @@ def check_t_examples(
     """The three tabulated T-transformation sequence pairs."""
     rows = rows if rows is not None else _default_t_rows(order)
     return [check_t_example(*row) for row in rows]
+
+
+def alternating_sum(x: int, y, w: Sequence, n: int):
+    """sum_j (-1)**(x-j) C(x,j) y**j w[n-j] over 0 <= j <= x, term by term.
+
+    With y = h and w the power sums S_k this is one side of the symmetry
+    suite; with y = c_1 and w_k = k! (M_n/M_k) T_k, one side of todd-symm
+    times M_n.  y and w may lie in any ring where ints act by
+    multiplication: ints, or MPoly.
+    """
+    return sum((-1) ** (x - j) * comb(x, j) * y**j * w[n - j] for j in range(x + 1))

@@ -28,6 +28,7 @@ from coxsums.todd import (
     _bernoulli_numbers,
     _todd_pass,
     _todd_recurrence,
+    _todd_steps,
     _todd_tables,
     faulhaber_sum,
     todd_polynomials,
@@ -519,6 +520,18 @@ class TestToddStepTable:
         with pytest.raises(InternalMismatch, match=message):
             todd_values(g, 12)
 
+    def test_built_tables_do_not_read_the_bernoulli_table(self, monkeypatch):
+        _todd_steps(40)
+        reads = []
+        real = todd_module._bernoulli_numbers
+        monkeypatch.setattr(todd_module, "_bernoulli_numbers", lambda n: reads.append(n) or real(n))
+        for n in (0, 1, 12, 40):
+            assert len(_todd_tables(n)) > n
+            assert len(_todd_steps(n)[1]) > n
+        assert reads == []
+        _todd_tables(len(todd_module._TODD_DENOMINATORS))  # one past the table
+        assert len(reads) == 1
+
     def test_restored_table_restores_values(self, monkeypatch):
         g = gamma_series(parameters(parse_type("E8")), 1, 60)
         warm = todd_values(g, 60)
@@ -645,9 +658,35 @@ class TestBernoulliFaulhaber:
 
     def test_faulhaber_sum_matches_fraction_formula_on_random_sums(self):
         rng = Random(5)
-        for n in range(60):
+        for n in range(61):
             sums = [rng.randint(-(10**30), 10**30) for _ in range(n + 2)]
             assert faulhaber_sum(n, sums) == faulhaber_sum_by_fractions(n, sums), n
+        sums = [rng.randint(-(10**30), 10**30) for _ in range(3)]
+        assert faulhaber_sum(0, sums) == sums[1]  # B_0 S_1
+        assert faulhaber_sum(1, sums) == F(sums[2] + sums[1], 2)  # (S_2 + 2 (1/2) S_1) / 2
+
+    def test_faulhaber_sum_reads_no_odd_bernoulli_number_past_one(self, monkeypatch):
+        real = todd_module._bernoulli_numbers
+        rng = Random(22)
+        sums = [rng.randint(-(10**30), 10**30) for _ in range(32)]
+        want = [faulhaber_sum(n, sums) for n in range(31)]
+
+        def odd_ones_wrong(n):  # B_k = 99 at odd k >= 3, where the true B_k is 0
+            return tuple(F(99) if k % 2 and k > 1 else b for k, b in enumerate(real(n)))
+
+        monkeypatch.setattr(todd_module, "_bernoulli_numbers", odd_ones_wrong)
+        assert [faulhaber_sum(n, sums) for n in range(31)] == want
+
+    def test_faulhaber_denominator_table_breaking_divisibility_raises(self, monkeypatch):
+        # M_k = 2**k: den(B_2) = 6 does not divide M_4 = 16, and a floored
+        # quotient would give 25250 for faulhaber(4, 10), whose value is 25333.
+        assert faulhaber(4, 10) == sum(i**4 for i in range(1, 11)) == 25333
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", [2**k for k in range(5)])
+        message = r"^Faulhaber sum n=4: den\(B_2\) does not divide M_4$"
+        with pytest.raises(InternalMismatch, match=message):
+            faulhaber(4, 10)
+        with pytest.raises(InternalMismatch, match=r"^Todd pass: "):
+            todd_values(TruncatedSeries([1, 1, 1, 1, 1]), 4)
 
 
 def faulhaber_sum_by_fractions(n, sums):

@@ -22,6 +22,7 @@ from coxsums import (
     powersum_todd_upto,
     run_all,
 )
+import coxsums.verify as verify_module
 from coxsums.errors import ConstantTermNotOne, InternalMismatch, WrongFamily
 from coxsums.powersums import exponent_power_sums
 from coxsums.verify import (
@@ -42,8 +43,9 @@ from coxsums.verify import (
     t_transform,
     _gamma_specializations,
 )
+from coxsums.mpoly import MPoly
 from coxsums.todd import _scaled_todd_pass, _todd_tables, gamma_series, p_factor, todd_values
-from oracles import check_t_examples
+from oracles import alternating_sum, check_t_examples
 
 
 def corrupt(ps, **changes):
@@ -95,6 +97,49 @@ def todd_symmetry_witness_by_fractions(a, b, samples, seed, todd_fn):
         if sides[0] != sides[1]:
             return f"sample {trial}, c = {cs}: {sides[0]} != {sides[1]}"
     return None
+
+
+def symmetry_witness_by_oracle(values, a_max, b_max):
+    """The witness of check_symmetry_identities, each side summed term by term."""
+    h = values[-1] + 1
+    sums = [sum(m**k for m in values) for k in range(a_max + b_max + 1)]
+    for a in range(a_max + 1):
+        for b in range(b_max + 1):
+            lhs = alternating_sum(a, h, sums, a + b)
+            rhs = alternating_sum(b, h, sums, a + b)
+            if lhs != rhs:
+                return f"(a={a}, b={b}): {lhs} != {rhs}"
+    return None
+
+
+def todd_sides_by_oracle(a, b, c1, t):
+    """Both sides of check_todd_symmetry times M_n, from w_k = k! (M_n/M_k) T_k."""
+    n = a + b
+    m = _todd_tables(n)
+    w = [factorial(k) * (m[n] // m[k]) * tk for k, tk in enumerate(t)]
+    return alternating_sum(a, c1, w, n), alternating_sum(b, c1, w, n)
+
+
+def random_polynomial(rng, n, k):
+    """A random element of Z[c_1..c_n] of degree k, standing in for T_k."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * n
+        for _ in range(k):
+            exps[rng.randint(0, min(n, k) - 1)] += 1
+        terms[tuple(exps)] = rng.randint(-(10**6), 10**6)
+    return MPoly(terms)
+
+
+class CountedComb:
+    """math.comb, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, n, k):
+        self.calls += 1
+        return comb(n, k)
 
 
 class TestCatalan:
@@ -221,10 +266,90 @@ class TestSymmetryIdentities:
         assert check_symmetry_identities(parse_type("E7"), 4, 4).passed
 
     def test_fails_with_corrupt_exponents(self):
-        report = check_symmetry_identities(
-            parse_type("E8"), 2, 3, exps=ExponentList((1, 7, 11, 13, 17, 19, 23, 28))
-        )
-        assert not report.passed and report.witness
+        bad = (1, 7, 11, 13, 17, 19, 23, 28)
+        report = check_symmetry_identities(parse_type("E8"), 2, 3, exps=ExponentList(bad))
+        assert not report.passed
+        assert report.witness == "(a=0, b=1): 119 != 113"
+        assert report.witness == symmetry_witness_by_oracle(bad, 2, 3)
+
+    def test_rows_match_term_by_term_oracle_across_catalog(self):
+        # Each type's exponents, then the top one raised by 1 (which moves h)
+        # and, where that keeps them nondecreasing, the bottom one raised by 1.
+        failed = 0
+        for t in catalog(12, 30):
+            v = exponents(t).values
+            variants = [v, v[:-1] + (v[-1] + 1,)]
+            if len(v) > 1 and v[0] < v[1]:
+                variants.append((v[0] + 1,) + v[1:])
+            for values in variants:
+                report = check_symmetry_identities(t, 4, 4, exps=ExponentList(values))
+                want = symmetry_witness_by_oracle(values, 4, 4)
+                assert report.witness == want, (t.name, values)
+                assert report.passed == (want is None)
+                failed += want is not None
+        assert failed > 50
+
+    def test_rows_are_built_once_per_check(self, monkeypatch):
+        counted = CountedComb()
+        monkeypatch.setattr(verify_module, "comb", counted)
+        assert check_symmetry_identities(parse_type("E8"), 4, 4).passed
+        assert counted.calls <= 15  # one row per x <= 4: 1 + 2 + 3 + 4 + 5 entries
+
+
+class TestToddSymmetryRows:
+    """The sides of check_todd_symmetry against the oracle's alternating sums,
+    read from the witnesses of checks fed random T."""
+
+    PAIRS = [(a, total - a) for total in range(9) for a in range(total + 1)]
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_integer_sides_match_oracle(self, a, b):
+        n = a + b
+        rng = Random(f"ints:{a}:{b}")
+        for seed in range(5):  # five seeded points, so five c_1
+            seen = []
+
+            def random_t(pairs):  # any T, with a u that clears c_1
+                t = [rng.randint(-(10**12), 10**12) for _ in range(n + 1)]
+                u = (pairs[0][1] if pairs else 1) * rng.randint(1, 9)
+                seen.append((pairs, t, u))
+                return t, u
+
+            report = check_todd_symmetry(a, b, 1, seed, todd_fn=random_t)
+            ((pairs, t, u),) = seen
+            x, y = pairs[0] if pairs else (0, 1)
+            lhs, rhs = todd_sides_by_oracle(a, b, x * u // y, t)
+            whole = _todd_tables(n)[n] * u**n
+            if lhs == rhs:
+                assert a == b and report.passed
+            else:
+                assert report.witness == (
+                    f"sample 0, c = {[F(*c) for c in pairs]}: "
+                    f"{F(lhs, whole)} != {F(rhs, whole)}"
+                )
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_polynomial_sides_match_oracle(self, monkeypatch, a, b):
+        from coxsums import todd as todd_module
+
+        n = a + b
+        rng = Random(f"mpoly:{a}:{b}")
+        t = [MPoly({(): 1})] + [random_polynomial(rng, n, k) for k in range(1, n + 1)]
+        monkeypatch.setattr(todd_module, "todd_polynomials", lambda k: tuple(t[: k + 1]))
+        lhs, rhs = todd_sides_by_oracle(a, b, MPoly.variable(1), t)
+        report = check_todd_symmetry(a, b, 2, 0)
+        if lhs == rhs:
+            assert a == b and report.passed
+        else:
+            assert report.witness == (
+                f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"
+            )
+
+    def test_rows_are_built_once_per_check(self, monkeypatch):
+        counted = CountedComb()
+        monkeypatch.setattr(verify_module, "comb", counted)
+        assert check_todd_symmetry(3, 5, 50).passed
+        assert counted.calls <= 3 + 5 + 2  # rows of degree a and b
 
 
 class TestToddSymmetry:
