@@ -26,6 +26,13 @@ The parameters are built on integers: d is an integer or, in the
 dihedral family, a half-integer, so ``parameters`` forms 2d, 2alpha and
 the doubled multisets 2V+ and 2V-, and turns each output field into a
 ``Fraction`` once at the end.
+
+Table entries
+-------------
+The infinite families A, B/C, D and I2 are given by formulas in the rank
+(or m).  Each exceptional type E6, E7, E8, F4, G2, H2, H3, H4 is one row
+of ``_EXCEPTIONAL`` -- its exponents, h, gamma, 2d and nu -- and every
+function below reads that row rather than a branch of its own.
 """
 
 from __future__ import annotations
@@ -35,12 +42,42 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import gt, lt, sub
+from typing import NamedTuple
 
 from .errors import ParseError, ProfileMismatch, RangeError
 
 PROFILES = ("standard", "redefined", "h2-original")
 
 _FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "H", "I2")
+
+# The lowest index of each infinite family; the exceptional types are the
+# keys of _EXCEPTIONAL.
+_MIN_INDEX = {"A": 1, "B": 2, "C": 2, "D": 4, "I2": 3}
+
+
+class _Row(NamedTuple):
+    """The table entries of one exceptional type."""
+
+    exponents: tuple[int, ...]
+    h: int
+    gamma: int
+    d2: int  # 2d
+    nu: int
+
+
+# One row per exceptional type, in catalog order.  H2 = I2(5) holds its
+# standard (2d, nu) = (4, 1); its redefined profile takes the dihedral
+# rule d = h/2, nu = 0 instead.
+_EXCEPTIONAL = {
+    ("E", 6): _Row((1, 4, 5, 7, 8, 11), 12, 144, 6, 0),
+    ("E", 7): _Row((1, 5, 7, 9, 11, 13, 17), 18, 324, 8, 0),
+    ("E", 8): _Row((1, 7, 11, 13, 17, 19, 23, 29), 30, 900, 12, 0),
+    ("F", 4): _Row((1, 5, 7, 11), 12, 162, 8, 0),
+    ("G", 2): _Row((1, 5), 6, 48, 6, 0),
+    ("H", 2): _Row((1, 4), 5, 31, 4, 1),
+    ("H", 3): _Row((1, 5, 9), 10, 124, 8, 0),
+    ("H", 4): _Row((1, 11, 19, 29), 30, 1116, 20, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -54,17 +91,8 @@ class CoxeterType:
         f, n = self.family, self.index
         if f not in _FAMILIES:
             raise RangeError(f"unknown family {f!r}")
-        ok = {
-            "A": n >= 1,
-            "B": n >= 2,
-            "C": n >= 2,
-            "D": n >= 4,
-            "E": n in (6, 7, 8),
-            "F": n == 4,
-            "G": n == 2,
-            "H": n in (2, 3, 4),
-            "I2": n >= 3,
-        }[f]
+        lowest = _MIN_INDEX.get(f)
+        ok = (f, n) in _EXCEPTIONAL if lowest is None else n >= lowest
         if not ok:
             label = f"I2({n})" if f == "I2" else f"{f}{n}"
             raise RangeError(f"{label} is outside the classification")
@@ -82,23 +110,13 @@ class CoxeterType:
             return 2 * n
         if f == "D":
             return 2 * n - 2
-        if f == "E":
-            return {6: 12, 7: 18, 8: 30}[n]
-        if f == "F":
-            return 12
-        if f == "G":
-            return 6
-        if f == "H":
-            return {2: 5, 3: 10, 4: 30}[n]
-        return n  # I2(m)
+        if f == "I2":
+            return n
+        return _EXCEPTIONAL[(f, n)].h
 
     @property
     def is_crystallographic(self) -> bool:
-        if self.family == "H":
-            return False
-        if self.family == "I2":
-            return self.index in (3, 4, 6)
-        return True
+        return normalize(self).family not in ("H", "I2")
 
     @property
     def name(self) -> str:
@@ -136,7 +154,7 @@ def parse_type(text: str) -> CoxeterType:
     m = _SIMPLE_RE.match(s)
     if m:
         family = m.group(1).upper()
-        if family not in "ABCDEFGH":
+        if family not in _FAMILIES:
             raise ParseError(f"cannot parse type {text!r}")
         return CoxeterType(family, int(m.group(2)))
     raise ParseError(f"cannot parse type {text!r}")
@@ -175,18 +193,6 @@ class ExponentList:
         return self.values[-1] + 1
 
 
-_EXCEPTIONAL_EXPONENTS = {
-    ("E", 6): (1, 4, 5, 7, 8, 11),
-    ("E", 7): (1, 5, 7, 9, 11, 13, 17),
-    ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
-    ("F", 4): (1, 5, 7, 11),
-    ("G", 2): (1, 5),
-    ("H", 2): (1, 4),
-    ("H", 3): (1, 5, 9),
-    ("H", 4): (1, 11, 19, 29),
-}
-
-
 def exponents(t: CoxeterType) -> ExponentList:
     """The sorted exponent list of an irreducible type."""
     t = normalize(t)
@@ -200,7 +206,7 @@ def exponents(t: CoxeterType) -> ExponentList:
     elif f == "I2":
         vals = (1, n - 1)
     else:
-        vals = _EXCEPTIONAL_EXPONENTS[(f, n)]
+        vals = _EXCEPTIONAL[(f, n)].exponents
     return ExponentList(vals)
 
 
@@ -239,15 +245,9 @@ def gamma_invariant(t: CoxeterType) -> int:
         return 4 * n * n + 2 * n - 2
     if f == "D":
         return (2 * n - 2) ** 2
-    if f == "E":
-        return t.coxeter_number ** 2
-    if f == "F":
-        return 162
-    if f == "G":
-        return 48
-    if f == "H":
-        return {2: 31, 3: 124, 4: 1116}[n]
-    return 2 * n * n - 5 * n + 6  # I2(m)
+    if f == "I2":
+        return 2 * n * n - 5 * n + 6
+    return _EXCEPTIONAL[(f, n)].gamma
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,7 @@ _ARBITRARY_BETA = ("A", "C", "G", "H2", "H3", "I2")
 
 def _profile_for(t: CoxeterType, profile: str | None) -> str:
     """Resolve a requested profile to 'standard' or 'redefined' for t."""
-    if profile is None:
+    if profile in (None, "h2-original"):
         return "redefined" if t.family == "I2" else "standard"
     if profile == "standard":
         if t.family == "I2" and t.index % 2 == 1:
@@ -285,8 +285,6 @@ def _profile_for(t: CoxeterType, profile: str | None) -> str:
         if t.family == "I2" or (t.family, t.index) == ("H", 2):
             return "redefined"
         return "standard"
-    if profile == "h2-original":
-        return "redefined" if t.family == "I2" else "standard"
     raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
 
 
@@ -299,17 +297,11 @@ def _twice_d_nu(t: CoxeterType, concrete: str) -> tuple[int, int]:
         return 4, n - 2
     if f == "D":
         return 4, n - 4
-    if f == "E":
-        return {6: 6, 7: 8, 8: 12}[n], 0
-    if f == "F":
-        return 8, 0
-    if f == "G":
-        return 6, 0
-    if f == "H":
-        if n == 2:
-            return (5, 0) if concrete == "redefined" else (4, 1)
-        return (8, 0) if n == 3 else (20, 0)
-    return n, 0  # I2(m): d = m/2
+    if f == "I2" or concrete == "redefined":
+        # The dihedral rule, for I2(m) and redefined H2: d = m/2 = h/2.
+        return t.coxeter_number, 0
+    row = _EXCEPTIONAL[(f, n)]
+    return row.d2, row.nu
 
 
 def _second_exponent(t: CoxeterType) -> int:
@@ -321,7 +313,7 @@ def _second_exponent(t: CoxeterType) -> int:
         return 3
     if f == "I2":
         return t.index - 1
-    return _EXCEPTIONAL_EXPONENTS[(f, t.index)][1]
+    return _EXCEPTIONAL[(f, t.index)].exponents[1]
 
 
 def _half(x: int) -> Fraction:
@@ -426,8 +418,8 @@ def applicable_profiles(t: CoxeterType) -> tuple[str, ...]:
 def catalog(max_rank: int, max_m: int) -> list[CoxeterType]:
     """Every type with rank <= max_rank plus I2(m) for m <= max_m.
 
-    Deterministic order: A, C, D, E, F4, G2, H, then I2; normalized with
-    duplicates removed.
+    Deterministic order: A, C, D, the exceptional types in _EXCEPTIONAL
+    order (E, F4, G2, H), then I2; normalized with duplicates removed.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
@@ -437,11 +429,6 @@ def catalog(max_rank: int, max_m: int) -> list[CoxeterType]:
     raw.extend(CoxeterType("A", n) for n in range(1, max_rank + 1))
     raw.extend(CoxeterType("C", n) for n in range(2, max_rank + 1))
     raw.extend(CoxeterType("D", n) for n in range(4, max_rank + 1))
-    raw.extend(CoxeterType("E", n) for n in (6, 7, 8) if n <= max_rank)
-    if max_rank >= 4:
-        raw.append(CoxeterType("F", 4))
-    if max_rank >= 2:
-        raw.append(CoxeterType("G", 2))
-    raw.extend(CoxeterType("H", n) for n in (2, 3, 4) if n <= max_rank)
+    raw.extend(CoxeterType(*key) for key in _EXCEPTIONAL if key[1] <= max_rank)
     raw.extend(CoxeterType("I2", m) for m in range(3, max_m + 1))
     return list(dict.fromkeys(normalize(t) for t in raw))

@@ -92,7 +92,7 @@ _MAX_TABLE_BITS = 20_000_000
 # --max-rank 120 --max-m 600 sums to 239571.  table (with --types too) and
 # the direct route of powersum build only the exponents, r per type, and
 # refuse more than this many in all: at the bound, table --types A4000000
-# --n-max 3 takes 1.7 s and 566 MB, and powersum A4000000 -n 2 --method
+# --n-max 3 takes 1.4 s and 170 MB, and powersum A4000000 -n 2 --method
 # direct 1.0 s and 170 MB.  The Todd and closed routes read no exponent list.
 _MAX_CATALOG_WEIGHT = 4_000_000
 

@@ -49,16 +49,26 @@ def _params(t: CoxeterType, params: ParameterSet | None) -> ParameterSet:
     return params if params is not None else parameters(t)
 
 
+# exponent_power_sums runs over the exponents this many at a time: the
+# running powers it holds are one slice's, so its memory beyond the exponent
+# tuple does not grow with the rank.
+_POWER_SUM_SLICE = 4096
+
+
 def exponent_power_sums(exps: ExponentList, n: int) -> list[int]:
     """S_0 .. S_n, where S_k = sum(m_i**k) over the exponents: the powers
-    m_i**k run as products, one multiply per exponent per degree."""
+    m_i**k run as products, one multiply per exponent per degree, over one
+    slice of _POWER_SUM_SLICE exponents at a time."""
     if n < 0:
         raise ValueError("n must be >= 0")
     values = exps.values
-    powers, sums = [1] * len(values), [len(values)]
-    for _ in range(n):
-        powers = list(map(mul, powers, values))
-        sums.append(sum(powers))
+    sums = [len(values)] + [0] * n
+    for start in range(0, len(values), _POWER_SUM_SLICE):
+        part = values[start : start + _POWER_SUM_SLICE]
+        powers = [1] * len(part)
+        for k in range(1, n + 1):
+            powers = list(map(mul, powers, part))
+            sums[k] += sum(powers)
     return sums
 
 

@@ -20,6 +20,7 @@ from coxsums import (
 )
 from coxsums.catalog import (
     _ARBITRARY_BETA,
+    _EXCEPTIONAL,
     DualPartition,
     ParameterSet,
     _profile_for,
@@ -497,6 +498,12 @@ class TestCatalog:
     def test_deterministic(self):
         assert catalog(9, 17) == catalog(9, 17)
 
+    def test_exceptional_types_in_table_order(self):
+        exceptional = [t for t in catalog(8, 6) if t.family in ("E", "F", "G", "H")]
+        assert [(t.family, t.index) for t in exceptional] == list(_EXCEPTIONAL)
+        names = [t.name for t in exceptional]
+        assert names == ["E6", "E7", "E8", "F4", "G2", "H2", "H3", "H4"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             catalog(0, 5)
@@ -555,3 +562,10 @@ def test_crystallographic_flag():
     assert normalize(parse_type("I2(6)")).is_crystallographic
     assert not parse_type("H3").is_crystallographic
     assert not parse_type("I2(7)").is_crystallographic
+
+
+@pytest.mark.parametrize("m", range(3, 31))
+def test_dihedral_crystallographic_flag(m):
+    """I2(m) is crystallographic exactly for m = 3, 4, 6, aliased or not."""
+    t = CoxeterType("I2", m)
+    assert t.is_crystallographic == normalize(t).is_crystallographic == (m in (3, 4, 6))

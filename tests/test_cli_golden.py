@@ -188,6 +188,82 @@ GOLDEN = [
         'verify --seed 7 --max-rank 4 --max-m 6', 0, '',
         '90c3192d28fbf73456d91ee2cc94b6e1ff0076ad2872a1844ea4f47a5c2afa05',
     ),
+    (
+        'table --all --max-rank 8 --max-m 6 --format pretty', 0, '',
+        'ba5fc5bb5f4c15d4a3eedfaecaf15b55ba69a9699a02b88f0d8eface1667a001',
+    ),
+    (
+        'table --all --max-rank 8 --max-m 6 --format json', 0, '',
+        '22081de374364669366283b884051a8255dae557ca9f12ced0414742ba8e5ca2',
+    ),
+    (
+        'table --all --max-rank 8 --max-m 6 --format csv', 0, '',
+        '0021ac21cef4c339f9307e0b263e9b9dbdfbe28f5c69a23cc2bb012fc98094d8',
+    ),
+    (
+        'table --all --max-rank 8 --max-m 6 --format latex', 0, '',
+        '089b567c2aeedcca1f60cf664f19e8d4b34e8c134d4c3f1369bb96b4333f5153',
+    ),
+    (
+        'info E6 --format json', 0, '',
+        '53388a954b258469399c4219192dd4f1cc3b0d24e38c7e1464e831d4d30cc3cf',
+    ),
+    (
+        'info E7 --format json', 0, '',
+        '10d8750ec203da5402fdebf6587fd7619b80e3254396738585ee60b3bc31c8ff',
+    ),
+    (
+        'info F4 --format json', 0, '',
+        '39569c1c1ae208003c8a2b26fa117f5b3b41fbe6097730b13fcc0d31a1643ec8',
+    ),
+    (
+        'info G2 --format json', 0, '',
+        '0af30c637cc41fbb2d26c1d29c6b9a5bc23dfffb101a92ef3fa020fe2f904c50',
+    ),
+    (
+        'info H3 --format json', 0, '',
+        '67abbf58440acc66194fdb5b810fee8c85b320a39cb9b0cfc274a4e29c96b6a3',
+    ),
+    (
+        'info H4 --format json', 0, '',
+        '454233aec91c3cdef23a8189b609627808493091f91f2a03f8af93d8da8f6481',
+    ),
+    (
+        'info I2(5) --profile standard', 0, '',
+        '8125f36b32d8057403b34e3749780f8dcded7063325700a9cf7c52bb95ccbeee',
+    ),
+    (
+        'info I2(5) --profile redefined', 0, '',
+        '98bf93f003a80495e62b63c3d05b600f13eeaf7c781e5dae11d9357f2f238be1',
+    ),
+    (
+        'info I2(5) --profile h2-original', 0, '',
+        '762b57813af6ba023a8fbaaa97375424ea7a22a8d34a9ec37016d5d15a5c5e98',
+    ),
+    (
+        'info G2 --beta 7/2', 0, '',
+        '480b6f20bb8316be0f494f0a4a902b86b37e95ca26085008366bd7737a8dccb2',
+    ),
+    (
+        'info E8 --beta 2', 2, 'error: beta is determined for type E8\n',
+        EMPTY,
+    ),
+    (
+        'info E9', 2, 'error: E9 is outside the classification\n',
+        EMPTY,
+    ),
+    (
+        'info F5', 2, 'error: F5 is outside the classification\n',
+        EMPTY,
+    ),
+    (
+        'info G3', 2, 'error: G3 is outside the classification\n',
+        EMPTY,
+    ),
+    (
+        'info H5', 2, 'error: H5 is outside the classification\n',
+        EMPTY,
+    ),
 ]
 
 

@@ -208,6 +208,17 @@ class TestExponentPowerSums:
         with pytest.raises(ValueError, match=r"^n must be >= 0$"):
             exponent_power_sums(exponents(parse_type("E8")), n)
 
+    def test_across_slice_boundaries(self):
+        """The sums run slice by slice; lists that end on, before and past a
+        slice boundary give the plain sums."""
+        import coxsums.powersums as powersums_module
+
+        size = powersums_module._POWER_SUM_SLICE
+        for label in (f"A{size - 1}", f"A{size}", f"A{size + 1}", f"D{2 * size + 5}"):
+            exps = exponents(parse_type(label))
+            want = [sum(m**k for m in exps.values) for k in range(4)]
+            assert exponent_power_sums(exps, 3) == want, label
+
 
 class TestValidation:
     """ExponentList and DualPartition reject the same inputs with the same messages."""

@@ -667,6 +667,20 @@ class TestMethodsSuite:
         )
         assert not report.passed and report.witness
 
+    def test_fails_with_corrupt_gamma_in_the_table(self, monkeypatch):
+        """E8's gamma is a table entry, so the simply-laced gamma = h**2 check
+        and the gamma formula both see a corrupt row."""
+        import sys
+
+        catalog_module = sys.modules["coxsums.catalog"]
+        row = catalog_module._EXCEPTIONAL[("E", 8)]
+        monkeypatch.setitem(catalog_module._EXCEPTIONAL, ("E", 8), row._replace(gamma=901))
+        e8 = parse_type("E8")
+        assert not check_gamma_formula(e8).passed
+        report = check_methods(e8, n_max=6)
+        assert not report.passed
+        assert report.witness == "gamma = 901 != h**2 = 900"
+
     def test_fails_with_corrupt_params_on_the_todd_route(self):
         bad = corrupt(parameters(parse_type("E8")), V_plus=(F(20), F(25)))
         report = check_methods(parse_type("E8"), n_max=6, params=bad)
