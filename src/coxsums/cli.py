@@ -171,16 +171,22 @@ def _check_exponent_count(types, subject: str, hint: str) -> None:
 
 
 def _rational(value: Fraction | int):
-    """JSON-facing value: plain int when integral, 'a/b' string otherwise."""
-    f = Fraction(value)
-    _check_output_bits(max(f.numerator.bit_length(), f.denominator.bit_length()))
-    if f.denominator == 1:
-        return int(f)
-    return f"{f.numerator}/{f.denominator}"
+    """JSON-facing value: plain int when integral, 'a/b' string otherwise.
+
+    Reads the numerator and denominator of the int or Fraction as given,
+    with no Fraction built, and bounds their bits before any becomes text.
+    """
+    num, den = value.numerator, value.denominator
+    _check_output_bits(max(num.bit_length(), den.bit_length()))
+    if den == 1:
+        return num
+    return f"{num}/{den}"
 
 
 def _text(value) -> str:
-    if isinstance(value, (Fraction, int)):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, Fraction)):
         return str(_rational(value))
     if isinstance(value, (list, tuple)):
         return " ".join(_text(v) for v in value)
@@ -210,7 +216,7 @@ class OutputDocument:
             sys.set_int_max_str_digits(limit)
 
     def _json_value(self, value):
-        if isinstance(value, (Fraction, int)):
+        if isinstance(value, (int, Fraction)):
             return _rational(value)
         if isinstance(value, (list, tuple)):
             return [self._json_value(v) for v in value]
@@ -346,7 +352,7 @@ def _compare_routes(args, t, columns, routes, cells) -> int:
         if args.method in (m, "all")
     ]
     print(OutputDocument(columns, rows).render(args.format))
-    if len({row["value"] for row in rows}) > 1:
+    if any(row["value"] != rows[0]["value"] for row in rows):
         print("error: methods disagree", file=sys.stderr)
         return 1
     return 0

@@ -164,14 +164,22 @@ class IntPolynomial:
         return out
 
 
-def one_minus_power_product(vs: Iterable[int]) -> IntPolynomial:
-    """prod(1 - q**v, v in vs), a product of two-term factors."""
-    product = IntPolynomial([1])
+def one_minus_power_product(
+    vs: Iterable[int], start: IntPolynomial | None = None
+) -> IntPolynomial:
+    """start * prod(1 - q**v, v in vs), with start defaulting to 1.
+
+    Each factor is one pass over a plain dict of the terms, c_n -= c_{n-v}
+    from a snapshot of the previous product, so no IntPolynomial is built
+    per factor; the terms are sorted, and zeros dropped, once at the end.
+    """
+    terms = {0: 1} if start is None else dict(start._terms)
     for v in vs:
         if v < 1:
             raise ValueError("exponent must be >= 1")
-        product = product * IntPolynomial._from_terms({0: 1, v: -1})
-    return product
+        for n, c in list(terms.items()):
+            terms[n + v] = terms.get(n + v, 0) - c
+    return IntPolynomial._from_terms(terms)
 
 
 def poly_from_factors(
@@ -183,5 +191,5 @@ def poly_from_factors(
     """
     if m1_shift < 1:
         raise ValueError("shift exponent must be >= 1")
-    numerator = IntPolynomial.monomial(m1_shift) * one_minus_power_product(v_plus)
+    numerator = one_minus_power_product(v_plus, IntPolynomial.monomial(m1_shift))
     return numerator.exact_div(one_minus_power_product(v_minus))

@@ -29,7 +29,6 @@ report.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
@@ -98,10 +97,15 @@ def catalan(k: int) -> Fraction:
 # -- per-type table identities ------------------------------------------
 
 
-def _cancelled(params: ParameterSet) -> tuple[Counter, Counter]:
-    plus, minus = Counter(params.V_plus), Counter(params.V_minus)
-    common = plus & minus
-    return plus - common, minus - common
+def _cancelled(params: ParameterSet) -> tuple[list[Fraction], list[Fraction]]:
+    """V+ and V- with one copy of each common entry removed from each side,
+    the multiset difference of each side with their intersection."""
+    plus, minus = list(params.V_plus), list(params.V_minus)
+    for v in params.V_plus:
+        if v in minus:
+            minus.remove(v)
+            plus.remove(v)
+    return plus, minus
 
 
 def check_expsum(
@@ -110,24 +114,28 @@ def check_expsum(
     params: ParameterSet | None = None,
     exps: ExponentList | None = None,
 ) -> CheckReport:
-    """sum(q**m_i) equals q * prod(1-q**v, V+) / prod(1-q**v, V-) exactly."""
+    """sum(q**m_i) equals q * prod(1-q**v, V+) / prod(1-q**v, V-) exactly.
+
+    Checked cross-multiplied after cancellation, over Z[q]: each side is
+    one_minus_power_product applied to sum(q**m_i) or to q, one pass per
+    factor (1 - q**v), with no polynomial product.
+    """
     ps = _resolve(t, profile, params)
     el = _exps(t, exps)
     failures: list[str] = []
     plus, minus = _cancelled(ps)
-    entries = list(plus.elements()) + list(minus.elements())
-    if any(v.denominator != 1 or v <= 0 for v in entries):
+    if any(v.denominator != 1 or v.numerator <= 0 for v in plus + minus):
         failures.append(
             f"non-integer factor exponents after cancellation: "
-            f"V+={sorted(plus.elements())}, V-={sorted(minus.elements())}"
+            f"V+={sorted(plus)}, V-={sorted(minus)}"
         )
     else:
-        vp = [int(v) for v in plus.elements()]
-        vm = [int(v) for v in minus.elements()]
         # Cross-multiplied: Z[q] has no zero divisors, so this equality holds
         # exactly when the quotient exists and is sum(q**m_i).
-        left = IntPolynomial.from_exponents(el.values) * one_minus_power_product(vm)
-        right = IntPolynomial.monomial(1) * one_minus_power_product(vp)
+        left = one_minus_power_product(
+            [v.numerator for v in minus], IntPolynomial.from_exponents(el.values)
+        )
+        right = one_minus_power_product([v.numerator for v in plus], IntPolynomial.monomial(1))
         if left != right:
             failures.append(f"sum(q**m_i)*prod(V-) = {left} but q*prod(V+) = {right}")
     return _report("expsum", _subject(t, profile), failures)

@@ -4,13 +4,16 @@ None of these runs in a route, a check or a CLI command of coxsums; each
 computes a value the library computes another way, so exact agreement is
 a cross-check: the general p-factor against p_factor, the X_n route
 against gamma_series, the log of the Todd factor against the Bernoulli
-table, the T-transform rows run one list at a time against the sweep,
-and the alternating sums term by term against the coefficient rows of
-the two symmetry suites.
+table, the T-transform rows run one list at a time against the sweep, the
+alternating sums term by term against the coefficient rows of the two
+symmetry suites, the product of (1 - q**v) factors by repeated
+polynomial products, the V+/V- cancellation by Counter arithmetic, and
+each rendered cell through a Fraction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, lcm
@@ -18,7 +21,9 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 from coxsums.catalog import ParameterSet
+from coxsums.cli import _check_output_bits
 from coxsums.errors import ConstraintViolated
+from coxsums.intpoly import IntPolynomial
 from coxsums.series import TruncatedSeries
 from coxsums.todd import _bernoulli_numbers, _over_scale, _quotient_numerators, p_factor
 from coxsums.verify import CheckReport, _default_t_rows, check_t_example
@@ -111,3 +116,31 @@ def alternating_sum(x: int, y, w: Sequence, n: int):
     multiplication: ints, or MPoly.
     """
     return sum((-1) ** (x - j) * comb(x, j) * y**j * w[n - j] for j in range(x + 1))
+
+
+def one_minus_power_product_by_mul(
+    vs: Iterable[int], start: IntPolynomial | None = None
+) -> IntPolynomial:
+    """start * prod(1 - q**v, v in vs), one IntPolynomial product per factor."""
+    product = IntPolynomial([1]) if start is None else start
+    for v in vs:
+        if v < 1:
+            raise ValueError("exponent must be >= 1")
+        product = product * IntPolynomial._from_terms({0: 1, v: -1})
+    return product
+
+
+def cancelled_by_counter(params: ParameterSet) -> tuple[list, list]:
+    """V+ and V- less their multiset intersection, by Counter & and -."""
+    plus, minus = Counter(params.V_plus), Counter(params.V_minus)
+    common = plus & minus
+    return list((plus - common).elements()), list((minus - common).elements())
+
+
+def rational_via_fraction(value: Rational):
+    """A rendered cell by way of Fraction(value): int when integral, else 'a/b'."""
+    f = Fraction(value)
+    _check_output_bits(max(f.numerator.bit_length(), f.denominator.bit_length()))
+    if f.denominator == 1:
+        return int(f)
+    return f"{f.numerator}/{f.denominator}"

@@ -305,16 +305,12 @@ class TestParameters:
                 assert len(ps.V_plus) == len(ps.V_minus) == 2
 
     def test_cancelled_multisets_are_positive_integers(self):
-        from collections import Counter
+        from oracles import cancelled_by_counter
 
         for t in catalog(12, 30):
             for prof in applicable_profiles(t):
-                ps = parameters(t, prof)
-                plus, minus = Counter(ps.V_plus), Counter(ps.V_minus)
-                common = plus & minus
-                rest = list((plus - common).elements()) + list(
-                    (minus - common).elements()
-                )
+                plus, minus = cancelled_by_counter(parameters(t, prof))
+                rest = plus + minus
                 assert all(v.denominator == 1 and v > 0 for v in rest), (t.name, prof)
 
     def test_beta_override(self):

@@ -3,8 +3,11 @@
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxsums import PowerSumResult, parse_type
 from coxsums.cli import main
@@ -252,6 +255,42 @@ class TestPowersum:
         assert code == 1
         assert "disagree" in err
 
+    @pytest.mark.parametrize("route", ["direct", "closed"])
+    def test_route_disagreement_exits_one(self, capsys, monkeypatch, route):
+        import dataclasses
+
+        import coxsums.powersums as powersums_module
+
+        real = getattr(powersums_module, f"powersum_{route}")
+
+        def shifted(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, value=result.value + 1)
+
+        monkeypatch.setattr(powersums_module, f"powersum_{route}", shifted)
+        code, out, err = run(capsys, "powersum", "E8", "-n", "2", "--format", "json")
+        assert code == 1
+        s2 = sum(m * m for m in (1, 7, 11, 13, 17, 19, 23, 29))
+        assert [(row["method"], row["value"]) for row in json.loads(out)] == [
+            (m, s2 + (m == route)) for m in ("direct", "todd", "closed")
+        ]
+        assert err == "error: methods disagree\n"
+
+    def test_equal_values_of_different_types_agree(self, capsys, monkeypatch):
+        import dataclasses
+
+        import coxsums.powersums as powersums_module
+
+        code, want, _ = run(capsys, "powersum", "E8", "-n", "3", "--method", "all")
+        real = powersums_module.powersum_closed
+
+        def as_fraction(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, value=Fraction(result.value))
+
+        monkeypatch.setattr(powersums_module, "powersum_closed", as_fraction)
+        assert run(capsys, "powersum", "E8", "-n", "3", "--method", "all") == (0, want, "")
+
 
 class TestHeights:
     def test_a2(self, capsys):
@@ -467,6 +506,69 @@ class TestTable:
     def test_requires_selection(self, capsys):
         code, _, err = run(capsys, "table")
         assert code == 2 and err
+
+
+def _rendered(fn, value):
+    """fn(value), or the text of the CoxError it raises, with the digit limit
+    lifted as OutputDocument.render lifts it."""
+    from coxsums.cli import _MAX_OUTPUT_DIGITS
+    from coxsums.errors import CoxError
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(_MAX_OUTPUT_DIGITS)
+    try:
+        return fn(value)
+    except CoxError as e:
+        return ("CoxError", str(e))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestRenderedCell:
+    """_rational reads numerator and denominator from the int or Fraction it is
+    given, and agrees with the route through Fraction(value)."""
+
+    def _both(self, value):
+        from coxsums.cli import _rational
+        from oracles import rational_via_fraction
+
+        got, want = _rendered(_rational, value), _rendered(rational_via_fraction, value)
+        assert got == want and type(got) is type(want), value
+        return got
+
+    @pytest.mark.parametrize("value", [0, 7, -7, True, False, 10**40, -(10**40)])
+    def test_integers_render_as_plain_ints(self, value):
+        got = self._both(value)
+        assert got == int(value) and type(got) is int
+
+    @pytest.mark.parametrize("value", ["6/3", "-7/2", "1/3", "-10/4"])
+    def test_fractions(self, value):
+        f = Fraction(value)
+        got = self._both(f)
+        assert got == (f.numerator if f.denominator == 1 else f"{f.numerator}/{f.denominator}")
+
+    def test_bit_bound_on_each_path(self):
+        from coxsums.cli import _MAX_OUTPUT_BITS as b
+
+        message = ("CoxError", "a value exceeds the output bound of 100000 digits")
+        for value in (2**b, -(2**b), Fraction(1, 2**b), Fraction(-(2**b), 3), Fraction(3, 2**b)):
+            assert self._both(value) == message, value
+        # Exactly _MAX_OUTPUT_BITS bits renders, in the numerator or the denominator.
+        top = 2**b - 1
+        assert self._both(top) == top and self._both(-top) == -top
+        assert self._both(Fraction(1, top)) == f"1/{decimal(top)}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.booleans(), st.integers(), st.fractions()))
+    def test_matches_the_fraction_route(self, value):
+        self._both(value)
+
+    def test_text_keeps_a_string_cell(self):
+        from coxsums.cli import _text
+
+        cell = "I2(7)"
+        assert _text(cell) is cell
+        assert _text([1, "x", Fraction(1, 2)]) == "1 x 1/2"
 
 
 class TestTableBound:

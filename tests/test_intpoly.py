@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from coxsums import IntPolynomial, poly_from_factors
 from coxsums.errors import NotAPolynomial
 from coxsums.intpoly import one_minus_power_product
+from oracles import one_minus_power_product_by_mul
 
 
 def naive_mul(a, b):
@@ -126,3 +127,64 @@ def test_property_geometric_quotient(k, a, v):
         with pytest.raises(NotAPolynomial) as info:
             poly_from_factors(1, [v], [k])
         assert str(info.value) == f"(q - q^{v + 1}) is not divisible by (1 - q^{k})"
+
+
+# A factor exponent: small ones overlap and repeat, 10**6 stays sparse.
+factor_exponents = st.one_of(st.integers(min_value=1, max_value=12), st.just(10**6))
+sparse_polynomials = st.dictionaries(
+    st.integers(min_value=0, max_value=40), st.integers(min_value=-9, max_value=9), max_size=8
+).map(IntPolynomial._from_terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(factor_exponents, max_size=8), st.one_of(st.none(), sparse_polynomials))
+def test_one_minus_power_product_matches_repeated_products(vs, start):
+    got = one_minus_power_product(vs, start)
+    assert got == one_minus_power_product_by_mul(vs, start)
+    assert list(got._terms) == sorted(got._terms) and all(got._terms.values())
+
+
+@pytest.mark.parametrize(
+    "vs, start",
+    [
+        ([], None),
+        ([3, 5], IntPolynomial()),  # the zero start stays zero
+        ([2, 2, 2], None),
+        ([1, 1], IntPolynomial.from_exponents([1, 2, 3])),
+        ([10**6, 10**6], IntPolynomial.monomial(1)),
+        ([1, 10**6, 1], IntPolynomial([0, 4, -4])),
+    ],
+)
+def test_one_minus_power_product_cases(vs, start):
+    got = one_minus_power_product(vs, start)
+    assert got == one_minus_power_product_by_mul(vs, start)
+    if start is not None and not start:
+        assert not got
+
+
+def test_one_minus_power_product_repeated_and_large_factors():
+    assert str(one_minus_power_product([2, 2])) == "1 - 2q^2 + q^4"
+    # (1 + q + q^2)(1 - q) telescopes; the cancelled degrees leave no term.
+    assert one_minus_power_product([1], IntPolynomial.from_exponents([0, 1, 2])) == (
+        IntPolynomial._from_terms({0: 1, 3: -1})
+    )
+    big = 10**6
+    got = one_minus_power_product([big, big], IntPolynomial.monomial(1))
+    assert str(got) == f"q - 2q^{big + 1} + q^{2 * big + 1}"
+
+
+@pytest.mark.parametrize("vs", [[0], [-3], [2, 0], [1, 10**6, -1]])
+@pytest.mark.parametrize("start", [None, IntPolynomial(), IntPolynomial.monomial(1)])
+def test_one_minus_power_product_rejects_exponents_below_one(vs, start):
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        one_minus_power_product(vs, start)
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        one_minus_power_product_by_mul(vs, start)
+
+
+def test_poly_from_factors_forms_no_polynomial_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("IntPolynomial.__mul__ called")
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", refuse)
+    assert poly_from_factors(1, [10], [5]) == IntPolynomial.from_exponents([1, 6])

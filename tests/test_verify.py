@@ -45,7 +45,7 @@ from coxsums.verify import (
 )
 from coxsums.mpoly import MPoly
 from coxsums.todd import _scaled_todd_pass, _todd_tables, gamma_series, p_factor, todd_values
-from oracles import alternating_sum, check_t_examples
+from oracles import alternating_sum, cancelled_by_counter, check_t_examples
 
 
 def corrupt(ps, **changes):
@@ -182,11 +182,98 @@ class TestExpsum:
             "- q^38 + q^39 + q^44 but q*prod(V+) = q - q^21 - q^25 + q^45"
         )
 
+    def test_fails_with_non_integer_entry_after_cancellation(self):
+        ps = parameters(parse_type("E8"))
+        bad = corrupt(ps, V_plus=(F(7, 2), F(24)))
+        report = check_expsum(parse_type("E8"), params=bad)
+        assert not report.passed
+        assert report.witness == (
+            "non-integer factor exponents after cancellation: "
+            "V+=[Fraction(7, 2), Fraction(24, 1)], V-=[Fraction(6, 1), Fraction(10, 1)]"
+        )
+
+    def test_witness_lists_what_is_left_of_repeated_entries(self):
+        ps = parameters(parse_type("E8"))
+        report = check_expsum(
+            parse_type("E8"), params=corrupt(ps, V_plus=(F(5, 2),) * 2, V_minus=(F(5, 2), F(3)))
+        )
+        assert report.witness == (
+            "non-integer factor exponents after cancellation: "
+            "V+=[Fraction(5, 2)], V-=[Fraction(3, 1)]"
+        )
+        # A nonpositive entry takes the same branch.
+        bad = corrupt(ps, V_plus=(F(2), F(2), F(9, 2)), V_minus=(F(2), F(-1), F(2)))
+        assert check_expsum(parse_type("E8"), params=bad).witness == (
+            "non-integer factor exponents after cancellation: "
+            "V+=[Fraction(9, 2)], V-=[Fraction(-1, 1)]"
+        )
+
+    def test_forms_no_polynomial_product(self, monkeypatch):
+        from coxsums import IntPolynomial
+        from coxsums.catalog import applicable_profiles
+
+        def refuse(self, other):
+            raise AssertionError("IntPolynomial.__mul__ called")
+
+        monkeypatch.setattr(IntPolynomial, "__mul__", refuse)
+        for t in catalog(12, 30):
+            for prof in applicable_profiles(t):
+                report = check_expsum(t, prof)
+                assert report.passed, (t.name, prof, report.witness)
+
     def test_cost_does_not_grow_with_the_coxeter_number(self):
         start = time.perf_counter()
         report = check_expsum(CoxeterType("I2", 2 * 10**6))
         assert time.perf_counter() - start < 1
         assert report.passed, report.witness
+
+
+def _same_multisets(got, want):
+    return [sorted(side) for side in got] == [sorted(side) for side in want]
+
+
+class TestCancelled:
+    def test_matches_counter_arithmetic_over_the_catalog(self):
+        from coxsums.catalog import applicable_profiles
+
+        for t in catalog(12, 30):
+            for prof in applicable_profiles(t):
+                ps = parameters(t, prof)
+                got = verify_module._cancelled(ps)
+                assert _same_multisets(got, cancelled_by_counter(ps)), (t.name, prof)
+
+    @pytest.mark.parametrize("label", ["A1", "A3", "C4", "G2", "H2", "H3", "I2(7)", "I2(8)"])
+    def test_beta_equal_to_alpha(self, label):
+        t = parse_type(label)
+        ps = parameters(t, beta=parameters(t).alpha)
+        got = verify_module._cancelled(ps)
+        assert _same_multisets(got, cancelled_by_counter(ps))
+        assert check_expsum(t, params=ps).passed
+
+    @pytest.mark.parametrize(
+        "plus, minus",
+        [
+            ((2, 2, 2), (2, 2, 3)),
+            ((2, 2), (2, 2)),
+            ((3, 5, 3, 5), (5, 3, 7)),
+            ((F(7, 2), F(7, 2), 4), (F(7, 2), 4, 4)),
+            ((), (1, 1)),
+            ((9,), ()),
+        ],
+    )
+    def test_repeated_entries(self, plus, minus):
+        ps = corrupt(
+            parameters(parse_type("E8")),
+            V_plus=tuple(map(F, plus)),
+            V_minus=tuple(map(F, minus)),
+        )
+        assert _same_multisets(verify_module._cancelled(ps), cancelled_by_counter(ps))
+
+    def test_leaves_the_parameter_set_unchanged(self):
+        ps = parameters(parse_type("I2(7)"), "redefined")
+        before = (ps.V_plus, ps.V_minus)
+        verify_module._cancelled(ps)
+        assert (ps.V_plus, ps.V_minus) == before
 
 
 class TestMultisetLaws:
