@@ -17,7 +17,6 @@ from .catalog import (
     dual_partition,
     exponents,
     gamma_invariant,
-    normalize,
     parameters,
     parse_type,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "gamma_series",
     "heightsum_closed",
     "heightsum_direct",
-    "normalize",
     "p_factor",
     "parameters",
     "parse_type",

@@ -3,7 +3,9 @@
 Covers type parsing, canonical labels, exponents, dual partitions and
 the parameter sets (r, h, gamma, d, nu, alpha, beta, A, B, V+, V-) that
 drive every computation downstream.  No root-system geometry lives
-here: roots and reflection groups are never constructed.
+here: roots and reflection groups are never constructed.  A type is
+canonical once it is built: ``CoxeterType`` stores B_n as C_n and
+I2(3..6) as A2, C2, H2, G2, the form every function below reads.
 
 Parameter profiles
 ------------------
@@ -38,6 +40,7 @@ function below reads that row rather than a branch of its own.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -53,6 +56,13 @@ _FAMILIES = ("A", "B", "C", "D", "E", "F", "G", "H", "I2")
 # The lowest index of each infinite family; the exceptional types are the
 # keys of _EXCEPTIONAL.
 _MIN_INDEX = {"A": 1, "B": 2, "C": 2, "D": 4, "I2": 3}
+
+# The named type each small dihedral label is stored as (B_n is stored as C_n).
+_ALIASES = {("I2", 3): ("A", 2), ("I2", 4): ("C", 2), ("I2", 5): ("H", 2), ("I2", 6): ("G", 2)}
+
+# The most digits a label's index may have: Python's default int-string limit,
+# or the interpreter's own limit where that is lower.
+_MAX_INDEX_DIGITS = 4300
 
 
 class _Row(NamedTuple):
@@ -82,13 +92,15 @@ _EXCEPTIONAL = {
 
 @dataclass(frozen=True)
 class CoxeterType:
-    """An irreducible type tag: family plus rank (or m for I2)."""
+    """An irreducible type tag, canonical once built: family plus rank (or m for I2)."""
 
     family: str
     index: int
 
     def __post_init__(self):
         f, n = self.family, self.index
+        if type(n) is not int:
+            raise TypeError(f"type index must be an int, not {type(n).__name__}")
         if f not in _FAMILIES:
             raise RangeError(f"unknown family {f!r}")
         lowest = _MIN_INDEX.get(f)
@@ -96,6 +108,9 @@ class CoxeterType:
         if not ok:
             label = f"I2({n})" if f == "I2" else f"{f}{n}"
             raise RangeError(f"{label} is outside the classification")
+        f, n = _ALIASES.get((f, n), ("C" if f == "B" else f, n))
+        object.__setattr__(self, "family", f)
+        object.__setattr__(self, "index", n)
 
     @property
     def rank(self) -> int:
@@ -106,7 +121,7 @@ class CoxeterType:
         f, n = self.family, self.index
         if f == "A":
             return n + 1
-        if f in ("B", "C"):
+        if f == "C":
             return 2 * n
         if f == "D":
             return 2 * n - 2
@@ -116,7 +131,7 @@ class CoxeterType:
 
     @property
     def is_crystallographic(self) -> bool:
-        return normalize(self).family not in ("H", "I2")
+        return self.family not in ("H", "I2")
 
     @property
     def name(self) -> str:
@@ -132,17 +147,23 @@ class CoxeterType:
 
 _SIMPLE_RE = re.compile(r"^([A-Za-z])\s*(\d+)$")
 _I2_RE = re.compile(r"^[Ii]\s*2\s*\(\s*(\d+)\s*\)$")
+_DIGITS_RE = re.compile(r"\d+")
 
 
 def parse_type(text: str) -> CoxeterType:
     """Parse a type label such as 'E8', 'b3', 'C5/B5' or 'I2(7)'."""
     s = text.strip()
+    # Refused before int() reads it, and named by length, not echoed.
+    limit = min(_MAX_INDEX_DIGITS, sys.get_int_max_str_digits() or _MAX_INDEX_DIGITS)
+    digits = max(map(len, _DIGITS_RE.findall(s)), default=0)
+    if digits > limit:
+        raise ParseError(f"type index has {digits} digits; the limit is {limit}")
     if "/" in s:
         # Joint labels like C5/B5 round-trip when both halves agree.
         halves = s.split("/")
         if len(halves) == 2:
             try:
-                left, right = (normalize(parse_type(h)) for h in halves)
+                left, right = map(parse_type, halves)
             except ParseError:
                 raise ParseError(f"cannot parse type {text!r}") from None
             if left == right:
@@ -158,17 +179,6 @@ def parse_type(text: str) -> CoxeterType:
             raise ParseError(f"cannot parse type {text!r}")
         return CoxeterType(family, int(m.group(2)))
     raise ParseError(f"cannot parse type {text!r}")
-
-
-def normalize(t: CoxeterType) -> CoxeterType:
-    """Canonical representative: B -> C/B, small I2(m) -> rank-2 aliases."""
-    if t.family == "B":
-        return CoxeterType("C", t.index)
-    if t.family == "I2":
-        alias = {3: ("A", 2), 4: ("C", 2), 5: ("H", 2), 6: ("G", 2)}.get(t.index)
-        if alias:
-            return CoxeterType(*alias)
-    return t
 
 
 @dataclass(frozen=True)
@@ -195,7 +205,6 @@ class ExponentList:
 
 def exponents(t: CoxeterType) -> ExponentList:
     """The sorted exponent list of an irreducible type."""
-    t = normalize(t)
     f, n = t.family, t.index
     if f == "A":
         vals = tuple(range(1, n + 1))
@@ -237,7 +246,6 @@ def dual_partition(e: ExponentList) -> DualPartition:
 
 def gamma_invariant(t: CoxeterType) -> int:
     """The table constant gamma (equals h**2 for the simply-laced types)."""
-    t = normalize(t)
     f, n = t.family, t.index
     if f == "A":
         return (n + 1) ** 2
@@ -305,7 +313,7 @@ def _twice_d_nu(t: CoxeterType, concrete: str) -> tuple[int, int]:
 
 
 def _second_exponent(t: CoxeterType) -> int:
-    """m_2 of a normalized type of rank >= 2, in O(1): no exponent list is built."""
+    """m_2 of a type of rank >= 2, in O(1): no exponent list is built."""
     f = t.family
     if f == "A":
         return 2
@@ -340,7 +348,6 @@ def parameters(
     Every entry is formed doubled, as an integer (2d, 2alpha, 2V+, 2V-),
     and halved into a ``Fraction`` once; r, h, gamma and nu stay ints.
     """
-    t = normalize(t)
     concrete = _profile_for(t, profile)
     r = t.rank
     h = t.coxeter_number
@@ -393,7 +400,6 @@ def parameters(
 def profile_parameters(t: CoxeterType) -> tuple[tuple[str, ParameterSet], ...]:
     """(profile, parameter set) for each profile that yields one for t,
     deduplicated by value; each concrete profile is built once."""
-    t = normalize(t)
     out: list[tuple[str, ParameterSet]] = []
     built: set[str] = set()
     for prof in ("standard", "redefined"):
@@ -419,7 +425,7 @@ def catalog(max_rank: int, max_m: int) -> list[CoxeterType]:
     """Every type with rank <= max_rank plus I2(m) for m <= max_m.
 
     Deterministic order: A, C, D, the exceptional types in _EXCEPTIONAL
-    order (E, F4, G2, H), then I2; normalized with duplicates removed.
+    order (E, F4, G2, H), then I2; each type once, at its first place.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
@@ -431,4 +437,4 @@ def catalog(max_rank: int, max_m: int) -> list[CoxeterType]:
     raw.extend(CoxeterType("D", n) for n in range(4, max_rank + 1))
     raw.extend(CoxeterType(*key) for key in _EXCEPTIONAL if key[1] <= max_rank)
     raw.extend(CoxeterType("I2", m) for m in range(3, max_m + 1))
-    return list(dict.fromkeys(normalize(t) for t in raw))
+    return list(dict.fromkeys(raw))

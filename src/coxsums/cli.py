@@ -30,7 +30,6 @@ from .catalog import (
     catalog,
     dual_partition,
     exponents,
-    normalize,
     parameters,
     parse_type,
 )
@@ -321,7 +320,7 @@ def _print_row(args, row: dict) -> int:
 
 
 def _cmd_info(args) -> int:
-    t = normalize(parse_type(args.type))
+    t = parse_type(args.type)
     _check_dual_partition_size(t)
     ps = parameters(t, args.profile, _parse_beta(args.beta))
     row = {
@@ -336,7 +335,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_exponents(args) -> int:
-    t = normalize(parse_type(args.type))
+    t = parse_type(args.type)
     _check_dual_partition_size(t)
     exps = exponents(t)
     row = {"type": t.name, "r": exps.rank, "h": exps.coxeter_number, **_exponent_cells(exps)}
@@ -359,7 +358,7 @@ def _compare_routes(args, t, columns, routes, cells) -> int:
 
 
 def _cmd_powersum(args) -> int:
-    t, n = normalize(parse_type(args.type)), args.n
+    t, n = parse_type(args.type), args.n
     if n < 0:
         raise CoxError("n must be >= 0")
     if args.p < 1:
@@ -387,7 +386,7 @@ def _cmd_powersum(args) -> int:
 
 
 def _cmd_heights(args) -> int:
-    t, n = normalize(parse_type(args.type)), args.n
+    t, n = parse_type(args.type), args.n
     if n < 0:
         raise CoxError("n must be >= 0")
     if n > _MAX_TODD_N:
@@ -409,7 +408,7 @@ def _cmd_heights(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.types:
-        types = [normalize(parse_type(s)) for s in args.types.split(",")]
+        types = [parse_type(s) for s in args.types.split(",")]
     elif args.all:
         _check_catalog_size(args.max_rank, args.max_m)
         types = catalog(args.max_rank, args.max_m)

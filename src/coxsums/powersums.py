@@ -31,7 +31,6 @@ from .catalog import (
     ParameterSet,
     dual_partition,
     exponents,
-    normalize,
     parameters,
 )
 from .errors import InternalMismatch
@@ -77,7 +76,7 @@ def powersum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     if n < 0:
         raise ValueError("n must be >= 0")
     value = Fraction(sum(m**n for m in exponents(t).values))
-    return PowerSumResult(normalize(t), n, value, "direct")
+    return PowerSumResult(t, n, value, "direct")
 
 
 def _todd_sums(
@@ -116,7 +115,7 @@ def powersum_todd(
     """sum(m_i**n) as n! * r * Td_n of the gamma series: the pass of
     powersum_todd_upto, with only S_n formed."""
     (value,) = _todd_sums(t, n, p, params, (n,))
-    return PowerSumResult(normalize(t), n, value, "todd")
+    return PowerSumResult(t, n, value, "todd")
 
 
 def closed_power_sums(params: ParameterSet, n: int) -> list[int]:
@@ -163,7 +162,7 @@ def powersum_closed(
 ) -> PowerSumResult:
     """sum(m_i**n) by the closed route, from (h, r, alpha, beta)."""
     value = Fraction(closed_power_sums(_params(t, params), n)[n])
-    return PowerSumResult(normalize(t), n, value, "closed")
+    return PowerSumResult(t, n, value, "closed")
 
 
 def dual_heightsum(dual: DualPartition, n: int) -> int:
@@ -177,7 +176,7 @@ def heightsum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     if n < 0:
         raise ValueError("n must be >= 0")
     value = Fraction(dual_heightsum(dual_partition(exponents(t)), n))
-    return PowerSumResult(normalize(t), n, value, "direct")
+    return PowerSumResult(t, n, value, "direct")
 
 
 def heightsum_closed(
@@ -187,4 +186,4 @@ def heightsum_closed(
     if n < 0:
         raise ValueError("n must be >= 0")
     value = _todd.faulhaber_sum(n, closed_power_sums(_params(t, params), n + 1))
-    return PowerSumResult(normalize(t), n, value, "closed")
+    return PowerSumResult(t, n, value, "closed")

@@ -47,7 +47,6 @@ from .catalog import (
     catalog,
     dual_partition,
     exponents,
-    normalize,
     parameters,
     profile_parameters,
 )
@@ -70,9 +69,8 @@ def _report(suite: str, subject: str, failures: list[str]) -> CheckReport:
     return CheckReport(suite, subject, True)
 
 
-def _subject(t: CoxeterType, profile: str | None = None) -> str:
-    name = normalize(t).name
-    return f"{name} [{profile}]" if profile else name
+def _profile_subject(t: CoxeterType, profile: str | None) -> str:
+    return f"{t.name} [{profile}]" if profile else t.name
 
 
 def _resolve(
@@ -138,7 +136,7 @@ def check_expsum(
         right = one_minus_power_product([v.numerator for v in plus], IntPolynomial.monomial(1))
         if left != right:
             failures.append(f"sum(q**m_i)*prod(V-) = {left} but q*prod(V+) = {right}")
-    return _report("expsum", _subject(t, profile), failures)
+    return _report("expsum", _profile_subject(t, profile), failures)
 
 
 def check_multiset_laws(
@@ -159,7 +157,7 @@ def check_multiset_laws(
         failures.append(f"prod(V+) = {prod_plus} but r*prod(V-) = {ps.r * prod_minus}")
     if len(ps.V_plus) != len(ps.V_minus):
         failures.append(f"|V+| = {len(ps.V_plus)} but |V-| = {len(ps.V_minus)}")
-    return _report("multiset", _subject(t, profile), failures)
+    return _report("multiset", _profile_subject(t, profile), failures)
 
 
 def check_gamma_formula(
@@ -177,7 +175,7 @@ def check_gamma_formula(
     failures = []
     if ps.gamma != expected:
         failures.append(f"gamma = {ps.gamma} but formula gives {expected}")
-    return _report("gamma", _subject(t, profile), failures)
+    return _report("gamma", _profile_subject(t, profile), failures)
 
 
 def check_h_relation(
@@ -191,7 +189,7 @@ def check_h_relation(
     failures = []
     if ps.h != expected:
         failures.append(f"h = {ps.h} but (d/2)(r+2+nu) = {expected}")
-    return _report("h-relation", _subject(t, profile), failures)
+    return _report("h-relation", _profile_subject(t, profile), failures)
 
 
 def check_beta_formula(
@@ -208,13 +206,13 @@ def check_beta_formula(
     denom = 2 + (ps.r - 1) * ps.alpha - ps.h
     if denom == 0:
         return CheckReport(
-            "beta", _subject(t, profile), True, "beta unconstrained (denominator zero)"
+            "beta", _profile_subject(t, profile), True, "beta unconstrained (denominator zero)"
         )
     expected = (ps.h * ps.h - ps.gamma + (ps.h - 2) * (ps.alpha - 1)) / denom
     failures = []
     if ps.beta != expected:
         failures.append(f"beta = {ps.beta} but formula gives {expected}")
-    return _report("beta", _subject(t, profile), failures)
+    return _report("beta", _profile_subject(t, profile), failures)
 
 
 def _signed_binomials(x: int) -> list[int]:
@@ -253,7 +251,7 @@ def check_symmetry_identities(
             rhs = sum(map(mul, rows[b], tail))
             if lhs != rhs:
                 failures.append(f"(a={a}, b={b}): {lhs} != {rhs}")
-    return _report("symmetry", _subject(t), failures)
+    return _report("symmetry", t.name, failures)
 
 
 # -- Todd symmetry: an exact identity, and todd_fn at seeded points -------
@@ -354,9 +352,8 @@ def check_de_kostant(
     """For types D and E: with a = 2d, b = h+2-2d, the multisets satisfy
     V- = {a/2, b/2}, V+ = {b, r*a/4}, h = d*r - 4d + 6 and
     d*(h - 2r - 6d + 26) = 24."""
-    tn = normalize(t)
-    if tn.family not in ("D", "E"):
-        raise WrongFamily(f"{tn.name} is not of type D or E")
+    if t.family not in ("D", "E"):
+        raise WrongFamily(f"{t.name} is not of type D or E")
     ps = _resolve(t, None, params)
     a = 2 * ps.d
     b = ps.h + 2 - 2 * ps.d
@@ -372,7 +369,7 @@ def check_de_kostant(
     product = ps.d * (ps.h - 2 * ps.r - 6 * ps.d + 26)
     if product != 24:
         failures.append(f"d*(h-2r-6d+26) = {product}, expected 24")
-    return _report("kostant", _subject(t), failures)
+    return _report("kostant", t.name, failures)
 
 
 # -- the T transformation --------------------------------------------------
@@ -509,23 +506,22 @@ def check_gamma_specializations(
     gamma_n = (2r)**n - 2*sum((2r)**j, j<=n-2); at p=2:
     gamma_n = -2*sum(Catalan(j-1)*(2r)**(n-2j), 2j<=n) with Catalan(-1) = -1/2.
     """
-    tn = normalize(t)
-    if tn.family not in ("A", "C"):
-        raise WrongFamily(f"{tn.name} is not of type A or C")
+    if t.family not in ("A", "C"):
+        raise WrongFamily(f"{t.name} is not of type A or C")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     ps = _resolve(t, None, params)
-    ps_values = (1,) if tn.family == "A" else (1, 2)
+    ps_values = (1,) if t.family == "A" else (1, 2)
     numerators = {p: _todd._gamma_numerators(ps, p, n_max) for p in ps_values}
     failures, scale = [], 1  # gamma_n = y[n] / scale, scale = n! u**n with one u for every p
-    for p, n, want in _gamma_specializations(tn.family, ps.r, n_max):
+    for p, n, want in _gamma_specializations(t.family, ps.r, n_max):
         y, u = numerators[p]
         if p == 1:  # the first check at each n
             scale *= n * u
         if y[n] != want * scale:
             failures.append(f"p={p}, n={n}: gamma_n = {Fraction(y[n], scale)}, formula {want}")
             break
-    return _report("specializations", _subject(t), failures)
+    return _report("specializations", t.name, failures)
 
 
 def check_gamma34(
@@ -553,7 +549,7 @@ def check_gamma34(
         failures.append(f"gamma_3 = {series[3]} but formula gives {gamma3}")
     if series[4] != gamma4:
         failures.append(f"gamma_4 = {series[4]} but formula gives {gamma4}")
-    return _report("gamma34", f"{_subject(t)} (p={p})", failures)
+    return _report("gamma34", f"{t.name} (p={p})", failures)
 
 
 # -- cross-method power sums ------------------------------------------------
@@ -597,17 +593,16 @@ def check_methods(
         hclosed = _todd.faulhaber_sum(n, closed)
         if hclosed != heights[n]:
             failures.append(f"heights n={n}: closed {hclosed} != direct {heights[n]}")
-    tn = normalize(t)
-    if not failures and tn.family in ("A", "D", "E"):
+    if not failures and t.family in ("A", "D", "E"):
         # Simply-laced: gamma = h**2 forces the classical height-sum form.
-        h, r = tn.coxeter_number, tn.rank
+        h, r = t.coxeter_number, t.rank
         if resolved.gamma != h * h:
             failures.append(f"gamma = {resolved.gamma} != h**2 = {h * h}")
         else:
             want = Fraction(r * (h * h + h), 6)
             if heights[1] != want:
                 failures.append(f"height sum {heights[1]} != r(h**2+h)/6 = {want}")
-    return _report("methods", _subject(t), failures)
+    return _report("methods", t.name, failures)
 
 
 def check_s4_nonuniversality() -> CheckReport:
@@ -662,7 +657,7 @@ class _Sweep:
 
 def _per_profile(sweep: _Sweep, check: Callable[..., CheckReport]) -> list[Spec]:
     return [
-        (_subject(t, prof), partial(check, t, prof, ps))
+        (_profile_subject(t, prof), partial(check, t, prof, ps))
         for t in sweep.types
         for prof, ps in sweep.profiles(t)
     ]
@@ -678,9 +673,9 @@ def _specialization_specs(sweep: _Sweep) -> list[Spec]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return [
-        (_subject(t), partial(check_gamma_specializations, t, n_max, params=sweep.default(t)))
+        (t.name, partial(check_gamma_specializations, t, n_max, params=sweep.default(t)))
         for t in sweep.types
-        if normalize(t).family in ("A", "C")
+        if t.family in ("A", "C")
     ]
 
 
@@ -689,7 +684,7 @@ def _methods_specs(sweep: _Sweep) -> list[Spec]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     specs = [
-        (_subject(t), partial(check_methods, t, n_max, params=sweep.default(t)))
+        (t.name, partial(check_methods, t, n_max, params=sweep.default(t)))
         for t in sweep.types
     ]
     return specs + [("A9 vs D6 (S4 not universal in h, gamma)", check_s4_nonuniversality)]
@@ -705,7 +700,7 @@ _SUITES: dict[str, Callable[[_Sweep], list[Spec]]] = {
     "h-relation": lambda sweep: _per_profile(sweep, check_h_relation),
     "beta": lambda sweep: _per_profile(sweep, check_beta_formula),
     "symmetry": lambda sweep: [
-        (_subject(t), partial(check_symmetry_identities, t, 4, 4)) for t in sweep.types
+        (t.name, partial(check_symmetry_identities, t, 4, 4)) for t in sweep.types
     ],
     "todd-symm": lambda sweep: [
         (f"(a={a}, b={total - a})", partial(check_todd_symmetry, a, total - a, 50, sweep.seed))
@@ -713,14 +708,14 @@ _SUITES: dict[str, Callable[[_Sweep], list[Spec]]] = {
         for a in range(total + 1)
     ],
     "kostant": lambda sweep: [
-        (_subject(t), partial(check_de_kostant, t, params=sweep.default(t)))
+        (t.name, partial(check_de_kostant, t, params=sweep.default(t)))
         for t in sweep.types
         if t.family in ("D", "E")
     ],
     "t-transform": _t_transform_specs,
     "specializations": _specialization_specs,
     "gamma34": lambda sweep: [
-        (f"{_subject(t)} (p={p})", partial(check_gamma34, t, p, params=sweep.default(t)))
+        (f"{t.name} (p={p})", partial(check_gamma34, t, p, params=sweep.default(t)))
         for t in sweep.types
         for p in (1, 2)
     ],

@@ -14,7 +14,6 @@ from coxsums import (
     catalog,
     dual_partition,
     exponents,
-    normalize,
     parameters,
     parse_type,
 )
@@ -39,7 +38,7 @@ class TestParse:
             ("I2(7)", "I2", 7),
             ("i2(7)", "I2", 7),
             ("A1", "A", 1),
-            ("b3", "B", 3),
+            ("b3", "C", 3),
             ("H4", "H", 4),
             (" F4 ", "F", 4),
         ],
@@ -68,6 +67,7 @@ class TestParse:
             ("I2", 2, "I2(2)"),
             ("D", 3, "D3"),
             ("A", 0, "A0"),
+            ("B", 1, "B1"),
         ],
     )
     def test_range_error_names_the_type(self, family, index, label):
@@ -78,7 +78,7 @@ class TestParse:
 
 class TestNormalize:
     def test_b_to_c(self):
-        t = normalize(parse_type("B5"))
+        t = parse_type("B5")
         assert (t.family, t.index) == ("C", 5)
         assert t.name == "C5/B5"
 
@@ -94,7 +94,50 @@ class TestNormalize:
         ],
     )
     def test_aliases(self, text, name):
-        assert normalize(parse_type(text)).name == name
+        assert parse_type(text).name == name
+
+
+_ALIASED = [(f"B{n}", ("B", n), ("C", n)) for n in range(2, 13)] + [
+    ("I2(3)", ("I2", 3), ("A", 2)),
+    ("I2(4)", ("I2", 4), ("C", 2)),
+    ("I2(5)", ("I2", 5), ("H", 2)),
+    ("I2(6)", ("I2", 6), ("G", 2)),
+]
+
+
+class TestCanonicalForm:
+    """A type is canonical once built: the raw label and its canonical type
+    are one value, with one hash."""
+
+    @pytest.mark.parametrize("label, raw, canonical", _ALIASED, ids=[a[0] for a in _ALIASED])
+    def test_raw_equals_canonical(self, label, raw, canonical):
+        t, want = CoxeterType(*raw), CoxeterType(*canonical)
+        assert t == want and hash(t) == hash(want)
+        assert (t.family, t.index) == canonical
+        assert parse_type(label) == want and hash(parse_type(label)) == hash(want)
+
+    @pytest.mark.parametrize("max_rank", [1, 12])
+    def test_catalog_holds_canonical_types_only(self, max_rank):
+        types = catalog(max_rank, 30)
+        assert not [t for t in types if t.family == "B"]
+        assert not [t for t in types if t.family == "I2" and t.index <= 6]
+
+
+class TestIndexType:
+    @pytest.mark.parametrize(
+        "family, index, kind",
+        [
+            ("A", True, "bool"),
+            ("A", False, "bool"),
+            ("E", 8.0, "float"),
+            ("A", 2.5, "float"),
+            ("A", F(3), "Fraction"),
+        ],
+    )
+    def test_non_int_index_is_refused(self, family, index, kind):
+        with pytest.raises(TypeError) as info:
+            CoxeterType(family, index)
+        assert str(info.value) == f"type index must be an int, not {kind}"
 
 
 class TestExponents:
@@ -354,7 +397,6 @@ def _oracle_remove_one(values, x):
 def fraction_parameters(t, profile=None, beta=None):
     """parameters() computed on Fractions throughout, from the undoubled
     multisets V- = {d, 2d-2+nu}, V+ = {4d-4+d*nu, h-d-(d-1)*nu}."""
-    t = normalize(t)
     concrete = _profile_for(t, profile)
     r = t.rank
     h = t.coxeter_number
@@ -555,13 +597,13 @@ def test_coxeter_numbers():
 
 def test_crystallographic_flag():
     assert parse_type("E8").is_crystallographic
-    assert normalize(parse_type("I2(6)")).is_crystallographic
+    assert parse_type("I2(6)").is_crystallographic
     assert not parse_type("H3").is_crystallographic
     assert not parse_type("I2(7)").is_crystallographic
 
 
 @pytest.mark.parametrize("m", range(3, 31))
 def test_dihedral_crystallographic_flag(m):
-    """I2(m) is crystallographic exactly for m = 3, 4, 6, aliased or not."""
-    t = CoxeterType("I2", m)
-    assert t.is_crystallographic == normalize(t).is_crystallographic == (m in (3, 4, 6))
+    """I2(m) is crystallographic exactly for m = 3, 4, 6, built or parsed."""
+    built, parsed = CoxeterType("I2", m), parse_type(f"I2({m})")
+    assert built.is_crystallographic == parsed.is_crystallographic == (m in (3, 4, 6))

@@ -1068,6 +1068,54 @@ class TestVerify:
         assert code == 0 and "all checks passed" in out
 
 
+class TestOverLongIndex:
+    """A label whose index has more digits than int() converts by default is
+    refused by parse_type with its digit count; the digits are not echoed."""
+
+    NINES = "9" * 5000
+    ERROR = "error: type index has 5000 digits; the limit is 4300\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("info", "A{}"),
+            ("exponents", "E{}"),
+            ("powersum", "I2({})", "-n", "2", "--method", "closed"),
+            ("heights", "D{}", "-n", "2"),
+            ("info", "C{}/B{}"),
+            ("info", "A{}/C3"),
+            ("table", "--types", "A3,B{}"),
+        ],
+        ids=["info", "exponents", "powersum-closed", "heights", "joint", "joint-half", "table"],
+    )
+    def test_refused_with_digit_count(self, capsys, argv):
+        code, out, err = run(capsys, *(arg.replace("{}", self.NINES) for arg in argv))
+        assert code == 2 and not out
+        assert err == self.ERROR
+
+    @pytest.mark.parametrize("limit, shown", [(1000, 1000), (0, 4300), (5000, 4300)])
+    def test_interpreter_limit_caps_the_index(self, capsys, limit, shown):
+        """A lower int-string limit (PYTHONINTMAXSTRDIGITS) lowers the refusal;
+        none or a higher one leaves it at 4300."""
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run(capsys, "info", "A" + "9" * 4301)
+            low = run(capsys, "info", "A" + "9" * 1001)
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert code == 2 and not out
+        assert err == f"error: type index has 4301 digits; the limit is {shown}\n"
+        refused = f"error: type index has 1001 digits; the limit is {shown}\n"
+        assert (low[2] == refused) == (shown == 1000)
+
+    def test_index_at_the_limit_reaches_the_size_bounds(self, capsys):
+        label = f"I2({'9' * 4300})"
+        code, out, err = run(capsys, "powersum", label, "-n", "2", "--method", "closed")
+        assert code == 2 and not out
+        assert err.startswith("error: the closed method needs n * b <= 10000")
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2

@@ -264,6 +264,46 @@ GOLDEN = [
         'info H5', 2, 'error: H5 is outside the classification\n',
         EMPTY,
     ),
+    (
+        'info B3 --format json', 0, '',
+        'c0c5cb2d4a7e8a7e923964db60862d2a5051df754013a063e069fefa67b9d0fe',
+    ),
+    (
+        'info B3/C3', 0, '',
+        '51620693aa7045da7c3f211f957669ca5c2825390a2d45c84ead9eb8b325ab44',
+    ),
+    (
+        'exponents I2(3)', 0, '',
+        'd5d4621cfcad0ae13f959c60e32a3e675da887a68b14b6776101d896767bd261',
+    ),
+    (
+        'info I2(4) --profile redefined', 0, '',
+        'bbdf34adf001b8a5a9f529c52d9e79c2c8a8ed61bbeb5bdc98ae42ec265a477b',
+    ),
+    (
+        'powersum I2(5) -n 4 --method all', 0, '',
+        'c5f7471c27cc38e47717e85ce9f585f3866f6ed3419aa37de852e519308029ed',
+    ),
+    (
+        'heights I2(6) -n 3 --format csv', 0, '',
+        '7eefbffdf39ae0b1016407605af3fa5d5625c84af2a2e6bbf47fcc836b41f437',
+    ),
+    (
+        'table --types B3,I2(3),I2(4),I2(5),I2(6) --format latex', 0, '',
+        '3b4d2b2fd1c777a591f1fbf115e4e9ba8708fe1cd8fa614b3fc9e833edd58f52',
+    ),
+    (
+        'info B1', 2, 'error: B1 is outside the classification\n',
+        EMPTY,
+    ),
+    (
+        'info I2(2)', 2, 'error: I2(2) is outside the classification\n',
+        EMPTY,
+    ),
+    (
+        'info B3/D3', 2, 'error: D3 is outside the classification\n',
+        EMPTY,
+    ),
 ]
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxsums import (
+    CoxeterType,
     catalog,
     dual_partition,
     exponents,
@@ -191,6 +192,24 @@ def test_power_and_height_sums_match_brute_force_int_sums():
             heights = sum(j**n for m in exps for j in range(1, m + 1))
             assert heightsum_direct(t, n).value == heights, (t.name, n)
             assert faulhaber_sum(n, sums[: n + 2]) == heights, (t.name, n)
+
+
+@pytest.mark.parametrize(
+    "raw, name", [(("B", 3), "C3/B3"), (("I2", 4), "C2/B2"), (("I2", 5), "H2"), (("I2", 6), "G2")]
+)
+def test_result_type_is_canonical(raw, name):
+    """Every route's PowerSumResult carries the canonical type of its input."""
+    t = CoxeterType(*raw)
+    results = [
+        powersum_direct(t, 3),
+        powersum_todd(t, 3),
+        powersum_closed(t, 3),
+        heightsum_direct(t, 2),
+        heightsum_closed(t, 2),
+    ]
+    for res in results:
+        assert res.type == parse_type(name) and res.type.name == name
+        assert (res.type.family, res.type.index) != raw
 
 
 class TestExponentPowerSums:
