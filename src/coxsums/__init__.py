@@ -22,7 +22,6 @@ from .catalog import (
 )
 from .errors import (
     ConstantTermNotOne,
-    ConstraintViolated,
     CoxError,
     InternalMismatch,
     NonzeroConstantTerm,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CheckReport",
     "ConstantTermNotOne",
-    "ConstraintViolated",
     "CoxError",
     "CoxeterType",
     "DualPartition",

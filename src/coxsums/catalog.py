@@ -64,6 +64,10 @@ _ALIASES = {("I2", 3): ("A", 2), ("I2", 4): ("C", 2), ("I2", 5): ("H", 2), ("I2"
 # or the interpreter's own limit where that is lower.
 _MAX_INDEX_DIGITS = 4300
 
+# An error message writes a number of more than this many digits, a type's
+# index among them, by its digit count.
+_MAX_ECHO_DIGITS = 20
+
 
 class _Row(NamedTuple):
     """The table entries of one exceptional type."""
@@ -106,7 +110,7 @@ class CoxeterType:
         lowest = _MIN_INDEX.get(f)
         ok = (f, n) in _EXCEPTIONAL if lowest is None else n >= lowest
         if not ok:
-            label = f"I2({n})" if f == "I2" else f"{f}{n}"
+            label = f"I2({brief(n)})" if f == "I2" else f"{f}{brief(n)}"
             raise RangeError(f"{label} is outside the classification")
         f, n = _ALIASES.get((f, n), ("C" if f == "B" else f, n))
         object.__setattr__(self, "family", f)
@@ -148,6 +152,20 @@ class CoxeterType:
 _SIMPLE_RE = re.compile(r"^([A-Za-z])\s*(\d+)$")
 _I2_RE = re.compile(r"^[Ii]\s*2\s*\(\s*(\d+)\s*\)$")
 _DIGITS_RE = re.compile(r"\d+")
+
+
+def brief(value: int | CoxeterType) -> str:
+    """A number or a type as an error message writes it: a number of more than
+    _MAX_ECHO_DIGITS digits by its digit count, as <2000 digits>, and a type with
+    such an index by its family and that count, as A<2000 digits>."""
+    n = value.index if isinstance(value, CoxeterType) else value
+    if n < 10**_MAX_ECHO_DIGITS:
+        return str(value)
+    digits = (n.bit_length() - 1) * 3 // 10  # below the digit count
+    while 10**digits <= n:
+        digits += 1
+    shown = f"<{digits} digits>"
+    return value.name.replace(str(n), shown) if isinstance(value, CoxeterType) else shown
 
 
 def parse_type(text: str) -> CoxeterType:
@@ -286,7 +304,7 @@ def _profile_for(t: CoxeterType, profile: str | None) -> str:
     if profile == "standard":
         if t.family == "I2" and t.index % 2 == 1:
             raise ProfileMismatch(
-                f"{t.name} has no standard parameter row; use profile 'redefined'"
+                f"{brief(t)} has no standard parameter row; use profile 'redefined'"
             )
         return "standard"
     if profile == "redefined":
@@ -371,7 +389,7 @@ def parameters(
     arbitrary = key in _ARBITRARY_BETA
     if beta is not None:
         if not arbitrary:
-            raise ValueError(f"beta is determined for type {t.name}")
+            raise ValueError(f"beta is determined for type {brief(t)}")
         beta_val = Fraction(beta)
         if beta_val <= 0:
             raise ValueError("beta must be positive")

@@ -27,6 +27,7 @@ from fractions import Fraction
 from . import powersums as _powersums
 from .catalog import (
     PROFILES,
+    brief,
     catalog,
     dual_partition,
     exponents,
@@ -91,7 +92,7 @@ _MAX_TABLE_BITS = 20_000_000
 # --max-rank 120 --max-m 600 sums to 239571.  table (with --types too) and
 # the direct route of powersum build only the exponents, r per type, and
 # refuse more than this many in all: at the bound, table --types A4000000
-# --n-max 3 takes 1.4 s and 170 MB, and powersum A4000000 -n 2 --method
+# --n-max 3 takes 1.5 s and 170 MB, and powersum A4000000 -n 2 --method
 # direct 1.0 s and 170 MB.  The Todd and closed routes read no exponent list.
 _MAX_CATALOG_WEIGHT = 4_000_000
 
@@ -128,7 +129,7 @@ def _check_dual_partition_size(t, hint: str = "") -> None:
     counts = t.coxeter_number - 1
     if counts > _MAX_DUAL_PARTITION:
         raise CoxError(
-            f"the dual partition of {t.name} has h - 1 = {counts} counts, "
+            f"the dual partition of {brief(t)} has h - 1 = {brief(counts)} counts, "
             f"beyond the bound of {_MAX_DUAL_PARTITION}{hint}"
         )
 
@@ -155,8 +156,9 @@ def _check_catalog_size(max_rank: int, max_m: int) -> None:
     weight = _catalog_weight(max_rank, max_m)
     if weight > _MAX_CATALOG_WEIGHT:
         raise CoxError(
-            f"the catalog of --max-rank {max_rank} --max-m {max_m} sums r + h to {weight}, "
-            f"beyond the bound of {_MAX_CATALOG_WEIGHT} (use a smaller --max-rank or --max-m)"
+            f"the catalog of --max-rank {brief(max_rank)} --max-m {brief(max_m)} sums r + h to "
+            f"{brief(weight)}, beyond the bound of {_MAX_CATALOG_WEIGHT} (use a smaller "
+            "--max-rank or --max-m)"
         )
 
 
@@ -165,7 +167,8 @@ def _check_exponent_count(types, subject: str, hint: str) -> None:
     count = sum(t.rank for t in types)
     if count > _MAX_CATALOG_WEIGHT:
         raise CoxError(
-            f"{subject} reads {count} exponents, beyond the bound of {_MAX_CATALOG_WEIGHT} ({hint})"
+            f"{subject} reads {brief(count)} exponents, beyond the bound of {_MAX_CATALOG_WEIGHT} "
+            f"({hint})"
         )
 
 
@@ -423,7 +426,7 @@ def _cmd_table(args) -> int:
     )
     if bits > _MAX_TABLE_BITS:
         raise CoxError(
-            f"the table's power sums need at least {bits} bits, beyond the bound of "
+            f"the table's power sums need at least {brief(bits)} bits, beyond the bound of "
             f"{_MAX_TABLE_BITS} (use fewer types or a smaller --n-max)"
         )
     beta = _parse_beta(args.beta)

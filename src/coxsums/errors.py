@@ -33,10 +33,6 @@ class ProfileMismatch(CoxError):
     """Requested parameter profile is not defined for this type."""
 
 
-class ConstraintViolated(CoxError):
-    """Arguments violate a precondition that links them."""
-
-
 class WrongFamily(CoxError):
     """Check only applies to certain type families."""
 

@@ -60,9 +60,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return next(reversed(self._terms), -1)  # -1 for the zero polynomial
 
-    def coefficient(self, n: int) -> int:
-        return self._terms.get(n, 0)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -94,22 +91,6 @@ class IntPolynomial:
         for sign, term in parts[1:]:
             text += f" {sign} {term}"
         return text
-
-    def _combine(self, other: "IntPolynomial", sign: int) -> "IntPolynomial":
-        terms = dict(self._terms)
-        for n, c in other._terms.items():
-            terms[n] = terms.get(n, 0) + sign * c
-        return IntPolynomial._from_terms(terms)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self._combine(other, -1)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
@@ -149,19 +130,6 @@ class IntPolynomial:
                 if c:
                     rem[n] = c
         return IntPolynomial._from_terms(quot)
-
-    def exponents(self) -> list[int]:
-        """Degrees with nonzero coefficient, with multiplicity when possible.
-
-        Only meaningful for polynomials with nonnegative coefficient at
-        every degree (sums of monomials q**e).
-        """
-        out: list[int] = []
-        for n, c in self._terms.items():
-            if c < 0:
-                raise ValueError("polynomial is not a sum of monomials")
-            out.extend([n] * c)
-        return out
 
 
 def one_minus_power_product(

@@ -2,8 +2,8 @@
 
 A :class:`TruncatedSeries` stores the coefficients of ``t**0 .. t**order``
 as `Fraction`s and nothing beyond; every operation is exact and pure.
-Binary operations between two series truncate to the shorter operand, so
-the result never pretends to more precision than its inputs.
+The product of two series truncates to the shorter operand, so the
+result never pretends to more precision than its inputs.
 
 Reciprocals come from the recurrence
 b_k = -(a_1 b_{k-1} + ... + a_k b_0) / a_0, and rational powers from J.C.P.
@@ -62,10 +62,6 @@ class TruncatedSeries:
             raise ValueError("a series needs at least its constant term")
         self._coeffs = tuple(coeffs)
 
-    @classmethod
-    def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
-        return cls([value], order=order)
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
@@ -76,9 +72,6 @@ class TruncatedSeries:
 
     def __getitem__(self, n: int) -> Fraction:
         return self._coeffs[n]
-
-    def __iter__(self):
-        return iter(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -92,34 +85,9 @@ class TruncatedSeries:
         inner = ", ".join(str(c) for c in self._coeffs)
         return f"TruncatedSeries([{inner}])"
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self._coeffs[: order + 1])
-
-    # -- ring operations ------------------------------------------------
-
-    def _common_order(self, other: "TruncatedSeries") -> int:
-        return min(self.order, other.order)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self._coeffs])
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = self._common_order(other)
-        return TruncatedSeries([self[i] + other[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = self._common_order(other)
-        return TruncatedSeries([self[i] - other[i] for i in range(n + 1)])
-
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            n = self._common_order(other)
+            n = min(self.order, other.order)
             out = [Fraction(0)] * (n + 1)
             for i, a in enumerate(self._coeffs[: n + 1]):
                 if a == 0:
@@ -131,14 +99,6 @@ class TruncatedSeries:
             return TruncatedSeries(out)
         scalar = Fraction(other)
         return TruncatedSeries([scalar * c for c in self._coeffs])
-
-    def __rmul__(self, other) -> "TruncatedSeries":
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self * other.inverse()
-        return self * (1 / Fraction(other))
 
     # -- transcendental operations ---------------------------------------
 

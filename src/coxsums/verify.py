@@ -649,10 +649,10 @@ class _Sweep:
         return self._profiles[t]
 
     def default(self, t: CoxeterType) -> ParameterSet:
-        """parameters(t) from the same table: redefined, the last entry, for I2
-        types; standard, the first, for every named family, H2 included."""
-        entries = self.profiles(t)
-        return entries[-1][1] if t.family == "I2" else entries[0][1]
+        """parameters(t) from the same table: the first entry, standard for
+        every named family (H2 included) and redefined for the I2 types, each
+        of which has only that one."""
+        return self.profiles(t)[0][1]
 
 
 def _per_profile(sweep: _Sweep, check: Callable[..., CheckReport]) -> list[Spec]:

@@ -22,13 +22,17 @@ from typing import Iterable, Sequence, Union
 
 from coxsums.catalog import ParameterSet
 from coxsums.cli import _check_output_bits
-from coxsums.errors import ConstraintViolated
+from coxsums.errors import CoxError
 from coxsums.intpoly import IntPolynomial
 from coxsums.series import TruncatedSeries
 from coxsums.todd import _bernoulli_numbers, _over_scale, _quotient_numerators, p_factor
 from coxsums.verify import CheckReport, _default_t_rows, check_t_example
 
 Rational = Union[int, Fraction]
+
+
+class ConstraintViolated(CoxError):
+    """The (pi, mu) weights of p_factor_general do not sum to m1."""
 
 
 def _quotient_power(pi: Fraction, mu: Fraction, order: int) -> TruncatedSeries:
@@ -57,7 +61,7 @@ def p_factor_general(
     if weight != m1:
         raise ConstraintViolated(f"sum(pi*mu) = {weight}, expected {m1}")
     factors = [_quotient_power(pi, mu, order) for pi, mu in pairs]
-    return reduce(mul, factors or [TruncatedSeries.constant(1, order)])
+    return reduce(mul, factors or [TruncatedSeries([1], order=order)])
 
 
 def x_sequence(params: ParameterSet, n_max: int) -> list[Fraction]:

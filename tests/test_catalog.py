@@ -23,6 +23,7 @@ from coxsums.catalog import (
     DualPartition,
     ParameterSet,
     _profile_for,
+    brief,
     gamma_invariant,
     profile_parameters,
 )
@@ -138,6 +139,36 @@ class TestIndexType:
         with pytest.raises(TypeError) as info:
             CoxeterType(family, index)
         assert str(info.value) == f"type index must be an int, not {kind}"
+
+
+class TestBrief:
+    """brief writes a number of more than 20 digits, and a type with such an
+    index, by the digit count; anything shorter as str() does."""
+
+    def test_digit_count_at_every_power_of_ten(self):
+        for k in [*range(1, 100), *range(100, 4400, 89), 4300, 4301, 8600]:
+            for n in (10**k - 1, 10**k, 10**k + 1):
+                digits = k + (n >= 10**k)
+                assert brief(n) == (str(n) if digits <= 20 else f"<{digits} digits>"), k
+
+    def test_short_values_as_str(self):
+        for n in (0, 7, -5, 10**20 - 1, -(10**40)):
+            assert brief(n) == str(n)
+        for t in catalog(12, 30):
+            assert brief(t) == t.name
+        assert brief(parse_type("A" + "9" * 20)) == "A" + "9" * 20
+
+    @pytest.mark.parametrize(
+        "label, shown",
+        [
+            ("A{}", "A<21 digits>"),
+            ("B{}", "C<21 digits>/B<21 digits>"),
+            ("D{}", "D<21 digits>"),
+            ("I2({})", "I2(<21 digits>)"),
+        ],
+    )
+    def test_long_index_by_family_and_digit_count(self, label, shown):
+        assert brief(parse_type(label.format(10**20))) == shown
 
 
 class TestExponents:

@@ -820,7 +820,7 @@ class TestHugeRank:
              "the direct method reads 99999999999999999999 exponents, beyond the bound of "
              "4000000 (use --method closed)"),
             (["table", "--types", "E8,A99999999999999999999", "--n-max", "0"],
-             "the table reads 100000000000000000007 exponents, beyond the bound of "
+             "the table reads <21 digits> exponents, beyond the bound of "
              "4000000 (use fewer or smaller types)"),
         ],
     )
@@ -1114,6 +1114,52 @@ class TestOverLongIndex:
         code, out, err = run(capsys, "powersum", label, "-n", "2", "--method", "closed")
         assert code == 2 and not out
         assert err.startswith("error: the closed method needs n * b <= 10000")
+
+
+class TestLongIndexEcho:
+    """A refusal names an index, a count or a size of more than 20 digits by
+    its digit count, so each is one short stderr line."""
+
+    NINES = "9" * 2000
+    ODD = "1" * 1999 + "3"
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("info", "A{n}"), "the dual partition of A<2000 digits> has h - 1 = <2000 digits>"),
+            (("exponents", "D{n}"), "the dual partition of D<2000 digits> has h - 1 = <2001 digits>"),
+            (("heights", "A{n}", "-n", "2", "--method", "direct"), "the dual partition of A<2000"),
+            (("info", "I2({odd})", "--profile", "standard"), "the dual partition of I2(<2000 digits>)"),
+            (("info", "D{n}", "--beta", "3"), "the dual partition of D<2000 digits>"),
+            (("powersum", "A{n}", "-n", "2", "--method", "direct"), "the direct method reads <2000"),
+            (("table", "--types", "A{n}"), "the table reads <2000 digits> exponents"),
+            (("info", "E{n}"), "E<2000 digits> is outside the classification"),
+            (
+                ("powersum", "I2({odd})", "-n", "2", "--profile", "standard", "--method", "closed"),
+                "I2(<2000 digits>) has no standard parameter row",
+            ),
+            (
+                ("powersum", "D{n}", "-n", "2", "--beta", "3", "--method", "closed"),
+                "beta is determined for type D<2000 digits>",
+            ),
+            (
+                ("table", "--all", "--max-rank", "{n}"),
+                "the catalog of --max-rank <2000 digits> --max-m 30 sums r + h to <4001 digits>",
+            ),
+            (
+                ("table", "--types", "A2", "--n-max", "{n}"),
+                "the table's power sums need at least <4000 digits> bits",
+            ),
+            # h - 1 has one digit more than the 4300 that str() converts by default.
+            (("info", "D" + "9" * 4300), "the dual partition of D<4300 digits> has h - 1 = <4301"),
+        ],
+    )
+    def test_one_short_line(self, capsys, argv, error):
+        argv = [arg.format(n=self.NINES, odd=self.ODD) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith(f"error: {error}")
+        assert err.count("\n") == 1 and len(err.encode()) < 300
 
 
 class TestUsage:

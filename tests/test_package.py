@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import coxsums
@@ -26,33 +27,43 @@ def referenced_names(node):
             yield sub.name
 
 
-def traced_roots():
-    """The first part of every entry path that the benchmark tracer wraps, read
+def traced_paths():
+    """Every entry path that the benchmark tracer wraps, split at its dots, read
     from perfbench/tracing.py without installing the tracer."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return {path.split(".")[0] for _, _, path in module.TRACED}
+    return [path.split(".") for _, _, path in module.TRACED]
 
 
 def test_every_top_level_definition_is_reached():
     # A function or class counts as reached when code elsewhere in the package
     # names it (a mention in a docstring does not), when the package exports
-    # it, or when the benchmark tracer wraps it.
-    statements = [
-        (path.name, statement)
-        for path in sorted(SOURCE.glob("*.py"))
-        for statement in ast.parse(path.read_text()).body
-    ]
-    names = [set(referenced_names(statement)) for _, statement in statements]
-    reached = set(coxsums.__all__) | traced_roots()
-    unreached = [
-        f"{module}: {statement.name}"
-        for i, (module, statement) in enumerate(statements)
-        if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-        and statement.name not in reached
-        and not any(statement.name in other for j, other in enumerate(names) if j != i)
-    ]
+    # it, or when the benchmark tracer wraps it.  A named (non-dunder) method
+    # or property of a class counts as reached when code outside it names it,
+    # or when the tracer wraps it.
+    trees = [(path.name, ast.parse(path.read_text())) for path in sorted(SOURCE.glob("*.py"))]
+    named = Counter(name for _, tree in trees for name in referenced_names(tree))
+    paths = traced_paths()
+    reached = set(coxsums.__all__) | {path[0] for path in paths}
+    reached_members = {path[-1] for path in paths if len(path) > 1}
+    unreached = []
+    for module, tree in trees:
+        for statement in tree.body:
+            if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            definitions = [(statement.name, statement, reached)]
+            if isinstance(statement, ast.ClassDef):
+                definitions += [
+                    (f"{statement.name}.{member.name}", member, reached_members)
+                    for member in statement.body
+                    if isinstance(member, ast.FunctionDef)
+                    and not (member.name.startswith("__") and member.name.endswith("__"))
+                ]
+            for label, node, exempt in definitions:
+                own = Counter(referenced_names(node))
+                if node.name not in exempt and named[node.name] == own[node.name]:
+                    unreached.append(f"{module}: {label}")
     assert not unreached
 
 

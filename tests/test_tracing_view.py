@@ -8,11 +8,12 @@ the tracer's tables without installing it.
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coxsums import verify
+from coxsums import IntPolynomial, TruncatedSeries, verify
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -45,3 +46,20 @@ def test_every_cached_entry_has_cache_info(tracing):
 
 def test_suites_match_verify(tracing):
     assert tracing.SUITES == verify.SUITE_NAMES
+
+
+def test_counter_attributes_resolve(tracing):
+    # The per-call counters of a traced run (--trace 1) read TruncatedSeries
+    # .order and .coefficients, and IntPolynomial.coefficients, from operands
+    # and results; run them on real ones.
+    series = TruncatedSeries([1, Fraction(1, 2), 3])
+    poly = IntPolynomial([0, 2, 0, -1])
+    assert series.order == 2 and len(series.coefficients) == 3
+    assert poly.coefficients == (0, 2, 0, -1)
+    tracer = tracing.Tracer("view")
+    tracer._counter("series.mul")((series, series), series * series)
+    tracer._counter("series.inverse")((series,), series.inverse())
+    tracer._counter("intpoly.mul")((poly, poly), poly * poly)
+    assert tracer.counts["series.mul.coeff_products"] == 6
+    assert tracer.counts["series.max_coeff_bits"] > 0
+    assert tracer.counts["intpoly.mul.coeff_products"] == 16

@@ -620,15 +620,15 @@ class TestTTransform:
     def test_recursion_matches_pow_route(self):
         f = TruncatedSeries([1] + [2] * 30)
         via_recursion = t_transform(f)
-        doubled = TruncatedSeries([c * F(2) ** n for n, c in enumerate(f)])
-        assert via_recursion == (F(1, 2) * doubled.log()).exp()
+        doubled = TruncatedSeries([c * F(2) ** n for n, c in enumerate(f.coefficients)])
+        assert via_recursion == (doubled.log() * F(1, 2)).exp()
 
     @pytest.mark.parametrize("ell", [1, 2, 3, 4])
     def test_general_ell_matches_pow_route(self, ell):
         f = TruncatedSeries([1, 6, 3, -2, 5, 1, 0, 4, -3, 2, 7])
         got = t_transform(f, ell=ell)
-        scaled = TruncatedSeries([c * F(ell) ** n for n, c in enumerate(f)])
-        assert got == (F(1, ell) * scaled.log()).exp()
+        scaled = TruncatedSeries([c * F(ell) ** n for n, c in enumerate(f.coefficients)])
+        assert got == (scaled.log() * F(1, ell)).exp()
 
     def test_iterations(self):
         f = TruncatedSeries([1] + [2] * 12)
@@ -987,3 +987,10 @@ class TestSharedSweep:
                 if t in seen[name]:
                     assert seen[name][t] is got, (name, t.name)
         assert len(seen["check_de_kostant"]) == 27 + 3 and len(seen["check_gamma34"]) == len(types)
+
+    def test_default_is_parameters_over_the_wide_catalog(self):
+        # Only H2 has two profile entries; every I2 type has its redefined one alone.
+        types = catalog(120, 600)
+        sweep = verify_module._Sweep(types, 1, 0)
+        assert len(types) == 958
+        assert [sweep.default(t) for t in types] == [parameters(t) for t in types]
