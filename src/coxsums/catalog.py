@@ -68,6 +68,11 @@ _MAX_INDEX_DIGITS = 4300
 # index among them, by its digit count.
 _MAX_ECHO_DIGITS = 20
 
+# A label that cannot be parsed is echoed in the error message up to this many
+# characters, and named by its length beyond: room for any joint label whose
+# indices have up to _MAX_ECHO_DIGITS digits.
+_MAX_ECHO_LABEL = 64
+
 
 class _Row(NamedTuple):
     """The table entries of one exceptional type."""
@@ -168,6 +173,14 @@ def brief(value: int | CoxeterType) -> str:
     return value.name.replace(str(n), shown) if isinstance(value, CoxeterType) else shown
 
 
+def _unparsable(text: str) -> ParseError:
+    """The error for a label that does not parse: text echoed, or, past
+    _MAX_ECHO_LABEL characters, named by its length."""
+    if len(text) > _MAX_ECHO_LABEL:
+        return ParseError(f"cannot parse a type label of {len(text)} characters")
+    return ParseError(f"cannot parse type {text!r}")
+
+
 def parse_type(text: str) -> CoxeterType:
     """Parse a type label such as 'E8', 'b3', 'C5/B5' or 'I2(7)'."""
     s = text.strip()
@@ -183,10 +196,10 @@ def parse_type(text: str) -> CoxeterType:
             try:
                 left, right = map(parse_type, halves)
             except ParseError:
-                raise ParseError(f"cannot parse type {text!r}") from None
+                raise _unparsable(text) from None
             if left == right:
                 return left
-        raise ParseError(f"cannot parse type {text!r}")
+        raise _unparsable(text)
     m = _I2_RE.match(s)
     if m:
         return CoxeterType("I2", int(m.group(1)))
@@ -194,9 +207,9 @@ def parse_type(text: str) -> CoxeterType:
     if m:
         family = m.group(1).upper()
         if family not in _FAMILIES:
-            raise ParseError(f"cannot parse type {text!r}")
+            raise _unparsable(text)
         return CoxeterType(family, int(m.group(2)))
-    raise ParseError(f"cannot parse type {text!r}")
+    raise _unparsable(text)
 
 
 @dataclass(frozen=True)
@@ -298,15 +311,18 @@ _ARBITRARY_BETA = ("A", "C", "G", "H2", "H3", "I2")
 
 
 def _profile_for(t: CoxeterType, profile: str | None) -> str:
-    """Resolve a requested profile to 'standard' or 'redefined' for t."""
+    """Resolve a requested profile to 'standard' or 'redefined' for t; every
+    profile of an I2 type resolves to 'redefined'."""
     if profile in (None, "h2-original"):
         return "redefined" if t.family == "I2" else "standard"
     if profile == "standard":
-        if t.family == "I2" and t.index % 2 == 1:
+        if t.family != "I2":
+            return "standard"
+        if t.index % 2 == 1:
             raise ProfileMismatch(
                 f"{brief(t)} has no standard parameter row; use profile 'redefined'"
             )
-        return "standard"
+        return "redefined"  # an even I2's standard row is the dihedral rule
     if profile == "redefined":
         if t.family == "I2" or (t.family, t.index) == ("H", 2):
             return "redefined"
@@ -323,7 +339,7 @@ def _twice_d_nu(t: CoxeterType, concrete: str) -> tuple[int, int]:
         return 4, n - 2
     if f == "D":
         return 4, n - 4
-    if f == "I2" or concrete == "redefined":
+    if concrete == "redefined":
         # The dihedral rule, for I2(m) and redefined H2: d = m/2 = h/2.
         return t.coxeter_number, 0
     row = _EXCEPTIONAL[(f, n)]
@@ -417,7 +433,8 @@ def parameters(
 
 def profile_parameters(t: CoxeterType) -> tuple[tuple[str, ParameterSet], ...]:
     """(profile, parameter set) for each profile that yields one for t,
-    deduplicated by value; each concrete profile is built once."""
+    deduplicated by value: each concrete profile is built once, and the two
+    concrete profiles of a type give different sets (only H2 has both)."""
     out: list[tuple[str, ParameterSet]] = []
     built: set[str] = set()
     for prof in ("standard", "redefined"):
@@ -425,12 +442,9 @@ def profile_parameters(t: CoxeterType) -> tuple[tuple[str, ParameterSet], ...]:
             concrete = _profile_for(t, prof)
         except ProfileMismatch:
             continue
-        if concrete in built:
-            continue
-        built.add(concrete)
-        ps = parameters(t, prof)
-        if all(ps != seen for _, seen in out):
-            out.append((prof, ps))
+        if concrete not in built:
+            built.add(concrete)
+            out.append((prof, parameters(t, prof)))
     return tuple(out)
 
 

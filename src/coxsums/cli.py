@@ -50,7 +50,7 @@ _MAX_OUTPUT_DIGITS = 100_000
 _MAX_OUTPUT_BITS = int(_MAX_OUTPUT_DIGITS / math.log10(2))  # 2**bits <= 10**digits
 
 # The Todd and closed routes cost about n**2 big-integer products whose
-# operands grow with n: powersum E8 -n 1000 --method all takes 12 s (2-core
+# operands grow with n: powersum E8 -n 1000 --method all takes 8.5 s (2-core
 # host, Python 3.11.7), at n = 5000 far longer.  Beyond this bound every
 # method but powersum's direct one is refused before any work, and so is
 # verify --n-max when a suite that reads it runs: methods takes the Todd

@@ -171,6 +171,23 @@ def dual_heightsum(dual: DualPartition, n: int) -> int:
     return sum(map(mul, dual.counts, map(pow, range(1, len(dual.counts) + 1), repeat(n))))
 
 
+def dual_heightsums(dual: DualPartition, n: int) -> list[int]:
+    """H_0 .. H_n, H_k = sum_j k_j j**k over the dual partition: each term
+    k_j j**k runs forward as a product, one multiply per height per degree.
+
+    dual_heightsum stays the single-degree form: at large n one pow per
+    height costs less than n running products per height."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    heights = range(1, len(dual.counts) + 1)
+    terms = list(dual.counts)
+    sums = [sum(terms)]
+    for _ in range(n):
+        terms = list(map(mul, terms, heights))
+        sums.append(sum(terms))
+    return sums
+
+
 def heightsum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     """sum over positive roots of ht**n, over the dual partition of t's exponents."""
     if n < 0:

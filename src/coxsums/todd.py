@@ -34,7 +34,8 @@ integer (numerator, denominator) pairs: todd_values feeds it a series'
 Fractions, and the Todd power sums of coxsums.powersums feed it the gamma
 numerators directly, with no Fraction on the way.  The pass's integer
 weights M_j j lambda_j and carries M_k / (M_j M_{k-j}) are built once, as
-their table grows with n, and each of those divisions is checked then;
+their table grows with n (each carry row from the one before it, through
+the small ratios M_k / M_{k-1}), and each of those divisions is checked then;
 the division that gives M_k Td_k is checked on every call.  So a table
 that breaks this integrality raises InternalMismatch instead of giving a
 value.
@@ -65,7 +66,7 @@ from .series import TruncatedSeries, weighted_scale
 
 # Entries kept by each of the p_factor and gamma_series caches.  --beta admits
 # any rational and -p/-n any integer, so the keys are unbounded.  A default
-# verify makes 128 gamma_series calls (128 keys, all from gamma34) and 6
+# verify makes no gamma_series call (gamma34 reads _gamma_numerators) and 6
 # p_factor calls: no hit.
 _CACHE_SIZE = 512
 
@@ -128,10 +129,17 @@ def gamma_series(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
 _TODD_DENOMINATORS = [1]
 # The Todd recurrence's integer constants over the j with lambda_j != 0
 # (j = 1, then the even j): the weights W_j = M_j j lambda_j, and for each k
-# a row of carries M_k / (M_j M_{k-j}) over those j <= k.  They hold for the
-# denominator list they were built from, the first item; a different
-# _TODD_DENOMINATORS list starts them afresh.
-_TODD_STEPS: tuple[list[int], list[int], list[list[int]]] = (_TODD_DENOMINATORS, [], [[]])
+# a row of carries M_k / (M_j M_{k-j}) over those j <= k; then the numerators
+# and denominators of the reduced ratios R_i = M_i / M_{i-1} (0 at i = 0) the
+# carries are built from.  They hold for the denominator list they were built
+# from, the first item; a different _TODD_DENOMINATORS list starts them afresh.
+_TODD_STEPS: tuple[list[int], list[int], list[list[int]], list[int], list[int]] = (
+    _TODD_DENOMINATORS,
+    [],
+    [[]],
+    [0],
+    [0],
+)
 
 
 def _todd_tables(n: int) -> list[int]:
@@ -154,34 +162,49 @@ def _todd_steps(n: int) -> tuple[list[int], list[list[int]]]:
     """W_j for j = 1, 2, 4, ... and the carry rows 0 .. n (or more) of the Todd recurrence.
 
     Each weight W_k = M_k (-B_k / k!) is formed from the Bernoulli table
-    only for the k it keeps, k = 1 and the even k.  Each weight and carry
-    division is checked once, when its entry is built, the weight of k
-    before the carries of k; a remainder raises InternalMismatch and leaves
-    the row unbuilt.  A table already built to n is returned as it is.
+    only for the k it keeps, k = 1 and the even k.  Row k of the carries
+    comes from row k-1, which holds every j of row k but j = k:
+    C_{k,j} = C_{k-1,j} R_k / R_{k-j}, with the ratios R_i = M_i / M_{i-1}
+    as reduced pairs kept with the table (small integers for a true table),
+    and C_{k,k} = 1 / M_0.
+    As C_{k-1,j} is an integer, each such division is exact exactly when
+    M_k / (M_j M_{k-j}) is an integer.  Each weight and carry division is
+    checked once, when its entry is built, the weight of k before the
+    carries of k; a remainder raises InternalMismatch and leaves the row
+    unbuilt.  A table already built to n is returned as it is.
     """
     global _TODD_STEPS
     m = _todd_tables(n)
     if _TODD_STEPS[0] is not m:
-        _TODD_STEPS = (m, [], [[]])
-    _, weights, carries = _TODD_STEPS
+        _TODD_STEPS = (m, [], [[]], [0], [0])
+    _, weights, carries, up, down = _TODD_STEPS
     if len(carries) > n:
         return weights, carries
     b = _bernoulli_numbers(n)
+    for i in range(len(up), n + 1):
+        ratio = Fraction(m[i], m[i - 1])
+        up.append(ratio.numerator)
+        down.append(ratio.denominator)
     distinct: dict[int, int] = {}  # one object per value: 57k among the 251k carries to n = 1000
     for k in range(len(carries), n + 1):
-        js = (1, *range(2, k + 1, 2))  # the j <= k with lambda_j != 0
-        if js[-1] == k:
+        diagonal = k == 1 or k % 2 == 0  # row k holds j = k
+        if diagonal:
             wk = -b[k] / factorial(k)  # k lambda_k
             weight, rest = divmod(wk.numerator * m[k], wk.denominator)
             if rest:
                 raise InternalMismatch(f"Todd pass: M_{k} {k} lambda_{k} is not an integer")
+        uk, dk = up[k], down[k]
         row = []
-        for j in js:
-            carry, rest = divmod(m[k], m[j] * m[k - j])
+        for j, carry in zip((1, *range(2, k, 2)), carries[k - 1]):
+            carry, rest = divmod(carry * uk * down[k - j], dk * up[k - j])
             if rest:
                 raise InternalMismatch(f"Todd pass: M_{k} / (M_{j} M_{k - j}) is not an integer")
             row.append(distinct.setdefault(carry, carry))
-        if js[-1] == k:
+        if diagonal:
+            carry, rest = divmod(1, m[0])
+            if rest:
+                raise InternalMismatch(f"Todd pass: M_{k} / (M_{k} M_0) is not an integer")
+            row.append(carry)
             weights.append(weight)
         carries.append(row)
     return weights, carries
@@ -326,6 +349,37 @@ def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(comb(n, k) * numbers[n - k] for k in range(n + 1))
 
 
+# Faulhaber's integer weights, one row per n asked for; they hold for the
+# denominator list they were built from, the first item, and a different
+# _TODD_DENOMINATORS list starts them afresh.
+_FAULHABER_ROWS: tuple[list[int], dict[int, tuple[int, list[tuple[int, int]]]]] = (
+    _TODD_DENOMINATORS,
+    {},
+)
+
+
+def _faulhaber_row(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """M_n (n+1) and the pairs (n+1-k, C(n+1, k) B_k M_n / den(B_k)) for k = 0, 1
+    and the even k <= n, B_1 taken as +1/2; each division is checked once,
+    when the row is built."""
+    global _FAULHABER_ROWS
+    m = _todd_tables(n)
+    if _FAULHABER_ROWS[0] is not m:
+        _FAULHABER_ROWS = (m, {})
+    rows = _FAULHABER_ROWS[1]
+    if n not in rows:
+        b = _bernoulli_numbers(n)
+        row = []
+        for k in (0, 1, *range(2, n + 1, 2)) if n else (0,):
+            scale, rest = divmod(m[n], b[k].denominator)
+            if rest:
+                raise InternalMismatch(f"Faulhaber sum n={n}: den(B_{k}) does not divide M_{n}")
+            bm = b[k].numerator * scale
+            row.append((n + 1 - k, comb(n + 1, k) * (-bm if k == 1 else bm)))
+        rows[n] = m[n] * (n + 1), row
+    return rows[n]
+
+
 def faulhaber_sum(n: int, sums: Sequence[int]) -> Fraction:
     """sum_i (1**n + 2**n + ... + x_i**n) from the power sums S_j = sum_i x_i**j.
 
@@ -333,19 +387,11 @@ def faulhaber_sum(n: int, sums: Sequence[int]) -> Fraction:
     B_1 taken as +1/2; reads S_1 .. S_{n+1}, and of the B_k only B_0, B_1
     and the even B_k, as the odd B_k with k >= 3 vanish.  The sum runs in
     integers over M_n, which every den(B_k) with k <= n divides (von
-    Staudt-Clausen); each of those divisions is checked, and a remainder
-    raises InternalMismatch.
+    Staudt-Clausen); each of those divisions is checked when the row of
+    integer weights for n is built, and a remainder raises InternalMismatch.
     """
-    m = _todd_tables(n)[n]
-    b = _bernoulli_numbers(n)
-    total = 0
-    for k in (0, 1, *range(2, n + 1, 2)) if n else (0,):
-        scale, rest = divmod(m, b[k].denominator)
-        if rest:
-            raise InternalMismatch(f"Faulhaber sum n={n}: den(B_{k}) does not divide M_{n}")
-        bm = b[k].numerator * scale
-        total += comb(n + 1, k) * (-bm if k == 1 else bm) * sums[n + 1 - k]
-    return Fraction(total, m * (n + 1))
+    denominator, row = _faulhaber_row(n)
+    return Fraction(sum(weight * sums[i] for i, weight in row), denominator)
 
 
 def faulhaber(n: int, r: int) -> Fraction:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 from random import Random
 from typing import Callable, Iterator, Sequence
@@ -529,26 +529,44 @@ def check_gamma34(
     p: int,
     params: ParameterSet | None = None,
 ) -> CheckReport:
-    """The explicit gamma_3 and gamma_4 polynomials in (h, gamma, alpha, beta, p)."""
+    """The explicit gamma_3 and gamma_4 polynomials in (h, gamma, alpha, beta, p).
+
+    Checked in integers: gamma_k = y_k / (k! u**k) from the gamma numerators,
+    and with e = lcm(den alpha, den beta), s = e (alpha + beta) and
+    q = e**2 alpha beta, the formulas give the integers G3 = 3 e**2 gamma_3
+    and G4 = 3 e**3 gamma_4; so gamma_3 holds when y_3 e**2 = 2 u**3 G3 and
+    gamma_4 when y_4 e**3 = 8 u**4 G4.  Both sides become Fractions only for
+    a witness.
+    """
     ps = _resolve(t, None, params)
     h, g = ps.h, ps.gamma
-    s, q = ps.alpha + ps.beta, ps.alpha * ps.beta
-    series = _todd.gamma_series(ps, p, 4)
-    gamma3 = (
-        -(h**3) + 2 * h * g - 2 * g + Fraction(2 * p * p + 4, 3)
-        - (h * h - g - h + 2) * s - (h - 2) * q
+    a, b = ps.alpha, ps.beta
+    e = lcm(a.denominator, b.denominator)
+    ae, be = a.numerator * (e // a.denominator), b.numerator * (e // b.denominator)
+    s, q = ae + be, ae * be
+    y, u = _todd._gamma_numerators(ps, p, 4)
+    c = h * h - g - h + 2
+    e2 = e * e
+    g3 = (
+        3 * e2 * (-(h**3) + 2 * h * g - 2 * g) + e2 * (2 * p * p + 4)
+        - 3 * c * e * s - 3 * (h - 2) * q
     )
-    gamma4 = (
-        -(h**4) + h * h * g + g * g + 3 * h**3 - 6 * h * g - h * h + 2 * g
-        + Fraction(2, 3) * h * (p * p + 5) - 2
-        - (h * h - g - h + 2) * ((2 * h - 2 + s) * s - q)
-        - (h - 2) * (2 * h - 2 + s) * q
+    g4 = (
+        3 * e2 * e * (-(h**4) + h * h * g + g * g + 3 * h**3 - 6 * h * g - h * h + 2 * g - 2)
+        + 2 * e2 * e * h * (p * p + 5)
+        - 3 * e * c * ((2 * h - 2) * e * s + s * s - q)
+        - 3 * (h - 2) * ((2 * h - 2) * e + s) * q
     )
     failures = []
-    if series[3] != gamma3:
-        failures.append(f"gamma_3 = {series[3]} but formula gives {gamma3}")
-    if series[4] != gamma4:
-        failures.append(f"gamma_4 = {series[4]} but formula gives {gamma4}")
+    if y[3] * e2 != 2 * u**3 * g3:
+        failures.append(
+            f"gamma_3 = {Fraction(y[3], 6 * u**3)} but formula gives {Fraction(g3, 3 * e2)}"
+        )
+    if y[4] * e2 * e != 8 * u**4 * g4:
+        failures.append(
+            f"gamma_4 = {Fraction(y[4], 24 * u**4)} "
+            f"but formula gives {Fraction(g4, 3 * e2 * e)}"
+        )
     return _report("gamma34", f"{t.name} (p={p})", failures)
 
 
@@ -570,7 +588,7 @@ def check_methods(
     sums = _powersums.exponent_power_sums(el, n_max)
     dual = dual_partition(el)
     # The simply-laced check reads the height sum of degree 1.
-    heights = [_powersums.dual_heightsum(dual, n) for n in range(max(n_max, 1) + 1)]
+    heights = _powersums.dual_heightsums(dual, max(n_max, 1))
     closed = _powersums.closed_power_sums(resolved, n_max + 1)
     todd = {p: _powersums.powersum_todd_upto(t, n_max, p, resolved) for p in ps_values}
     failures = []

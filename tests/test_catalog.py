@@ -602,7 +602,7 @@ class TestApplicableProfiles:
             assert all(a != b for i, a in enumerate(sets) for b in sets[i + 1 :]), t.name
 
     @pytest.mark.parametrize(
-        "label, builds", [("E8", 1), ("B3", 1), ("I2(8)", 2), ("I2(9)", 1), ("H2", 2)]
+        "label, builds", [("E8", 1), ("B3", 1), ("I2(8)", 1), ("I2(9)", 1), ("H2", 2)]
     )
     def test_each_concrete_profile_built_once(self, monkeypatch, label, builds):
         import sys

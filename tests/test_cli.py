@@ -1161,6 +1161,21 @@ class TestLongIndexEcho:
         assert err.startswith(f"error: {error}")
         assert err.count("\n") == 1 and len(err.encode()) < 300
 
+    @pytest.mark.parametrize("label", ["Z{n}", "A{n}/D{n}", "I2({n})x", "A{n}/"])
+    def test_long_malformed_label_is_named_by_its_length(self, capsys, label):
+        label = label.format(n=self.NINES)
+        code, out, err = run(capsys, "info", label)
+        assert code == 2 and not out
+        assert err == f"error: cannot parse a type label of {len(label)} characters\n"
+
+    def test_malformed_label_up_to_the_echo_bound_is_echoed(self, capsys):
+        label = "Z" + "9" * 63  # 64 characters
+        code, out, err = run(capsys, "info", label)
+        assert code == 2 and not out
+        assert err == f"error: cannot parse type {label!r}\n"
+        code, out, err = run(capsys, "info", label + "9")
+        assert code == 2 and err == "error: cannot parse a type label of 65 characters\n"
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -23,7 +23,12 @@ from coxsums import (
 )
 from coxsums.catalog import DualPartition, ExponentList, profile_parameters
 from coxsums.errors import InternalMismatch
-from coxsums.powersums import closed_power_sums, exponent_power_sums
+from coxsums.powersums import (
+    closed_power_sums,
+    dual_heightsum,
+    dual_heightsums,
+    exponent_power_sums,
+)
 from coxsums.todd import faulhaber_sum
 
 
@@ -237,6 +242,25 @@ class TestExponentPowerSums:
             exps = exponents(parse_type(label))
             want = [sum(m**k for m in exps.values) for k in range(4)]
             assert exponent_power_sums(exps, 3) == want, label
+
+
+class TestDualHeightSums:
+    """dual_heightsums, by running products, equals the single-degree sums."""
+
+    def test_catalog(self):
+        for t in catalog(40, 200):
+            dual = dual_partition(exponents(t))
+            sums = dual_heightsums(dual, 13)
+            assert sums == [dual_heightsum(dual, k) for k in range(14)], t.name
+
+    def test_degree_zero_counts_the_positive_roots(self):
+        dual = dual_partition(exponents(parse_type("E8")))
+        assert dual_heightsums(dual, 0) == [120]
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_degree(self, n):
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            dual_heightsums(dual_partition(exponents(parse_type("E8"))), n)
 
 
 class TestValidation:

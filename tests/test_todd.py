@@ -505,6 +505,18 @@ class TestToddStepTable:
             assert _todd_recurrence(q) == todd_recurrence_per_call(q), n
         assert len(todd_module._TODD_STEPS[2]) == 151
 
+    def test_carry_rows_match_the_per_call_divisions(self, monkeypatch):
+        # Rows built from the ratios M_k / M_{k-1}, grown in two steps.
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", [1])
+        _todd_steps(40)
+        weights, carries = _todd_steps(200)
+        m = todd_module._TODD_DENOMINATORS
+        for k in range(1, 201):
+            js = (1, *range(2, k + 1, 2))
+            assert carries[k] == [m[k] // (m[j] * m[k - j]) for j in js], k
+            assert all(m[k] % (m[j] * m[k - j]) == 0 for j in js), k
+        assert len(weights) == 101
+
     def test_polynomials_match_per_call_oracle(self):
         c = [MPoly.variable(i) for i in range(1, 17)]
         signed = [ci if i % 2 else -ci for i, ci in enumerate(c, 1)]
@@ -675,8 +687,33 @@ class TestBernoulliFaulhaber:
         def odd_ones_wrong(n):  # B_k = 99 at odd k >= 3, where the true B_k is 0
             return tuple(F(99) if k % 2 and k > 1 else b for k, b in enumerate(real(n)))
 
+        # A fresh denominator list, long enough not to read the Bernoulli table,
+        # so the weight rows are built again from the patched numbers.
+        _todd_tables(30)
+        fresh = list(todd_module._TODD_DENOMINATORS)
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", fresh)
         monkeypatch.setattr(todd_module, "_bernoulli_numbers", odd_ones_wrong)
         assert [faulhaber_sum(n, sums) for n in range(31)] == want
+        assert sorted(todd_module._FAULHABER_ROWS[1]) == list(range(31))
+
+    def test_faulhaber_rows_restart_on_a_new_denominator_table(self, monkeypatch):
+        rng = Random(27)
+        sums = [rng.randint(-(10**30), 10**30) for _ in range(42)]
+        want = [faulhaber_sum(n, sums) for n in range(41)]
+        assert faulhaber(4, 10) == 25333  # the row of n = 4 is built
+        # M_k 2**k passes every check and leaves each sum unchanged, but every
+        # weight of row n is 2**n times the true table's.
+        scaled = [hirzebruch_denominator(k) * 2**k for k in range(41)]
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", scaled)
+        assert [faulhaber_sum(n, sums) for n in range(41)] == want
+        assert todd_module._FAULHABER_ROWS[0] is scaled
+        # A table that breaks divisibility, after rows were built: same message.
+        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", [2**k for k in range(5)])
+        message = r"^Faulhaber sum n=4: den\(B_2\) does not divide M_4$"
+        with pytest.raises(InternalMismatch, match=message):
+            faulhaber(4, 10)
+        monkeypatch.undo()
+        assert [faulhaber_sum(n, sums) for n in range(41)] == want
 
     def test_faulhaber_denominator_table_breaking_divisibility_raises(self, monkeypatch):
         # M_k = 2**k: den(B_2) = 6 does not divide M_4 = 16, and a floored

@@ -737,6 +737,54 @@ class TestGamma34:
         report = check_gamma34(parse_type("A2"), 1, params=bad)
         assert not report.passed and report.witness
 
+    @pytest.mark.parametrize("label", ["A2", "E8", "I2(9)"])
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_wrong_numerator_gives_the_fraction_witness(self, monkeypatch, label, k, p):
+        """A wrong y_3 or y_4 fails the integer check with the witness that the
+        same series gives in Fractions."""
+        import coxsums.todd as todd_module
+
+        t = parse_type(label)
+        ps = parameters(t)
+        if label == "I2(9)":  # half-integer: the scale e of alpha and beta is 2
+            assert (ps.alpha.denominator, ps.beta.denominator) == (1, 2)
+        real = todd_module._gamma_numerators
+        y, u = real(ps, p, 4)
+        y[k] += 1
+
+        def wrong(params, p, order):
+            assert (params, order) == (ps, 4)
+            return list(y), u
+
+        monkeypatch.setattr(todd_module, "_gamma_numerators", wrong)
+        report = check_gamma34(t, p, params=ps)
+        assert not report.passed
+        assert report.witness == gamma34_witness_by_fractions(ps, p, y, u)
+        assert report.witness.startswith(f"gamma_{k} = ")
+
+
+def gamma34_witness_by_fractions(ps, p, y, u):
+    """The first gamma34 witness, from gamma_k = y_k / (k! u**k) and the
+    formulas evaluated in Fractions."""
+    h, g = ps.h, ps.gamma
+    s, q = ps.alpha + ps.beta, ps.alpha * ps.beta
+    gamma = [F(y[k], factorial(k) * u**k) for k in range(5)]
+    gamma3 = (
+        -(h**3) + 2 * h * g - 2 * g + F(2 * p * p + 4, 3)
+        - (h * h - g - h + 2) * s - (h - 2) * q
+    )
+    gamma4 = (
+        -(h**4) + h * h * g + g * g + 3 * h**3 - 6 * h * g - h * h + 2 * g
+        + F(2, 3) * h * (p * p + 5) - 2
+        - (h * h - g - h + 2) * ((2 * h - 2 + s) * s - q)
+        - (h - 2) * (2 * h - 2 + s) * q
+    )
+    for k, want in ((3, gamma3), (4, gamma4)):
+        if gamma[k] != want:
+            return f"gamma_{k} = {gamma[k]} but formula gives {want}"
+    return None
+
 
 class TestMethodsSuite:
     def test_passes(self):
@@ -947,8 +995,9 @@ class TestSharedSweep:
                         monkeypatch.setattr(module, name, counting(name))
         reports = run_tasks(build_tasks())
         assert len(reports) == 666 and all(r.passed for r in reports)
-        # 64 types; 77 concrete profiles, plus check_s4_nonuniversality's A9 and D6.
-        assert calls == {"profile_parameters": len(catalog(12, 30)), "parameters": 79}
+        # 64 types; 65 concrete profiles (one per type, two for H2), plus
+        # check_s4_nonuniversality's A9 and D6.
+        assert calls == {"profile_parameters": len(catalog(12, 30)), "parameters": 67}
 
     def test_default_entry_is_the_default_parameter_set(self, monkeypatch):
         import coxsums.verify as verify_module
