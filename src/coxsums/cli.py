@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from . import powersums as _powersums
 from .catalog import (
+    _MAX_ECHO_LABEL,
     PROFILES,
     brief,
     catalog,
@@ -43,6 +44,10 @@ FORMATS = ("pretty", "json", "csv", "latex")
 # hours; --beta refuses decimal exponents beyond Python's default limit on
 # int-string digits.
 _MAX_BETA_EXPONENT = 4300
+
+# A decimal integer as int() reads it: a COX_SEED of this shape that int()
+# refuses has more digits than the interpreter's int-string limit.
+_INT_PATTERN = r"\s*[+-]?\d+(?:_\d+)*\s*"
 
 # Every output format renders integers (numerators and denominators) of up
 # to this many decimal digits, and refuses larger ones by bit length first.
@@ -455,7 +460,13 @@ def _cmd_verify(args) -> int:
         try:
             seed = int(text)
         except ValueError:
-            raise CoxError(f"COX_SEED must be an integer, got {text!r}") from None
+            if not re.fullmatch(_INT_PATTERN, text):
+                raise CoxError(f"COX_SEED must be an integer, got {text!r}") from None
+            shown = repr(text) if len(text) <= _MAX_ECHO_LABEL else f"of {len(text)} characters"
+            raise CoxError(
+                f"COX_SEED {shown} is an integer beyond the interpreter's "
+                f"{sys.get_int_max_str_digits()}-digit limit"
+            ) from None
     _check_catalog_size(args.max_rank, args.max_m)
     suites = None if args.suite == "all" else [args.suite]
     tasks = _verify.build_tasks(

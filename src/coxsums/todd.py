@@ -40,7 +40,11 @@ the division that gives M_k Td_k is checked on every call.  So a table
 that breaks this integrality raises InternalMismatch instead of giving a
 value.
 The pass is generic over the coefficient ring: run over MPoly with c_i in
-place of gamma_i, it gives the integer polynomials M_k Td_k themselves.
+place of gamma_i, it gives the integer polynomials M_k Td_k themselves,
+and run over point vectors (_PointVector, one int per point) it gives the
+T_k of many points of one degree at once.  _scaled_todd_passes does that,
+each point with its own u, for the seeded points of a todd-symm check of
+coxsums.verify.
 
 Sign conventions, fixed once here: the Todd factor t/(1-exp(-t)) has
 linear coefficient +1/2 (lambda_1 = -B_1 = +1/2), while the Bernoulli
@@ -55,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from operator import mul
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 from .catalog import ParameterSet
@@ -219,8 +223,9 @@ def _todd_pass(a: Sequence) -> list:
     b_m = 2 a_2m - 2 sum_{i<m} s_i a_{2m-i} - s_m a_m, and then
     P_2m = m b_m + sum_{i<m} b_i P_{2m-2i}: about n**2/4 products, half of
     Newton's identity over every P_k.  The a_i may lie in any ring where
-    ints act by multiplication, with divmod by an int: ints, or MPoly for
-    the polynomials themselves.
+    ints act by multiplication, with divmod by an int: ints; MPoly, for the
+    polynomials themselves; or point vectors (_PointVector), for many
+    points in one pass.
     """
     n = len(a) - 1
     s = [-x if i % 2 else x for i, x in enumerate(a[: n // 2 + 1])]
@@ -272,6 +277,69 @@ def _scaled_todd_pass(gammas: Sequence[tuple[int, int]]) -> tuple[list[int], int
     # (-1)**(i-1) gamma_i u**i, so that Newton's identity is a plain sum.
     a = [1] + [x if i % 2 else -x for i, x in enumerate(scaled, 1)]
     return _todd_pass(a), u
+
+
+class _PointVector(tuple):
+    """One int per point, a ring under componentwise +, - and *.
+
+    An int acts on every component (int * v is a product, not tuple
+    repetition), divmod by an int is taken componentwise, and a vector is
+    true when any component is nonzero, so the pass's integrality checks
+    read it as they read an int.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _PointVector([x + other for x in self])
+        return _PointVector(map(add, self, other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return _PointVector([x - other for x in self])
+        return _PointVector(map(sub, self, other))
+
+    def __rsub__(self, other):
+        return _PointVector([other - x for x in self])
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _PointVector([x * other for x in self])
+        return _PointVector(map(mul, self, other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _PointVector(map(neg, self))
+
+    def __divmod__(self, k: int):
+        return _PointVector([x // k for x in self]), _PointVector([x % k for x in self])
+
+    def __bool__(self):
+        return any(self)
+
+
+def _scaled_todd_passes(
+    points: Sequence[Sequence[tuple[int, int]]],
+) -> list[tuple[list[int], int]]:
+    """_scaled_todd_pass(point) for each of several points of one length n.
+
+    Each point gets its own weighted scale u, and one Todd pass over point
+    vectors, whose k-th component comes from the k-th point, gives every T.
+    """
+    if len({len(point) for point in points}) > 1:
+        raise ValueError("the points must all have the same length")
+    if not points:
+        return []
+    scaled, scales = zip(*map(weighted_scale, points))
+    columns = [_PointVector(column) for column in zip(*scaled)]
+    # (-1)**(i-1) gamma_i u**i at every point, as in _scaled_todd_pass.
+    a = [_PointVector([1] * len(points))]
+    a += [x if i % 2 else -x for i, x in enumerate(columns, 1)]
+    return [(list(t), u) for t, u in zip(zip(*_todd_pass(a)), scales)]
 
 
 def todd_values(series: TruncatedSeries, n_max: int) -> tuple[Fraction, ...]:

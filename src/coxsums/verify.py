@@ -10,7 +10,9 @@ The Todd-symmetry suite is an exact identity over Z[c_1..c_n], built
 from the integer polynomials M_k Td_k of ``coxsums.todd``; its seed
 only picks the rational points at which the integer Todd pass is
 checked, by the same evaluation of the two sides, scaled to integers
-by M_n u**n.  Each point is drawn by a rule of this module
+by M_n u**n.  A check's points go through one Todd pass over the point
+vectors of ``coxsums.todd`` (``_scaled_todd_passes``), and each side is
+evaluated once over the same vectors.  Each point is drawn by a rule of this module
 (``_seeded_point``) from ``Random(f"{seed}:{a}:{b}").getrandbits``: per
 coordinate, a numerator of 8 bits redrawn while >= 201, minus 100, then
 a denominator of 7 bits redrawn while >= 100, plus 1.  These are the
@@ -283,7 +285,9 @@ def check_todd_symmetry(
     b: int,
     samples: int = 50,
     seed: int = 42,
-    todd_fn: Callable[[Sequence[tuple[int, int]]], tuple[Sequence[int], int]] | None = None,
+    todd_fn: Callable[
+        [Sequence[Sequence[tuple[int, int]]]], Sequence[tuple[Sequence[int], int]]
+    ] | None = None,
 ) -> CheckReport:
     """Alternating binomial identity between c_1**j (a+b-j)! Td_{a+b-j} terms.
 
@@ -291,19 +295,22 @@ def check_todd_symmetry(
     T_k = M_k Td_k: each is the dot product of one integer row,
     (-1)**(x-j) C(x,j) (n-j)! M_n/M_{n-j} for j <= x (x = a, then b),
     with c_1**j T_{n-j}.  The two rows are built once per check.  Over
-    Z[c_1..c_n], from todd_polynomials, this proves the identity.  Then at
-    seeded rational points (_seeded_point) todd_fn, by default
-    todd._scaled_todd_pass looked up at call time, maps the (numerator,
-    denominator) pairs to T and u with T_k = M_k u**k Td_k; sides(c_1 u, T)
-    are then M_n u**n times both sides, integers that must be equal.  A u
-    that does not clear c_1 raises InternalMismatch.  The sides become
-    Fractions only for a witness.
+    Z[c_1..c_n], from todd_polynomials, this proves the identity.  Then
+    todd_fn, by default todd._scaled_todd_passes looked up at call time,
+    maps the list of seeded rational points (_seeded_point), each a list
+    of (numerator, denominator) pairs, to one T and u per point with
+    T_k = M_k u**k Td_k.  sides(c_1 u, T), taken once over the point
+    vectors of coxsums.todd, are M_n u**n times both sides at every point,
+    integers that must be equal.  The points are read in order: at each, a
+    u that does not clear c_1 raises InternalMismatch, and otherwise the
+    first unequal sides are the witness.  The sides become Fractions only
+    for a witness.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    evaluate = todd_fn if todd_fn is not None else _todd._scaled_todd_pass
+    evaluate = todd_fn if todd_fn is not None else _todd._scaled_todd_passes
     n = a + b
     subject = f"(a={a}, b={b})"
     m = _todd._todd_tables(n)
@@ -323,20 +330,27 @@ def check_todd_symmetry(
             "todd-symm", subject, [f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"]
         )
     rng = Random(f"{seed}:{a}:{b}")
+    points = [_seeded_point(rng, n) for _ in range(samples)]
+    results = evaluate(points)
+    if len(results) != samples:
+        raise InternalMismatch(f"todd_fn gave {len(results)} results for {samples} points")
+    c1s = [point[0] if point else (0, 1) for point in points]
+    cleared = [divmod(x * u, y) for (x, y), (_, u) in zip(c1s, results)]
+    vector = _todd._PointVector
+    lhs, rhs = sides(
+        vector(c1u for c1u, _ in cleared), [vector(tk) for tk in zip(*(t for t, _ in results))]
+    )
     failures = []
-    for trial in range(samples):
-        point = _seeded_point(rng, n)
-        t, u = evaluate(point)
-        x, y = point[0] if point else (0, 1)
-        c1u, rest = divmod(x * u, y)
+    for trial, ((x, y), (_, u), (_, rest), left, right) in enumerate(
+        zip(c1s, results, cleared, lhs, rhs)
+    ):
         if rest:
             raise InternalMismatch(f"sample {trial}: u = {u} does not clear c_1 = {x}/{y}")
-        lhs, rhs = sides(c1u, t)
-        if lhs != rhs:
+        if left != right:
             whole = m[n] * u**n
             failures.append(
-                f"sample {trial}, c = {[Fraction(*c) for c in point]}: "
-                f"{Fraction(lhs, whole)} != {Fraction(rhs, whole)}"
+                f"sample {trial}, c = {[Fraction(*c) for c in points[trial]]}: "
+                f"{Fraction(left, whole)} != {Fraction(right, whole)}"
             )
             break
     return _report("todd-symm", subject, failures)

@@ -8,7 +8,8 @@ table, the T-transform rows run one list at a time against the sweep, the
 alternating sums term by term against the coefficient rows of the two
 symmetry suites, the product of (1 - q**v) factors by repeated
 polynomial products, the V+/V- cancellation by Counter arithmetic, and
-each rendered cell through a Fraction.
+each rendered cell through a Fraction.  One helper, batched, lifts a
+per-point Todd fake to the list-of-points todd_fn of check_todd_symmetry.
 """
 
 from __future__ import annotations
@@ -120,6 +121,12 @@ def alternating_sum(x: int, y, w: Sequence, n: int):
     multiplication: ints, or MPoly.
     """
     return sum((-1) ** (x - j) * comb(x, j) * y**j * w[n - j] for j in range(x + 1))
+
+
+def batched(per_point):
+    """A todd_fn for check_todd_symmetry from a fake that maps one point's
+    (numerator, denominator) pairs to its T and u: one call per point, in order."""
+    return lambda points: [per_point(point) for point in points]
 
 
 def one_minus_power_product_by_mul(

@@ -951,6 +951,41 @@ class TestVerify:
         assert err.startswith("error: ") and "COX_SEED" in err
         assert out == ""
 
+    @pytest.mark.parametrize("text", ["7" * 5000, "-" + "1" * 4301, " 9_" + "0" * 4400 + "\n"])
+    def test_seed_environment_beyond_the_digit_limit_is_named_by_length(
+        self, capsys, monkeypatch, text
+    ):
+        monkeypatch.setenv("COX_SEED", text)
+        code, out, err = run(capsys, "verify", "--suite", "kostant")
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: COX_SEED of {len(text)} characters is an integer beyond the "
+            "interpreter's 4300-digit limit\n"
+        )
+
+    def test_seed_environment_beyond_the_digit_limit_follows_the_echo_rule(
+        self, capsys, monkeypatch
+    ):
+        import coxsums.cli as cli_module
+
+        text = "7" * 5000
+        monkeypatch.setenv("COX_SEED", text)
+        monkeypatch.setattr(cli_module, "_MAX_ECHO_LABEL", len(text))
+        code, _, err = run(capsys, "verify", "--suite", "kostant")
+        assert code == 2
+        assert err == (
+            f"error: COX_SEED {text!r} is an integer beyond the interpreter's 4300-digit limit\n"
+        )
+
+    @pytest.mark.parametrize("text", ["abc", "7" * 4301 + "x", "1__0", "", "1" * 70 + " 1"])
+    def test_seed_environment_that_is_no_integer_keeps_its_message(
+        self, capsys, monkeypatch, text
+    ):
+        monkeypatch.setenv("COX_SEED", text)
+        code, out, err = run(capsys, "verify", "--suite", "kostant")
+        assert code == 2 and out == ""
+        assert err == f"error: COX_SEED must be an integer, got {text!r}\n"
+
     def test_seed_flag_ignores_bad_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("COX_SEED", "abc")
         code, out, _ = run(

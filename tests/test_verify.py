@@ -44,8 +44,15 @@ from coxsums.verify import (
     _gamma_specializations,
 )
 from coxsums.mpoly import MPoly
-from coxsums.todd import _scaled_todd_pass, _todd_tables, gamma_series, p_factor, todd_values
-from oracles import alternating_sum, cancelled_by_counter, check_t_examples
+from coxsums.todd import (
+    _scaled_todd_pass,
+    _scaled_todd_passes,
+    _todd_tables,
+    gamma_series,
+    p_factor,
+    todd_values,
+)
+from oracles import alternating_sum, batched, cancelled_by_counter, check_t_examples
 
 
 def corrupt(ps, **changes):
@@ -402,7 +409,7 @@ class TestToddSymmetryRows:
                 seen.append((pairs, t, u))
                 return t, u
 
-            report = check_todd_symmetry(a, b, 1, seed, todd_fn=random_t)
+            report = check_todd_symmetry(a, b, 1, seed, todd_fn=batched(random_t))
             ((pairs, t, u),) = seen
             x, y = pairs[0] if pairs else (0, 1)
             lhs, rhs = todd_sides_by_oracle(a, b, x * u // y, t)
@@ -477,7 +484,7 @@ class TestToddSymmetry:
                 t[2] += _todd_tables(2)[2] * u**2
             return t, u
 
-        report = check_todd_symmetry(1, 2, samples=5, seed=1, todd_fn=skewed)
+        report = check_todd_symmetry(1, 2, samples=5, seed=1, todd_fn=batched(skewed))
         assert not report.passed and report.witness == (
             "sample 0, c = [Fraction(40, 7), Fraction(-39, 97), Fraction(83, 26)]: "
             "4263830/99813 != 841670/99813"
@@ -503,7 +510,7 @@ class TestToddSymmetry:
                 t[k] += _todd_tables(k)[k] * u**k
             return t, u
 
-        report = check_todd_symmetry(a, b, samples=20, seed=4, todd_fn=sometimes)
+        report = check_todd_symmetry(a, b, samples=20, seed=4, todd_fn=batched(sometimes))
         want = todd_symmetry_witness_by_fractions(a, b, 20, 4, sometimes)
         assert report.witness == want
         assert report.passed == (want is None)
@@ -541,7 +548,7 @@ class TestToddSymmetry:
 
         for total in range(9):
             for a in range(total + 1):
-                assert check_todd_symmetry(a, total - a, 50, 42, recording).passed
+                assert check_todd_symmetry(a, total - a, 50, 42, batched(recording)).passed
         assert len(seen) == 45 * 50
         m = _todd_tables(8)
         polys = todd_polynomials(8)
@@ -567,15 +574,51 @@ class TestToddSymmetry:
 
         calls = []
 
-        def counted(pairs):
-            calls.append(pairs)
-            return _scaled_todd_pass(pairs)
+        def counted(points):
+            calls.append(points)
+            return _scaled_todd_passes(points)
 
         monkeypatch.setattr(todd_module, "todd_values", unused)
-        monkeypatch.setattr(todd_module, "_scaled_todd_pass", counted)
+        monkeypatch.setattr(todd_module, "_scaled_todd_passes", counted)
         reports = run_tasks(build_tasks(suites=["todd-symm"]))
         assert len(reports) == 45 and all(r.passed for r in reports)
-        assert len(calls) == 45 * 50
+        assert len(calls) == 45
+        assert sum(map(len, calls)) == 45 * 50
+
+    @staticmethod
+    def faulty(mismatch_at, unscaled_at):
+        """A todd_fn with Td_2 += 1 at one trial and u = 1 at another."""
+
+        def evaluate(points):
+            results = []
+            for trial, point in enumerate(points):
+                t, u = _scaled_todd_pass(point)
+                if trial == mismatch_at:
+                    t[2] += _todd_tables(2)[2] * u**2
+                results.append((t, 1 if trial == unscaled_at else u))
+            return results
+
+        return evaluate
+
+    def test_trials_are_read_in_order_a_mismatch_first(self):
+        # Seed 0, (a, b) = (1, 2): c_1 = 13/23 at trial 7, which u = 1 does not clear.
+        want = check_todd_symmetry(1, 2, 10, 0, todd_fn=self.faulty(3, None))
+        assert want.witness.startswith("sample 3, c = [Fraction(59, 53), ")
+        assert check_todd_symmetry(1, 2, 10, 0, todd_fn=self.faulty(3, 7)) == want
+
+    def test_trials_are_read_in_order_a_bad_scale_first(self):
+        # Seed 0, (a, b) = (1, 2): c_1 = 65/18 at trial 2.
+        assert not check_todd_symmetry(1, 2, 10, 0, todd_fn=self.faulty(5, None)).passed
+        with pytest.raises(InternalMismatch) as caught:
+            check_todd_symmetry(1, 2, 10, 0, todd_fn=self.faulty(5, 2))
+        assert str(caught.value) == "sample 2: u = 1 does not clear c_1 = 65/18"
+
+    def test_a_result_missing_for_a_point_raises(self):
+        def short(points):
+            return _scaled_todd_passes(points)[:-1]
+
+        with pytest.raises(InternalMismatch, match=r"^todd_fn gave 4 results for 5 points$"):
+            check_todd_symmetry(1, 2, 5, 0, todd_fn=short)
 
     def test_a_scale_that_does_not_clear_c1_fails(self):
         from coxsums.verify import run_tasks
@@ -586,7 +629,7 @@ class TestToddSymmetry:
         rng = Random("0:1:1")
         assert (rng.randint(-100, 100), rng.randint(1, 100)) == (93, 76)  # sample 0's c_1
         # a == b: the sides agree at any c_1, so a floored c_1 u would pass.
-        check = partial(check_todd_symmetry, 1, 1, 5, 0, todd_fn=unscaled)
+        check = partial(check_todd_symmetry, 1, 1, 5, 0, todd_fn=batched(unscaled))
         with pytest.raises(InternalMismatch):
             check()
         [report] = run_tasks([("todd-symm", "(a=1, b=1)", check)])
@@ -957,8 +1000,9 @@ class TestSharedSweep:
             return _scaled_todd_pass(pairs)
 
         real = verify_module.check_todd_symmetry
+        todd_fn = batched(record)
         monkeypatch.setattr(
-            verify_module, "check_todd_symmetry", lambda *args: real(*args, todd_fn=record)
+            verify_module, "check_todd_symmetry", lambda *args: real(*args, todd_fn=todd_fn)
         )
         reports = run_tasks(build_tasks(seed=seed, suites=["todd-symm"]))
         assert len(reports) == 45 and all(r.passed for r in reports)
