@@ -306,6 +306,17 @@ class ParameterSet:
     V_minus: tuple[Fraction, ...]
 
 
+def cancelled(params: ParameterSet) -> tuple[list[Fraction], list[Fraction]]:
+    """V+ and V- with one copy of each common entry removed from each side,
+    the multiset difference of each side with their intersection."""
+    plus, minus = list(params.V_plus), list(params.V_minus)
+    for v in params.V_plus:
+        if v in minus:
+            minus.remove(v)
+            plus.remove(v)
+    return plus, minus
+
+
 # Families where the table leaves beta (for A1 also alpha) arbitrary.
 _ARBITRARY_BETA = ("A", "C", "G", "H2", "H3", "I2")
 

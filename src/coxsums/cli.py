@@ -444,8 +444,7 @@ def _cmd_table(args) -> int:
         sums = _powersums.exponent_power_sums(exponents(t), args.n_max)
         row.update((f"S{n}", s) for n, s in enumerate(sums))
         rows.append(row)
-    doc = OutputDocument(columns, rows)
-    print(doc.render(args.format))
+    print(OutputDocument(columns, rows).render(args.format))
     return 0
 
 
@@ -508,6 +507,15 @@ def _cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _int_option(text: str) -> int:
+    """int(text), refused as argparse does, but past _MAX_ECHO_LABEL characters by length."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = f": {text!r}" if len(text) <= _MAX_ECHO_LABEL else f" of {len(text)} characters"
+        raise argparse.ArgumentTypeError(f"invalid int value{shown}") from None
+
+
 def _add_format(parser) -> None:
     parser.add_argument("--format", choices=FORMATS, default="pretty")
 
@@ -544,16 +552,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("powersum", help="sum of n-th powers of the exponents")
     p.add_argument("type")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_option, required=True)
     p.add_argument("--method", choices=("direct", "todd", "closed", "all"), default="all")
-    p.add_argument("--p", type=int, default=1, help="free parameter of the todd method")
+    p.add_argument("--p", type=_int_option, default=1, help="free parameter of the todd method")
     _add_profile_beta(p)
     _add_format(p)
     p.set_defaults(func=_cmd_powersum)
 
     p = sub.add_parser("heights", help="sum of n-th powers of root heights")
     p.add_argument("type")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_int_option, required=True)
     p.add_argument("--method", choices=("direct", "closed", "all"), default="all")
     _add_profile_beta(p)
     _add_format(p)
@@ -562,9 +570,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="parameter and power-sum table")
     p.add_argument("--types", default=None, help="comma-separated type labels")
     p.add_argument("--all", action="store_true", help="every catalog type")
-    p.add_argument("--max-rank", type=int, default=12)
-    p.add_argument("--max-m", type=int, default=30)
-    p.add_argument("--n-max", type=int, default=3)
+    p.add_argument("--max-rank", type=_int_option, default=12)
+    p.add_argument("--max-m", type=_int_option, default=30)
+    p.add_argument("--n-max", type=_int_option, default=3)
     _add_profile_beta(p)
     _add_format(p)
     p.set_defaults(func=_cmd_table)
@@ -573,16 +581,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite", choices=("all",) + _verify.SUITE_NAMES, default="all"
     )
-    p.add_argument("--max-rank", type=int, default=12)
-    p.add_argument("--max-m", type=int, default=30)
-    p.add_argument("--n-max", type=int, default=12)
+    p.add_argument("--max-rank", type=_int_option, default=12)
+    p.add_argument("--max-m", type=_int_option, default=30)
+    p.add_argument("--n-max", type=_int_option, default=12)
     p.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_int_option, default=None,
         help="seed of the points where todd-symm checks the Todd values "
         "(default: $COX_SEED, else 42)",
     )
     p.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_int_option, default=1,
         help="accepted for compatibility and checked to be >= 1; "
         "checks always run one after another",
     )

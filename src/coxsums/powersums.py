@@ -79,34 +79,27 @@ def powersum_direct(t: CoxeterType, n: int) -> PowerSumResult:
     return PowerSumResult(t, n, value, "direct")
 
 
-def _todd_sums(
+def _todd_quotients(
     t: CoxeterType, n: int, p: int, params: ParameterSet | None, degrees: Sequence[int]
-) -> list[Fraction]:
-    """S_k for each k in degrees (all <= n), from one pass over the gamma numerators to n.
-
-    gamma_k = y_k / (k! w**k), and the Todd pass gives T_k = M_k u**k Td_k,
-    so S_k = k! r T_k / (M_k u**k): one Fraction per k asked for, left a
-    Fraction so that a table breaking integrality shows as a value, not an
-    error.
-    """
+) -> list[tuple[int, int]]:
+    """(k! r T_k, M_k s**k), not reduced, for each k in degrees (all <= n): S_k is
+    their quotient.  With gamma_k = F_k / s**k, one Todd pass over the signed
+    gamma integers a_k = (-1)**(k-1) F_k gives T_k = M_k s**k Td_k."""
     if n < 0:
         raise ValueError("n must be >= 0")
     ps = _params(t, params)
-    y, w = _todd._gamma_numerators(ps, p, n)
-    gammas, scale = [], 1
-    for k in range(1, n + 1):
-        scale *= k * w
-        gammas.append((y[k], scale))
-    scaled, u = _todd._scaled_todd_pass(gammas)
+    f, s = _todd._gamma_integers(ps, p, n)
+    scaled = _todd._todd_pass([1] + [x if k % 2 else -x for k, x in enumerate(f[1:], 1)])
     m = _todd._todd_tables(n)
-    return [Fraction(factorial(k) * ps.r * scaled[k], m[k] * u**k) for k in degrees]
+    return [(factorial(k) * ps.r * scaled[k], m[k] * s**k) for k in degrees]
 
 
 def powersum_todd_upto(
     t: CoxeterType, n: int, p: int = 1, params: ParameterSet | None = None
 ) -> tuple[Fraction, ...]:
-    """sum(m_i**k) = k! * r * Td_k for k = 0..n, from one pass over the gamma numerators."""
-    return tuple(_todd_sums(t, n, p, params, range(n + 1)))
+    """sum(m_i**k) = k! * r * Td_k for k = 0..n, from one pass over the gamma
+    integers; a table breaking integrality shows as a Fraction, not an error."""
+    return tuple(Fraction(*pair) for pair in _todd_quotients(t, n, p, params, range(n + 1)))
 
 
 def powersum_todd(
@@ -114,8 +107,8 @@ def powersum_todd(
 ) -> PowerSumResult:
     """sum(m_i**n) as n! * r * Td_n of the gamma series: the pass of
     powersum_todd_upto, with only S_n formed."""
-    (value,) = _todd_sums(t, n, p, params, (n,))
-    return PowerSumResult(t, n, value, "todd")
+    ((value, scale),) = _todd_quotients(t, n, p, params, (n,))
+    return PowerSumResult(t, n, Fraction(value, scale), "todd")
 
 
 def closed_power_sums(params: ParameterSet, n: int) -> list[int]:

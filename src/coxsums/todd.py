@@ -6,8 +6,8 @@ The gamma series of a parameter set is
 
 for a free positive integer p; its coefficients gamma_n feed the Todd
 polynomials.  gamma_series returns it to any order >= 0 as a plain
-TruncatedSeries over integer numerators, built from the p-factor's
-D-finite recurrence with one in-place pass per factor (1 - v*t), and
+TruncatedSeries over its gamma integers (below): the p-factor's D-finite
+recurrence, then one pass per factor (1 - v*t), and
 todd_values(series, n) returns the plain tuple Td_0 .. Td_n.  Td_n is
 evaluated for arbitrary n without symbolic roots: with P_k the power
 sums of virtual roots x_j whose elementary symmetric functions are the gamma_n,
@@ -21,24 +21,24 @@ series in t**2; then k Td_k = sum_j j lambda_j P_j Td_{k-j}.  The second
 step also takes the P_k directly (the closed route of coxsums.powersums).
 
 The inner loops run on integers, and each returned coefficient becomes a
-Fraction once.  The p-factor's coefficients are g_k / (k! * w**k) with
-integer g_k for any multiple w of its smallest scale; p_factor runs that
-recurrence at w = 1, and the gamma numerators run it and the V+/V-
-passes at one w, the common denominator of V+ and V-.  Td_k uses
-weighted homogeneity, Td_k(gamma_i * u**i) = u**k Td_k(gamma), for an
-integer u that clears every gamma_i, and Hirzebruch's Todd denominators
-M_k = prod_p p**(k // (p-1)), which make M_k Td_k an integer
-polynomial.  One step, _scaled_todd_pass, finds u (the greedy weighted
-scale of coxsums.series, which its pow shares) and runs the pass from
-integer (numerator, denominator) pairs: todd_values feeds it a series'
-Fractions, and the Todd power sums of coxsums.powersums feed it the gamma
-numerators directly, with no Fraction on the way.  The pass's integer
-weights M_j j lambda_j and carries M_k / (M_j M_{k-j}) are built once, as
-their table grows with n (each carry row from the one before it, through
-the small ratios M_k / M_{k-1}), and each of those divisions is checked then;
-the division that gives M_k Td_k is checked on every call.  So a table
-that breaks this integrality raises InternalMismatch instead of giving a
-value.
+Fraction once.  The gamma integers are F_k = gamma_k s**k at s = w odd(p),
+odd(p) being p without its factors of 2 and w the common denominator of
+V+ and V- once their common entries cancel; p_factor takes w = 1.  No k!
+enters: the p-factor's recurrence divides exactly by k+1 at any such s
+(proved at _quotient_integers), and each factor of V+ or V- is one pass
+at s.  Td_k uses weighted homogeneity, Td_k(gamma_i * u**i) =
+u**k Td_k(gamma), for an integer u that clears every gamma_i, and
+Hirzebruch's Todd denominators M_k = prod_p p**(k // (p-1)), which make
+M_k Td_k an integer polynomial.  The Todd power sums of coxsums.powersums
+run the pass on the gamma integers at u = s; todd_values has only a
+series' Fractions, and its _scaled_todd_pass takes u as the greedy
+weighted scale of coxsums.series (which its pow shares).  The pass's
+integer weights M_j j lambda_j and carries M_k / (M_j M_{k-j}) are built
+once, as their table grows with n (each carry row from the one before
+it, through the small ratios M_k / M_{k-1}), and each of those divisions
+is checked then; the division that gives M_k Td_k is checked on every
+call.  So a table that breaks this integrality raises InternalMismatch
+instead of giving a value.
 The pass is generic over the coefficient ring: run over MPoly with c_i in
 place of gamma_i, it gives the integer polynomials M_k Td_k themselves,
 and run over point vectors (_PointVector, one int per point) it gives the
@@ -62,7 +62,7 @@ from math import comb, factorial, lcm
 from operator import add, mul, neg, sub
 from typing import Sequence
 
-from .catalog import ParameterSet
+from .catalog import ParameterSet, cancelled
 from .errors import ConstantTermNotOne, InternalMismatch
 from .mpoly import MPoly
 from .series import TruncatedSeries, weighted_scale
@@ -70,63 +70,69 @@ from .series import TruncatedSeries, weighted_scale
 
 # Entries kept by each of the p_factor and gamma_series caches.  --beta admits
 # any rational and -p/-n any integer, so the keys are unbounded.  A default
-# verify makes no gamma_series call (gamma34 reads _gamma_numerators) and 6
+# verify makes no gamma_series call (gamma34 reads _gamma_integers) and 6
 # p_factor calls: no hit.
 _CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def p_factor(p: int, order: int) -> TruncatedSeries:
-    """Expansion of ((1+p*t)/(1-p*t))**(1/p): pi = p, mu = 1/p at their smallest scale, 1."""
+    """Expansion of ((1+p*t)/(1-p*t))**(1/p), from the p-factor integers at s = odd(p)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return TruncatedSeries(_over_scale(_quotient_numerators(2, p, order), 1), order=order)
+    s = p // (p & -p)  # odd(p)
+    f = _quotient_integers(2 * s, (p * s) ** 2, order)
+    return TruncatedSeries([Fraction(x, s**k) for k, x in enumerate(f)], order=order)
 
 
-def _quotient_numerators(a: int, b: int, order: int) -> list[int]:
-    """g_0 .. g_order, where f_k = g_k / (k! w**k), for a = 2 pi mu w and b = pi w.
+def _quotient_integers(a: int, b2: int, order: int) -> list[int]:
+    """F_0 .. F_order, F_k = f_k s**k for f = ((1+p*t)/(1-p*t))**(1/p), a = 2 s, b2 = (p s)**2.
 
-    Any scale w that makes a and b integers makes every
-    g_{k+1} = a g_k + b**2 (k-1) k g_{k-1} an integer.
+    (1 - p**2 t**2) f' = 2 f gives (k+1) F_{k+1} = a F_k + b2 (k-1) F_{k-1}
+    from F_0 = 1, F_1 = a.  Each division by k+1 is exact when odd(p)
+    divides s, as every F_k is then an integer.  Proof: f = sum_m
+    C(1/p, m) (2p t / (1 - p t))**m with C(1/p, m) (2p)**m = c_m =
+    2**m prod_{i<m} (1 - i p) / m!, so F_k = sum_{1<=m<=k} c_m s**m
+    C(k-1, m-1) (p s)**(k-m) for k >= 1, and c_m odd(p)**m is an integer:
+    at a prime q not dividing p, q**j divides 1 - i p for at least
+    floor(m / q**j) of the i < m, so the product carries v_q(m!); 2**m
+    carries it at q = 2 dividing p, and odd(p)**m at an odd q dividing p,
+    as v_q(m!) < m.  Each division is still checked: a remainder raises
+    InternalMismatch.
     """
-    b2 = b * b
-    g = [1, a][: order + 1]
+    f = [1, a][: order + 1]
     for k in range(1, order):
-        g.append(a * g[k] + b2 * (k - 1) * k * g[k - 1])
-    return g
+        fk, rest = divmod(a * f[k] + b2 * (k - 1) * f[k - 1], k + 1)
+        if rest:
+            raise InternalMismatch(f"p-factor: F_{k + 1} is not an integer")
+        f.append(fk)
+    return f
 
 
-def _over_scale(numerators: Sequence[int], u: int) -> list[Fraction]:
-    """The Fractions numerators[k] / (k! * u**k)."""
-    out, scale = [], 1
-    for k, y in enumerate(numerators):
-        if k:
-            scale *= k * u
-        out.append(Fraction(y, scale))
-    return out
-
-
-def _gamma_numerators(params: ParameterSet, p: int, order: int) -> tuple[list[int], int]:
-    """y_0 .. y_order and u, where gamma_k = y_k / (k! u**k) and u clears every v."""
+def _gamma_integers(params: ParameterSet, p: int, order: int) -> tuple[list[int], int]:
+    """F_0 .. F_order and s = w odd(p), gamma_k = F_k / s**k, w the common
+    denominator of V+ and V- after coxsums.catalog.cancelled."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    u = lcm(*(v.denominator for v in params.V_plus + params.V_minus))
-    y = _quotient_numerators(2 * u, p * u, order)  # the p-factor, at scale u
-    for v in params.V_plus:  # times 1/(1 - v*t)
-        vu = v.numerator * (u // v.denominator)
+    plus, minus = cancelled(params)
+    s = lcm(*(v.denominator for v in plus + minus)) * (p // (p & -p))
+    f = _quotient_integers(2 * s, (p * s) ** 2, order)
+    for v in plus:  # times 1/(1 - v*t)
+        vs = v.numerator * (s // v.denominator)
         for k in range(1, order + 1):
-            y[k] += vu * k * y[k - 1]
-    for v in params.V_minus:  # times (1 - v*t)
-        vu = v.numerator * (u // v.denominator)
+            f[k] += vs * f[k - 1]
+    for v in minus:  # times (1 - v*t)
+        vs = v.numerator * (s // v.denominator)
         for k in range(order, 0, -1):
-            y[k] -= vu * k * y[k - 1]
-    return y, u
+            f[k] -= vs * f[k - 1]
+    return f, s
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def gamma_series(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
     """Gamma series of a parameter set, from its V+/V- multisets."""
-    return TruncatedSeries(_over_scale(*_gamma_numerators(params, p, order)), order=order)
+    f, s = _gamma_integers(params, p, order)
+    return TruncatedSeries([Fraction(x, s**k) for k, x in enumerate(f)], order=order)
 
 
 # M_0, M_1, ...: Hirzebruch's Todd denominators; M_k Td_k has integer coefficients.

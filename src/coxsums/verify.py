@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul
 from random import Random
 from typing import Callable, Iterator, Sequence
@@ -46,6 +46,7 @@ from .catalog import (
     CoxeterType,
     ExponentList,
     ParameterSet,
+    cancelled,
     catalog,
     dual_partition,
     exponents,
@@ -97,17 +98,6 @@ def catalan(k: int) -> Fraction:
 # -- per-type table identities ------------------------------------------
 
 
-def _cancelled(params: ParameterSet) -> tuple[list[Fraction], list[Fraction]]:
-    """V+ and V- with one copy of each common entry removed from each side,
-    the multiset difference of each side with their intersection."""
-    plus, minus = list(params.V_plus), list(params.V_minus)
-    for v in params.V_plus:
-        if v in minus:
-            minus.remove(v)
-            plus.remove(v)
-    return plus, minus
-
-
 def check_expsum(
     t: CoxeterType,
     profile: str | None = None,
@@ -123,7 +113,7 @@ def check_expsum(
     ps = _resolve(t, profile, params)
     el = _exps(t, exps)
     failures: list[str] = []
-    plus, minus = _cancelled(ps)
+    plus, minus = cancelled(ps)
     if any(v.denominator != 1 or v.numerator <= 0 for v in plus + minus):
         failures.append(
             f"non-integer factor exponents after cancellation: "
@@ -149,12 +139,7 @@ def check_multiset_laws(
     """prod(V+) = r * prod(V-) and |V+| = |V-|, before any cancellation."""
     ps = _resolve(t, profile, params)
     failures = []
-    prod_plus = Fraction(1)
-    for v in ps.V_plus:
-        prod_plus *= v
-    prod_minus = Fraction(1)
-    for v in ps.V_minus:
-        prod_minus *= v
+    prod_plus, prod_minus = (prod(vs, start=Fraction(1)) for vs in (ps.V_plus, ps.V_minus))
     if prod_plus != ps.r * prod_minus:
         failures.append(f"prod(V+) = {prod_plus} but r*prod(V-) = {ps.r * prod_minus}")
     if len(ps.V_plus) != len(ps.V_minus):
@@ -421,11 +406,8 @@ def check_t_integrality(
     beyond the constant, and T**k equals the p-factor at p = 2**k."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    f = start
-    if f is None:
-        f = TruncatedSeries([1] + [2] * order)
+    current = start if start is not None else TruncatedSeries([1] + [2] * order)
     failures = []
-    current = f
     for k in range(k_max + 1):
         for n, c in enumerate(current.coefficients):
             if n >= 1 and (c.denominator != 1 or c % 2 != 0):
@@ -519,6 +501,8 @@ def check_gamma_specializations(
     A_r at p=1: gamma_n = r**n + r**(n-1).  C_r at p=1:
     gamma_n = (2r)**n - 2*sum((2r)**j, j<=n-2); at p=2:
     gamma_n = -2*sum(Catalan(j-1)*(2r)**(n-2j), 2j<=n) with Catalan(-1) = -1/2.
+    Compared in integers, F_n == gamma_n s**n from the gamma integers
+    (gamma_n = F_n / s**n); a Fraction is built only for a witness.
     """
     if t.family not in ("A", "C"):
         raise WrongFamily(f"{t.name} is not of type A or C")
@@ -526,14 +510,12 @@ def check_gamma_specializations(
         raise ValueError("n_max must be >= 1")
     ps = _resolve(t, None, params)
     ps_values = (1,) if t.family == "A" else (1, 2)
-    numerators = {p: _todd._gamma_numerators(ps, p, n_max) for p in ps_values}
-    failures, scale = [], 1  # gamma_n = y[n] / scale, scale = n! u**n with one u for every p
+    integers = {p: _todd._gamma_integers(ps, p, n_max) for p in ps_values}
+    failures = []
     for p, n, want in _gamma_specializations(t.family, ps.r, n_max):
-        y, u = numerators[p]
-        if p == 1:  # the first check at each n
-            scale *= n * u
-        if y[n] != want * scale:
-            failures.append(f"p={p}, n={n}: gamma_n = {Fraction(y[n], scale)}, formula {want}")
+        f, s = integers[p]
+        if f[n] != want * s**n:
+            failures.append(f"p={p}, n={n}: gamma_n = {Fraction(f[n], s**n)}, formula {want}")
             break
     return _report("specializations", t.name, failures)
 
@@ -545,11 +527,11 @@ def check_gamma34(
 ) -> CheckReport:
     """The explicit gamma_3 and gamma_4 polynomials in (h, gamma, alpha, beta, p).
 
-    Checked in integers: gamma_k = y_k / (k! u**k) from the gamma numerators,
-    and with e = lcm(den alpha, den beta), s = e (alpha + beta) and
+    Checked in integers: gamma_k = F_k / u**k from the gamma integers, and
+    with e = lcm(den alpha, den beta), s = e (alpha + beta) and
     q = e**2 alpha beta, the formulas give the integers G3 = 3 e**2 gamma_3
-    and G4 = 3 e**3 gamma_4; so gamma_3 holds when y_3 e**2 = 2 u**3 G3 and
-    gamma_4 when y_4 e**3 = 8 u**4 G4.  Both sides become Fractions only for
+    and G4 = 3 e**3 gamma_4; so gamma_3 holds when 3 e**2 F_3 = u**3 G3 and
+    gamma_4 when 3 e**3 F_4 = u**4 G4.  Both sides become Fractions only for
     a witness.
     """
     ps = _resolve(t, None, params)
@@ -558,7 +540,7 @@ def check_gamma34(
     e = lcm(a.denominator, b.denominator)
     ae, be = a.numerator * (e // a.denominator), b.numerator * (e // b.denominator)
     s, q = ae + be, ae * be
-    y, u = _todd._gamma_numerators(ps, p, 4)
+    f, u = _todd._gamma_integers(ps, p, 4)
     c = h * h - g - h + 2
     e2 = e * e
     g3 = (
@@ -572,14 +554,13 @@ def check_gamma34(
         - 3 * (h - 2) * ((2 * h - 2) * e + s) * q
     )
     failures = []
-    if y[3] * e2 != 2 * u**3 * g3:
+    if 3 * e2 * f[3] != u**3 * g3:
         failures.append(
-            f"gamma_3 = {Fraction(y[3], 6 * u**3)} but formula gives {Fraction(g3, 3 * e2)}"
+            f"gamma_3 = {Fraction(f[3], u**3)} but formula gives {Fraction(g3, 3 * e2)}"
         )
-    if y[4] * e2 * e != 8 * u**4 * g4:
+    if 3 * e2 * e * f[4] != u**4 * g4:
         failures.append(
-            f"gamma_4 = {Fraction(y[4], 24 * u**4)} "
-            f"but formula gives {Fraction(g4, 3 * e2 * e)}"
+            f"gamma_4 = {Fraction(f[4], u**4)} but formula gives {Fraction(g4, 3 * e2 * e)}"
         )
     return _report("gamma34", f"{t.name} (p={p})", failures)
 
@@ -600,18 +581,18 @@ def check_methods(
     resolved = _resolve(t, None, params)
     el = _exps(t, exps)
     sums = _powersums.exponent_power_sums(el, n_max)
-    dual = dual_partition(el)
     # The simply-laced check reads the height sum of degree 1.
-    heights = _powersums.dual_heightsums(dual, max(n_max, 1))
+    heights = _powersums.dual_heightsums(dual_partition(el), max(n_max, 1))
     closed = _powersums.closed_power_sums(resolved, n_max + 1)
-    todd = {p: _powersums.powersum_todd_upto(t, n_max, p, resolved) for p in ps_values}
+    degrees = range(n_max + 1)
+    todd = {p: _powersums._todd_quotients(t, n_max, p, resolved, degrees) for p in ps_values}
     failures = []
-    for n in range(n_max + 1):
+    for n in degrees:
         direct = sums[n]
         for p in ps_values:
-            todd_value = todd[p][n]
-            if todd_value != direct:
-                failures.append(f"n={n}, p={p}: todd {todd_value} != direct {direct}")
+            x, d = todd[p][n]
+            if x != direct * d:
+                failures.append(f"n={n}, p={p}: todd {Fraction(x, d)} != direct {direct}")
                 break
         if failures:
             break
@@ -619,12 +600,13 @@ def check_methods(
             failures.append(f"n={n}: closed {closed[n]} != direct {direct}")
             break
     # After every S_n: the height sum of degree n reads S_{n+1}.
-    for n in range(n_max + 1):
+    for n in degrees:
         if failures:
             break
-        hclosed = _todd.faulhaber_sum(n, closed)
-        if hclosed != heights[n]:
-            failures.append(f"heights n={n}: closed {hclosed} != direct {heights[n]}")
+        d, row = _todd._faulhaber_row(n)  # Faulhaber's sum x / d
+        x = sum(weight * closed[i] for i, weight in row)
+        if x != heights[n] * d:
+            failures.append(f"heights n={n}: closed {Fraction(x, d)} != direct {heights[n]}")
     if not failures and t.family in ("A", "D", "E"):
         # Simply-laced: gamma = h**2 forces the classical height-sum form.
         h, r = t.coxeter_number, t.rank

@@ -2,13 +2,14 @@
 
 None of these runs in a route, a check or a CLI command of coxsums; each
 computes a value the library computes another way, so exact agreement is
-a cross-check: the general p-factor against p_factor, the X_n route
-against gamma_series, the log of the Todd factor against the Bernoulli
-table, the T-transform rows run one list at a time against the sweep, the
-alternating sums term by term against the coefficient rows of the two
-symmetry suites, the product of (1 - q**v) factors by repeated
-polynomial products, the V+/V- cancellation by Counter arithmetic, and
-each rendered cell through a Fraction.  One helper, batched, lifts a
+a cross-check: the general p-factor against p_factor, the X_n route and
+the k! route (gamma_k = y_k / (k! u**k)) against gamma_series, the log
+of the Todd factor against the Bernoulli table, the T-transform rows run
+one list at a time against the sweep, the alternating sums term by term
+against the coefficient rows of the two symmetry suites, the product of
+(1 - q**v) factors by repeated polynomial products, the V+/V-
+cancellation by Counter arithmetic, and each rendered cell through a
+Fraction.  One helper, batched, lifts a
 per-point Todd fake to the list-of-points todd_fn of check_todd_symmetry.
 """
 
@@ -26,7 +27,7 @@ from coxsums.cli import _check_output_bits
 from coxsums.errors import CoxError
 from coxsums.intpoly import IntPolynomial
 from coxsums.series import TruncatedSeries
-from coxsums.todd import _bernoulli_numbers, _over_scale, _quotient_numerators, p_factor
+from coxsums.todd import _bernoulli_numbers, p_factor
 from coxsums.verify import CheckReport, _default_t_rows, check_t_example
 
 Rational = Union[int, Fraction]
@@ -34,6 +35,48 @@ Rational = Union[int, Fraction]
 
 class ConstraintViolated(CoxError):
     """The (pi, mu) weights of p_factor_general do not sum to m1."""
+
+
+def _quotient_numerators(a: int, b: int, order: int) -> list[int]:
+    """g_0 .. g_order, where f_k = g_k / (k! w**k), for a = 2 pi mu w and b = pi w.
+
+    Any scale w that makes a and b integers makes every
+    g_{k+1} = a g_k + b**2 (k-1) k g_{k-1} an integer.
+    """
+    b2 = b * b
+    g = [1, a][: order + 1]
+    for k in range(1, order):
+        g.append(a * g[k] + b2 * (k - 1) * k * g[k - 1])
+    return g
+
+
+def _over_scale(numerators: Sequence[int], u: int) -> list[Fraction]:
+    """The Fractions numerators[k] / (k! * u**k)."""
+    out, scale = [], 1
+    for k, y in enumerate(numerators):
+        if k:
+            scale *= k * u
+        out.append(Fraction(y, scale))
+    return out
+
+
+def gamma_by_factorials(params: ParameterSet, p: int, order: int) -> list[Fraction]:
+    """gamma_0 .. gamma_order as y_k / (k! u**k), u the common denominator of
+    every entry of V+ and V-, none cancelled: the p-factor numerators at
+    scale u, then one pass per factor, each step carrying its k."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    u = lcm(*(v.denominator for v in params.V_plus + params.V_minus))
+    y = _quotient_numerators(2 * u, p * u, order)
+    for v in params.V_plus:  # times 1/(1 - v*t)
+        vu = v.numerator * (u // v.denominator)
+        for k in range(1, order + 1):
+            y[k] += vu * k * y[k - 1]
+    for v in params.V_minus:  # times (1 - v*t)
+        vu = v.numerator * (u // v.denominator)
+        for k in range(order, 0, -1):
+            y[k] -= vu * k * y[k - 1]
+    return _over_scale(y, u)
 
 
 def _quotient_power(pi: Fraction, mu: Fraction, order: int) -> TruncatedSeries:

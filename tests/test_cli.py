@@ -1212,6 +1212,59 @@ class TestLongIndexEcho:
         assert code == 2 and err == "error: cannot parse a type label of 65 characters\n"
 
 
+# Every integer option, as (argv before the value, option name in the error).
+INT_OPTIONS = [
+    (("powersum", "A2", "-n"), "-n"),
+    (("powersum", "A2", "-n", "2", "--p"), "--p"),
+    (("heights", "A2", "-n"), "-n"),
+    (("table", "--all", "--max-rank"), "--max-rank"),
+    (("table", "--all", "--max-m"), "--max-m"),
+    (("table", "--all", "--n-max"), "--n-max"),
+    (("verify", "--max-rank"), "--max-rank"),
+    (("verify", "--max-m"), "--max-m"),
+    (("verify", "--n-max"), "--n-max"),
+    (("verify", "--seed"), "--seed"),
+    (("verify", "--jobs"), "--jobs"),
+]
+
+
+class TestIntOptions:
+    """An integer option that int() refuses gets argparse's own text, with a
+    value past 64 characters named by its length instead of echoed."""
+
+    @pytest.mark.parametrize("argv, option", INT_OPTIONS)
+    @pytest.mark.parametrize("text", ["x", "1.5", "", "9" * 63 + "x"])
+    def test_short_value_is_echoed_as_argparse_does(self, capsys, argv, option, text):
+        code, out, err = run(capsys, *argv, text)
+        assert code == 2 and out == ""
+        assert err.endswith(f": error: argument {option}: invalid int value: {text!r}\n")
+        assert err.startswith("usage: cox ")
+
+    @pytest.mark.parametrize("argv, option", INT_OPTIONS)
+    @pytest.mark.parametrize("text", ["7" * 5000, "9" * 64 + "x", "1" * 4301])
+    def test_long_value_is_named_by_its_length(self, capsys, argv, option, text):
+        code, out, err = run(capsys, *argv, text)
+        assert code == 2 and out == ""
+        assert err.endswith(
+            f": error: argument {option}: invalid int value of {len(text)} characters\n"
+        )
+        assert len(err.encode()) < 600
+
+    def test_seed_of_5000_digits(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "kostant", "--seed", "7" * 5000)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == (
+            "cox verify: error: argument --seed: invalid int value of 5000 characters"
+        )
+
+    def test_valid_values_are_read_as_int_reads_them(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "kostant", "--max-rank", " 4 ", "--max-m", "3",
+            "--seed", "1_0",
+        )
+        assert code == 0 and "max-rank=4 max-m=3 n-max=12 seed=10" in out
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2

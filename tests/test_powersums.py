@@ -111,6 +111,34 @@ class TestTodd:
         assert powersum_todd_upto(e8, 4, 3)[4] == powersum_todd(e8, 4, 3).value == 1246568
 
 
+    def test_runs_no_weighted_scale(self, monkeypatch):
+        """The gamma integers come at their own scale s, so the route takes no
+        gcd-reduced weighted scale and feeds the Todd pass directly."""
+        from coxsums import series as series_module
+        from coxsums import todd as todd_module
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the Todd route reads the gamma integers at scale s")
+
+        for name in ("_scaled_todd_pass", "weighted_scale"):
+            monkeypatch.setattr(todd_module, name, unused)
+        monkeypatch.setattr(series_module, "weighted_scale", unused)
+        e8 = parse_type("E8")
+        want = tuple(exponent_power_sums(exponents(e8), 20))
+        for p in (1, 2, 3, 9):
+            assert powersum_todd_upto(e8, 20, p) == want
+            assert powersum_todd(e8, 20, p).value == want[20]
+
+    def test_quotients_are_the_route_values(self):
+        from coxsums.powersums import _todd_quotients
+
+        for label in ("E8", "I2(7)", "H3", "C5"):
+            t = parse_type(label)
+            pairs = _todd_quotients(t, 12, 3, None, range(13))
+            assert tuple(F(x, d) for x, d in pairs) == powersum_todd_upto(t, 12, 3)
+            assert _todd_quotients(t, 12, 3, None, (7, 2)) == [pairs[7], pairs[2]]
+
+
 class TestClosed:
     def test_spot_values(self):
         assert powersum_closed(parse_type("E8"), 3).value == 52200

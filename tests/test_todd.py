@@ -1,7 +1,8 @@
 """Gamma series, Todd values, Bernoulli polynomials, Faulhaber sums."""
 
+import dataclasses
 from fractions import Fraction as F
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from operator import mul
 from random import Random
 
@@ -22,7 +23,9 @@ from coxsums import (
     parse_type,
     todd_values,
 )
+from coxsums.catalog import cancelled
 from coxsums.errors import ConstantTermNotOne, InternalMismatch
+from coxsums.series import weighted_scale
 from coxsums import todd as todd_module
 from coxsums.mpoly import MPoly
 from coxsums.todd import (
@@ -41,6 +44,7 @@ from oracles import (
     ConstraintViolated,
     _quotient_power,
     _todd_factor_log,
+    gamma_by_factorials,
     gamma_series_xn,
     p_factor_general,
     x_sequence,
@@ -301,6 +305,85 @@ class TestGammaSeries:
     def test_requires_positive_p(self, p):
         with pytest.raises(ValueError):
             gamma_series(parameters(parse_type("A2")), p, 4)
+
+
+# V+ and V- entries for the gamma integers: integers, half-integers and
+# --beta-style rationals, drawn from one small pool so that the two sides
+# share entries and repeat them.
+v_entries = st.sampled_from(
+    [F(1), F(2), F(3), F(5), F(12), F(-4), F(1, 2), F(3, 2), F(7, 2), F(-5, 2),
+     F(7, 3), F(1, 6), F(-9, 4), F(22, 7), F(10**6 + 1, 10**4)]
+)
+p_values = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 8, 9, 45, 3**7, 2**10 * 45, 10**6, 999_999]),
+    st.integers(min_value=1, max_value=10**6),
+)
+
+
+def odd_part(p):
+    while p % 2 == 0:
+        p //= 2
+    return p
+
+
+class TestGammaIntegers:
+    """gamma_k = F_k / s**k at s = w odd(p), against the k! route of tests/oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(v_entries, max_size=5),
+        st.lists(v_entries, max_size=5),
+        st.lists(v_entries, max_size=3),
+        p_values,
+        st.integers(min_value=0, max_value=14),
+    )
+    def test_property_match_the_factorial_route(self, plus, minus, common, p, order):
+        base = parameters(parse_type("E8"))
+        ps = dataclasses.replace(
+            base, V_plus=tuple(plus + common), V_minus=tuple(common + minus)
+        )
+        f, s = todd_module._gamma_integers(ps, p, order)
+        left, right = cancelled(ps)
+        assert s == lcm(*(v.denominator for v in left + right)) * odd_part(p)
+        want = gamma_by_factorials(ps, p, order)
+        assert [F(x, s**k) for k, x in enumerate(f)] == want
+        assert gamma_series(ps, p, order).coefficients == tuple(want)
+
+    @pytest.mark.parametrize("p", [1, 2, 9, 45, 3**7, 10**6])
+    def test_p_factor_matches_the_factorial_route(self, p):
+        a1 = parameters(parse_type("A1"))  # V+ = V- = {2}: only the p-factor is left
+        assert cancelled(a1) == ([], [])
+        assert p_factor(p, 30).coefficients == tuple(gamma_by_factorials(a1, p, 30))
+
+    def test_p_factor_division_is_exact_for_small_p(self):
+        """Every (k+1) F_{k+1} of the p-factor at s = odd(p) is a multiple of k+1
+        (a remainder raises InternalMismatch), for p <= 200 and k <= 300."""
+        for p in range(1, 201):
+            s = odd_part(p)
+            f = todd_module._quotient_integers(2 * s, (p * s) ** 2, 300)
+            assert len(f) == 301 and f[:2] == [1, 2 * s], p
+
+    def test_a_remainder_raises(self):
+        # s = 1 is not a multiple of odd(3): F_3 = (2 F_2 + 3**2 F_1) / 3 = 22/3.
+        with pytest.raises(InternalMismatch, match="^p-factor: F_3 is not an integer$"):
+            todd_module._quotient_integers(2, 3**2, 6)
+
+    def test_scale_is_the_greedy_scale_over_the_catalog(self):
+        """s equals the greedy weighted scale u of the same gamma_1 .. gamma_12, so
+        the Todd route runs its pass on the same integers as todd_values."""
+        for t in catalog(12, 30):
+            for prof in applicable_profiles(t):
+                ps = parameters(t, prof)
+                for p in (1, 2, 3):
+                    f, s = todd_module._gamma_integers(ps, p, 12)
+                    gammas = [(x, s**k) for k, x in enumerate(f[1:], 1)]
+                    assert weighted_scale(gammas)[1] == s, (t.name, prof, p)
+
+    def test_common_entries_cancel_before_the_scale(self):
+        ps = parameters(parse_type("I2(7)"), "redefined")  # 7/2 in both V+ and V-
+        assert F(7, 2) in ps.V_plus and F(7, 2) in ps.V_minus
+        assert todd_module._gamma_integers(ps, 1, 4)[1] == 1
+        assert todd_module._gamma_integers(ps, 45, 4)[1] == 45
 
 
 class TestXSequence:

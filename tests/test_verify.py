@@ -23,6 +23,7 @@ from coxsums import (
     run_all,
 )
 import coxsums.verify as verify_module
+from coxsums.catalog import cancelled
 from coxsums.errors import ConstantTermNotOne, InternalMismatch, WrongFamily
 from coxsums.powersums import exponent_power_sums
 from coxsums.verify import (
@@ -246,14 +247,14 @@ class TestCancelled:
         for t in catalog(12, 30):
             for prof in applicable_profiles(t):
                 ps = parameters(t, prof)
-                got = verify_module._cancelled(ps)
+                got = cancelled(ps)
                 assert _same_multisets(got, cancelled_by_counter(ps)), (t.name, prof)
 
     @pytest.mark.parametrize("label", ["A1", "A3", "C4", "G2", "H2", "H3", "I2(7)", "I2(8)"])
     def test_beta_equal_to_alpha(self, label):
         t = parse_type(label)
         ps = parameters(t, beta=parameters(t).alpha)
-        got = verify_module._cancelled(ps)
+        got = cancelled(ps)
         assert _same_multisets(got, cancelled_by_counter(ps))
         assert check_expsum(t, params=ps).passed
 
@@ -274,12 +275,12 @@ class TestCancelled:
             V_plus=tuple(map(F, plus)),
             V_minus=tuple(map(F, minus)),
         )
-        assert _same_multisets(verify_module._cancelled(ps), cancelled_by_counter(ps))
+        assert _same_multisets(cancelled(ps), cancelled_by_counter(ps))
 
     def test_leaves_the_parameter_set_unchanged(self):
         ps = parameters(parse_type("I2(7)"), "redefined")
         before = (ps.V_plus, ps.V_minus)
-        verify_module._cancelled(ps)
+        cancelled(ps)
         assert (ps.V_plus, ps.V_minus) == before
 
 
@@ -717,7 +718,7 @@ class TestSpecializations:
 
     @pytest.mark.parametrize("label", ["A3", "C4"])
     def test_passes_at_a_scale_above_one(self, label):
-        # A factor (1 - v*t) in both V+ and V- cancels, but makes u = 12.
+        # A factor (1 - v*t) in both V+ and V- cancels before the scale is taken.
         t = parse_type(label)
         ps = parameters(t)
         extra = (F(1, 3), F(-5, 4))
@@ -759,6 +760,31 @@ class TestSpecializations:
         assert report.witness == specialization_witness_by_sums(t, 12, bad)
 
 
+    @pytest.mark.parametrize("label, p, n", [("A3", 1, 5), ("C4", 1, 1), ("C4", 2, 7)])
+    def test_wrong_integer_gives_the_fraction_witness(self, monkeypatch, label, p, n):
+        """A wrong F_n fails the integer check with the witness that the same
+        series gives in Fractions."""
+        import coxsums.todd as todd_module
+
+        t = parse_type(label)
+        ps = parameters(t)
+        real = todd_module._gamma_integers
+
+        def wrong(params, q, order):
+            f, s = real(params, q, order)
+            if q == p:
+                f[n] += 1
+            return f, s
+
+        monkeypatch.setattr(todd_module, "_gamma_integers", wrong)
+        report = check_gamma_specializations(t, 12, params=ps)
+        assert not report.passed
+        f, s = wrong(ps, p, 12)
+        got = [F(x, s**k) for k, x in enumerate(f)]
+        want = {(q, k): v for q, k, v in specializations_by_sums(t.family, ps.r, 12)}
+        assert report.witness == f"p={p}, n={n}: gamma_n = {got[n]}, formula {want[p, n]}"
+
+
 class TestGamma34:
     @pytest.mark.parametrize("label", ["A2", "E8", "H4", "I2(9)", "C5"])
     @pytest.mark.parametrize("p", [1, 2])
@@ -784,7 +810,7 @@ class TestGamma34:
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("p", [1, 2])
     def test_wrong_numerator_gives_the_fraction_witness(self, monkeypatch, label, k, p):
-        """A wrong y_3 or y_4 fails the integer check with the witness that the
+        """A wrong F_3 or F_4 fails the integer check with the witness that the
         same series gives in Fractions."""
         import coxsums.todd as todd_module
 
@@ -792,27 +818,27 @@ class TestGamma34:
         ps = parameters(t)
         if label == "I2(9)":  # half-integer: the scale e of alpha and beta is 2
             assert (ps.alpha.denominator, ps.beta.denominator) == (1, 2)
-        real = todd_module._gamma_numerators
-        y, u = real(ps, p, 4)
-        y[k] += 1
+        real = todd_module._gamma_integers
+        f, u = real(ps, p, 4)
+        f[k] += 1
 
         def wrong(params, p, order):
             assert (params, order) == (ps, 4)
-            return list(y), u
+            return list(f), u
 
-        monkeypatch.setattr(todd_module, "_gamma_numerators", wrong)
+        monkeypatch.setattr(todd_module, "_gamma_integers", wrong)
         report = check_gamma34(t, p, params=ps)
         assert not report.passed
-        assert report.witness == gamma34_witness_by_fractions(ps, p, y, u)
+        assert report.witness == gamma34_witness_by_fractions(ps, p, f, u)
         assert report.witness.startswith(f"gamma_{k} = ")
 
 
-def gamma34_witness_by_fractions(ps, p, y, u):
-    """The first gamma34 witness, from gamma_k = y_k / (k! u**k) and the
+def gamma34_witness_by_fractions(ps, p, f, u):
+    """The first gamma34 witness, from gamma_k = F_k / u**k and the
     formulas evaluated in Fractions."""
     h, g = ps.h, ps.gamma
     s, q = ps.alpha + ps.beta, ps.alpha * ps.beta
-    gamma = [F(y[k], factorial(k) * u**k) for k in range(5)]
+    gamma = [F(f[k], u**k) for k in range(5)]
     gamma3 = (
         -(h**3) + 2 * h * g - 2 * g + F(2 * p * p + 4, 3)
         - (h * h - g - h + 2) * s - (h - 2) * q
@@ -864,6 +890,35 @@ class TestMethodsSuite:
         report = check_methods(parse_type("E8"), n_max=6, params=bad)
         assert not report.passed
         assert re.fullmatch(r"n=\d+, p=\d+: todd \S+ != direct \S+", report.witness)
+
+    def test_todd_witness_is_the_route_value(self):
+        e8 = parse_type("E8")
+        bad = corrupt(parameters(e8), V_plus=(F(20), F(25)))
+        report = check_methods(e8, n_max=6, params=bad)
+        values = powersum_todd_upto(e8, 6, 1, bad)
+        direct = exponent_power_sums(exponents(e8), 6)
+        n = next(k for k in range(7) if values[k] != direct[k])
+        assert report.witness == f"n={n}, p=1: todd {values[n]} != direct {direct[n]}"
+
+    @pytest.mark.parametrize("wrong", [lambda b2: b2 + 1, lambda b2: 2 * b2, lambda b2: -b2])
+    def test_wrong_p_squared_term_is_caught(self, monkeypatch, wrong):
+        """A wrong p**2 term in the p-factor recurrence raises InternalMismatch
+        from its checked division, so every Todd-route check fails with a witness."""
+        import coxsums.todd as todd_module
+
+        real = todd_module._quotient_integers
+        monkeypatch.setattr(
+            todd_module, "_quotient_integers", lambda a, b2, order: real(a, wrong(b2), order)
+        )
+        for p in (1, 2, 3):
+            with pytest.raises(InternalMismatch, match=r"^p-factor: F_\d+ is not an integer$"):
+                check_methods(parse_type("E8"), n_max=12, ps_values=(p,))
+        tasks = verify_module.build_tasks(max_rank=3, max_m=8, n_max=6, suites=["methods"])
+        reports = verify_module.run_tasks(tasks)
+        todd_checks = [r for r in reports if "vs" not in r.subject]
+        assert todd_checks and all(not r.passed for r in todd_checks)
+        pattern = r"raised InternalMismatch\('p-factor: F_\d+ is not an integer'\)"
+        assert all(re.fullmatch(pattern, r.witness) for r in todd_checks)
 
     def test_dual_partition_built_once_per_type(self, monkeypatch):
         import coxsums.powersums as powersums_module
