@@ -261,10 +261,6 @@ class DualPartition:
         if any(map(lt, k, islice(k, 1, None))) or (k and k[-1] < 0):
             raise ValueError("dual partition must be nonincreasing and nonnegative")
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 def dual_partition(e: ExponentList) -> DualPartition:
     """k_j = r - i on each run m_i < j <= m_{i+1} (m_0 = 0): one repeat per

@@ -83,13 +83,13 @@ def _todd_quotients(
     t: CoxeterType, n: int, p: int, params: ParameterSet | None, degrees: Sequence[int]
 ) -> list[tuple[int, int]]:
     """(k! r T_k, M_k s**k), not reduced, for each k in degrees (all <= n): S_k is
-    their quotient.  With gamma_k = F_k / s**k, one Todd pass over the signed
-    gamma integers a_k = (-1)**(k-1) F_k gives T_k = M_k s**k Td_k."""
+    their quotient.  With gamma_k = F_k / s**k, one Todd pass over the gamma
+    integers F_k gives T_k = M_k s**k Td_k."""
     if n < 0:
         raise ValueError("n must be >= 0")
     ps = _params(t, params)
     f, s = _todd._gamma_integers(ps, p, n)
-    scaled = _todd._todd_pass([1] + [x if k % 2 else -x for k, x in enumerate(f[1:], 1)])
+    scaled = _todd._todd_pass(f)
     m = _todd._todd_tables(n)
     return [(factorial(k) * ps.r * scaled[k], m[k] * s**k) for k in degrees]
 

@@ -29,10 +29,10 @@ enters: the p-factor's recurrence divides exactly by k+1 at any such s
 at s.  Td_k uses weighted homogeneity, Td_k(gamma_i * u**i) =
 u**k Td_k(gamma), for an integer u that clears every gamma_i, and
 Hirzebruch's Todd denominators M_k = prod_p p**(k // (p-1)), which make
-M_k Td_k an integer polynomial.  The Todd power sums of coxsums.powersums
-run the pass on the gamma integers at u = s; todd_values has only a
-series' Fractions, and its _scaled_todd_pass takes u as the greedy
-weighted scale of coxsums.series (which its pow shares).  The pass's
+M_k Td_k an integer polynomial.  The pass takes the gamma_i u**i as they
+are (no caller signs them): the Todd power sums of coxsums.powersums at
+u = s; todd_values, which has only a series' Fractions, at the greedy
+weighted scale u of coxsums.series (which its pow shares).  The pass's
 integer weights M_j j lambda_j and carries M_k / (M_j M_{k-j}) are built
 once, as their table grows with n (each carry row from the one before
 it, through the small ratios M_k / M_{k-1}), and each of those divisions
@@ -59,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from operator import add, mul, neg, sub
+from operator import add, mul, neg
 from typing import Sequence
 
 from .catalog import ParameterSet, cancelled
@@ -220,28 +220,28 @@ def _todd_steps(n: int) -> tuple[list[int], list[list[int]]]:
     return weights, carries
 
 
-def _todd_pass(a: Sequence) -> list:
-    """T_0 .. T_n, T_k = M_k Td_k(gamma), from a_i = (-1)**(i-1) gamma_i and a_0 = 1.
+def _todd_pass(g: Sequence) -> list:
+    """T_0 .. T_n, T_k = M_k Td_k(gamma), from g_0 = 1 and g_i = gamma_i.
 
-    The recurrence reads only P_1 = a_1 and the even P_2m, so only those are
-    formed: gamma(t) gamma(-t) = prod(1 - x_j**2 t**2) has the P_2m as its
-    Newton sums in t**2.  With s_i = (-1)**i a_i its coefficients give
-    b_m = 2 a_2m - 2 sum_{i<m} s_i a_{2m-i} - s_m a_m, and then
-    P_2m = m b_m + sum_{i<m} b_i P_{2m-2i}: about n**2/4 products, half of
-    Newton's identity over every P_k.  The a_i may lie in any ring where
-    ints act by multiplication, with divmod by an int: ints; MPoly, for the
-    polynomials themselves; or point vectors (_PointVector), for many
-    points in one pass.
+    The recurrence reads only P_1 = g_1 and the even P_2m, so only those are
+    formed: gamma(t) gamma(-t) = prod(1 - x_j**2 t**2) has the coefficients
+    c_m = sum_i (-1)**i g_i g_{2m-i} in t**2, and Newton's identity over
+    them gives P_2m = -(m c_m + sum_{i<m} c_i P_{2m-2i}): about n**2/4
+    products, half of Newton's identity over every P_k.  The sign (-1)**i
+    is applied here, to the g_i with i <= n/2, and nowhere else.  The g_i
+    may lie in any ring where ints act by multiplication, with negation and
+    divmod by an int: ints; MPoly, for the polynomials themselves; or point
+    vectors (_PointVector), for many points in one pass.
     """
-    n = len(a) - 1
-    s = [-x if i % 2 else x for i, x in enumerate(a[: n // 2 + 1])]
-    q = list(a[:2]) + [0] * (n - 1)  # T_0 = a_0, P_1 = a_1; the odd P_k (k >= 3) stay 0
-    b = []  # b_1, b_2, ...
+    n = len(g) - 1
+    s = [-x if i % 2 else x for i, x in enumerate(g[: n // 2 + 1])]  # (-1)**i g_i
+    q = list(g[:2]) + [0] * (n - 1)  # T_0 = g_0, P_1 = g_1; the odd P_k (k >= 3) stay 0
+    c = []  # c_1, c_2, ...
     for m in range(1, n // 2 + 1):
         k = 2 * m
-        bm = 2 * (a[k] - sum(map(mul, s[1:m], a[k - 1 : m : -1]))) - s[m] * a[m]
-        b.append(bm)
-        q[k] = sum(map(mul, b[: m - 1], q[k - 2 : 0 : -2]), m * bm)
+        cm = 2 * (g[k] + sum(map(mul, s[1:m], g[k - 1 : m : -1]))) + s[m] * g[m]
+        c.append(cm)
+        q[k] = -sum(map(mul, c[: m - 1], q[k - 2 : 0 : -2]), m * cm)
     return _todd_recurrence(q)
 
 
@@ -272,21 +272,8 @@ def _todd_recurrence(q: Sequence) -> list:
     return t
 
 
-def _scaled_todd_pass(gammas: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """T_0 .. T_n and u, T_k = M_k u**k Td_k, from gamma_i = y_i / d_i for i = 1..n.
-
-    The pairs need not be in lowest terms.  u is the weighted scale of
-    coxsums.series, which makes every gamma_i u**i an integer; by weighted
-    homogeneity the pass over those integers gives T_k.
-    """
-    scaled, u = weighted_scale(gammas)
-    # (-1)**(i-1) gamma_i u**i, so that Newton's identity is a plain sum.
-    a = [1] + [x if i % 2 else -x for i, x in enumerate(scaled, 1)]
-    return _todd_pass(a), u
-
-
 class _PointVector(tuple):
-    """One int per point, a ring under componentwise +, - and *.
+    """One int per point, a ring under componentwise +, * and negation.
 
     An int acts on every component (int * v is a product, not tuple
     repetition), divmod by an int is taken componentwise, and a vector is
@@ -302,14 +289,6 @@ class _PointVector(tuple):
         return _PointVector(map(add, self, other))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        if type(other) is int:
-            return _PointVector([x - other for x in self])
-        return _PointVector(map(sub, self, other))
-
-    def __rsub__(self, other):
-        return _PointVector([other - x for x in self])
 
     def __mul__(self, other):
         if type(other) is int:
@@ -331,21 +310,20 @@ class _PointVector(tuple):
 def _scaled_todd_passes(
     points: Sequence[Sequence[tuple[int, int]]],
 ) -> list[tuple[list[int], int]]:
-    """_scaled_todd_pass(point) for each of several points of one length n.
+    """(T, u) per point, T_k = M_k u**k Td_k, for points of one length n, each
+    its gamma_i = y_i / d_i (i = 1..n) as pairs, not necessarily in lowest terms.
 
-    Each point gets its own weighted scale u, and one Todd pass over point
-    vectors, whose k-th component comes from the k-th point, gives every T.
+    u is the point's weighted scale of coxsums.series, which clears every
+    gamma_i u**i; one Todd pass over point vectors, whose k-th component
+    comes from the k-th point, gives every T.
     """
     if len({len(point) for point in points}) > 1:
         raise ValueError("the points must all have the same length")
     if not points:
         return []
     scaled, scales = zip(*map(weighted_scale, points))
-    columns = [_PointVector(column) for column in zip(*scaled)]
-    # (-1)**(i-1) gamma_i u**i at every point, as in _scaled_todd_pass.
-    a = [_PointVector([1] * len(points))]
-    a += [x if i % 2 else -x for i, x in enumerate(columns, 1)]
-    return [(list(t), u) for t, u in zip(zip(*_todd_pass(a)), scales)]
+    g = [_PointVector([1] * len(points))] + [_PointVector(column) for column in zip(*scaled)]
+    return [(list(t), u) for t, u in zip(zip(*_todd_pass(g)), scales)]
 
 
 def todd_values(series: TruncatedSeries, n_max: int) -> tuple[Fraction, ...]:
@@ -357,7 +335,8 @@ def todd_values(series: TruncatedSeries, n_max: int) -> tuple[Fraction, ...]:
     if n_max > series.order:
         raise ValueError("n_max exceeds the order of the gamma series")
     gammas = [(c.numerator, c.denominator) for c in series.coefficients[1 : n_max + 1]]
-    t, u = _scaled_todd_pass(gammas)
+    scaled, u = weighted_scale(gammas)
+    t = _todd_pass([1] + scaled)
     m = _todd_tables(n_max)
     return tuple(Fraction(tk, m[k] * u**k) for k, tk in enumerate(t))
 
@@ -372,9 +351,7 @@ def todd_polynomials(n: int) -> tuple[MPoly, ...]:
         raise ValueError("n must be >= 0")
     table = _TODD_POLYNOMIALS
     if n >= len(table):
-        c = [MPoly.variable(i) for i in range(1, n + 1)]
-        signed = [ci if i % 2 else -ci for i, ci in enumerate(c, 1)]
-        table[:] = _todd_pass([MPoly({(): 1})] + signed)
+        table[:] = _todd_pass([MPoly({(): 1})] + [MPoly.variable(i) for i in range(1, n + 1)])
     return tuple(table[: n + 1])
 
 

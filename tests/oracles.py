@@ -9,8 +9,9 @@ one list at a time against the sweep, the alternating sums term by term
 against the coefficient rows of the two symmetry suites, the product of
 (1 - q**v) factors by repeated polynomial products, the V+/V-
 cancellation by Counter arithmetic, and each rendered cell through a
-Fraction.  One helper, batched, lifts a
-per-point Todd fake to the list-of-points todd_fn of check_todd_symmetry.
+Fraction.  scaled_todd_pass runs the Todd pass one point at a time, over
+ints, against the batch over point vectors; batched lifts a per-point
+Todd fake to the list-of-points todd_fn of check_todd_symmetry.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from coxsums.catalog import ParameterSet
 from coxsums.cli import _check_output_bits
 from coxsums.errors import CoxError
 from coxsums.intpoly import IntPolynomial
-from coxsums.series import TruncatedSeries
-from coxsums.todd import _bernoulli_numbers, p_factor
+from coxsums.series import TruncatedSeries, weighted_scale
+from coxsums.todd import _bernoulli_numbers, _todd_pass, p_factor
 from coxsums.verify import CheckReport, _default_t_rows, check_t_example
 
 Rational = Union[int, Fraction]
@@ -164,6 +165,17 @@ def alternating_sum(x: int, y, w: Sequence, n: int):
     multiplication: ints, or MPoly.
     """
     return sum((-1) ** (x - j) * comb(x, j) * y**j * w[n - j] for j in range(x + 1))
+
+
+def scaled_todd_pass(gammas: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """T_0 .. T_n and u, T_k = M_k u**k Td_k, from gamma_i = y_i / d_i for i = 1..n.
+
+    The pairs need not be in lowest terms.  u is the weighted scale of
+    coxsums.series, which makes every gamma_i u**i an integer; by weighted
+    homogeneity one Todd pass over those integers gives T_k.
+    """
+    scaled, u = weighted_scale(gammas)
+    return _todd_pass([1] + scaled), u
 
 
 def batched(per_point):

@@ -27,7 +27,7 @@ from coxsums import (
     todd_values,
 )
 from coxsums.cli import main as cli_main
-from coxsums.todd import _scaled_todd_pass, _todd_tables
+from coxsums.todd import _todd_tables
 from coxsums.verify import (
     check_beta_formula,
     check_de_kostant,
@@ -43,7 +43,7 @@ from coxsums.verify import (
     check_t_integrality,
     check_todd_symmetry,
 )
-from oracles import batched, check_t_examples
+from oracles import batched, check_t_examples, scaled_todd_pass
 
 SWEEP = catalog(12, 30)
 
@@ -232,7 +232,7 @@ def test_criterion_8_negative_controls():
     bad_exps = ExponentList((1, 7, 11, 13, 17, 19, 23, 28))
 
     def skewed(pairs):  # Td_2 += 1, as T_2 = M_2 u**2 Td_2 from the integer Todd pass
-        t, u = _scaled_todd_pass(pairs)
+        t, u = scaled_todd_pass(pairs)
         if len(pairs) >= 2:
             t[2] += _todd_tables(2)[2] * u**2
         return t, u

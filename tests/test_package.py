@@ -27,6 +27,13 @@ def referenced_names(node):
             yield sub.name
 
 
+def attribute_names(node):
+    """Every name that an attribute access (x.name) under node reads."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
 def traced_paths():
     """Every entry path that the benchmark tracer wraps, split at its dots, read
     from perfbench/tracing.py without installing the tracer."""
@@ -40,10 +47,12 @@ def test_every_top_level_definition_is_reached():
     # A function or class counts as reached when code elsewhere in the package
     # names it (a mention in a docstring does not), when the package exports
     # it, or when the benchmark tracer wraps it.  A named (non-dunder) method
-    # or property of a class counts as reached when code outside it names it,
-    # or when the tracer wraps it.
+    # or property of a class counts as reached when code outside it reads it
+    # as an attribute (x.name; a local variable of the same name does not
+    # count), or when the tracer wraps it.
     trees = [(path.name, ast.parse(path.read_text())) for path in sorted(SOURCE.glob("*.py"))]
     named = Counter(name for _, tree in trees for name in referenced_names(tree))
+    attributes = Counter(name for _, tree in trees for name in attribute_names(tree))
     paths = traced_paths()
     reached = set(coxsums.__all__) | {path[0] for path in paths}
     reached_members = {path[-1] for path in paths if len(path) > 1}
@@ -52,17 +61,23 @@ def test_every_top_level_definition_is_reached():
         for statement in tree.body:
             if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            definitions = [(statement.name, statement, reached)]
+            definitions = [(statement.name, statement, reached, named, referenced_names)]
             if isinstance(statement, ast.ClassDef):
                 definitions += [
-                    (f"{statement.name}.{member.name}", member, reached_members)
+                    (
+                        f"{statement.name}.{member.name}",
+                        member,
+                        reached_members,
+                        attributes,
+                        attribute_names,
+                    )
                     for member in statement.body
                     if isinstance(member, ast.FunctionDef)
                     and not (member.name.startswith("__") and member.name.endswith("__"))
                 ]
-            for label, node, exempt in definitions:
-                own = Counter(referenced_names(node))
-                if node.name not in exempt and named[node.name] == own[node.name]:
+            for label, node, exempt, counted, names in definitions:
+                own = Counter(names(node))
+                if node.name not in exempt and counted[node.name] == own[node.name]:
                     unreached.append(f"{module}: {label}")
     assert not unreached
 

@@ -31,7 +31,6 @@ from coxsums.mpoly import MPoly
 from coxsums.todd import (
     _PointVector,
     _bernoulli_numbers,
-    _scaled_todd_pass,
     _scaled_todd_passes,
     _todd_pass,
     _todd_recurrence,
@@ -47,6 +46,7 @@ from oracles import (
     gamma_by_factorials,
     gamma_series_xn,
     p_factor_general,
+    scaled_todd_pass,
     x_sequence,
 )
 
@@ -87,6 +87,12 @@ def todd_values_by_newton_exp(series, n):
         power[k] = k * e[k] + sum(e[i] * power[k - i] for i in range(1, k))
         td.append(sum(-b[j] / factorial(j) * power[j] * td[k - j] for j in range(1, k + 1)) / k)
     return tuple(td)
+
+
+def signed(g):
+    """a_0 = g_0 and a_i = (-1)**(i-1) g_i: the gammas as newton_power_sums and
+    todd_pass_per_call read them, while _todd_pass reads g itself."""
+    return [-x if i and i % 2 == 0 else x for i, x in enumerate(g)]
 
 
 def newton_power_sums(a):
@@ -523,9 +529,9 @@ class TestToddIntegerPass:
         assert str(caught.value) == message
 
     def test_recurrence_takes_power_sums_directly(self):
-        # a_i = (-1)**(i-1) e_i of the roots 1, 2, 3, so P_k = 1 + 2**k + 3**k.
-        a = [1, 6, -11, 6] + [0] * 9
-        assert _todd_recurrence([1] + [1 + 2**k + 3**k for k in range(1, 13)]) == _todd_pass(a)
+        # g_i = e_i of the roots 1, 2, 3, so P_k = 1 + 2**k + 3**k.
+        g = [1, 6, 11, 6] + [0] * 9
+        assert _todd_recurrence([1] + [1 + 2**k + 3**k for k in range(1, 13)]) == _todd_pass(g)
 
     def test_denominator_table_breaking_divisibility_raises(self, monkeypatch):
         # M_1 M_3 no longer divides M_4; lambda_3 = 0, so no weight notices.
@@ -549,11 +555,10 @@ class TestPointVector:
 
     def test_vector_operations_are_componentwise(self):
         v, w = _PointVector((1, -2, 3)), _PointVector((4, 5, -6))
-        assert v + w == (5, 3, -3) and v - w == (-3, -7, 9) and v * w == (4, -10, -18)
+        assert v + w == (5, 3, -3) and v * w == (4, -10, -18)
         assert v + 1 == 1 + v == (2, -1, 4)
-        assert v - 1 == (0, -3, 2) and 1 - v == (0, 3, -2)
         assert -v == (-1, 2, -3)
-        assert all(type(x) is _PointVector for x in (v + w, v - w, v * w, 1 - v, -v))
+        assert all(type(x) is _PointVector for x in (v + w, v * w, v + 1, 1 + v, -v))
 
     def test_sum_from_int_zero(self):
         vs = [_PointVector((k, -k, 2 * k)) for k in range(1, 5)]
@@ -578,7 +583,7 @@ class TestPointVector:
 class TestScaledToddPasses:
     def test_each_result_is_the_single_pass(self):
         points = [[(1, 3), (-2, 25), (0, 1), (5, 2401)], [(0, 1)] * 4, [(-9, 8)] * 4]
-        assert _scaled_todd_passes(points) == [_scaled_todd_pass(p) for p in points]
+        assert _scaled_todd_passes(points) == [scaled_todd_pass(p) for p in points]
 
     def test_degree_zero_and_no_points(self):
         assert _scaled_todd_passes([[], []]) == [([1], 1), ([1], 1)]
@@ -614,7 +619,7 @@ class TestScaledToddPasses:
         ]
         monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
         with pytest.raises(InternalMismatch) as single:
-            _scaled_todd_pass(points[0])
+            scaled_todd_pass(points[0])
         monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", list(table))
         with pytest.raises(InternalMismatch) as batched:
             _scaled_todd_passes(points)
@@ -628,8 +633,8 @@ class TestScaledToddPasses:
         )
         good, bad = [(2, 1)] * 6, [(1, 1)] * 6
         with pytest.raises(InternalMismatch) as single:
-            _scaled_todd_pass(bad)
-        assert _scaled_todd_pass(good)
+            scaled_todd_pass(bad)
+        assert scaled_todd_pass(good)
         with pytest.raises(InternalMismatch) as batched:
             _scaled_todd_passes([good, good, bad, good])
         assert str(batched.value) == str(single.value)
@@ -650,14 +655,37 @@ batch_denominators = st.one_of(
 def test_property_batched_todd_passes_match_single_passes(n, data):
     point = st.lists(st.tuples(batch_numerators, batch_denominators), min_size=n, max_size=n)
     points = data.draw(st.lists(point, min_size=1, max_size=60))
-    assert _scaled_todd_passes(points) == [_scaled_todd_pass(p) for p in points]
+    assert _scaled_todd_passes(points) == [scaled_todd_pass(p) for p in points]
 
 
-def power_sums_read_by_the_pass(monkeypatch, a):
+mpoly_gammas = st.lists(
+    st.tuples(st.integers(-5, 5), st.integers(0, 2), st.integers(0, 2)), max_size=3
+).map(
+    lambda terms: sum(
+        (k * MPoly.variable(1) ** i * MPoly.variable(2) ** j for k, i, j in terms), MPoly()
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=60))
+def test_property_pass_reads_gammas_as_they_are(gammas):
+    g = [1] + gammas
+    assert _todd_pass(g) == todd_pass_per_call(signed(g))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(mpoly_gammas, max_size=10))
+def test_property_pass_reads_gammas_as_they_are_over_mpoly(gammas):
+    g = [MPoly({(): 1})] + gammas
+    assert [p.terms for p in _todd_pass(g)] == [p.terms for p in todd_pass_per_call(signed(g))]
+
+
+def power_sums_read_by_the_pass(monkeypatch, g):
     """The q that _todd_pass hands to _todd_recurrence, caught before the recurrence runs."""
     seen = []
     monkeypatch.setattr(todd_module, "_todd_recurrence", lambda q: seen.append(q) or q)
-    _todd_pass(a)
+    _todd_pass(g)
     (q,) = seen
     return q
 
@@ -668,15 +696,14 @@ class TestToddPassPowerSums:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 60, 150])
     def test_read_power_sums_match_newton(self, monkeypatch, n):
         rng = Random(n)
-        a = [1] + [rng.randint(-(10**12), 10**12) for _ in range(n)]
-        q, full = power_sums_read_by_the_pass(monkeypatch, a), newton_power_sums(a)
+        g = [1] + [rng.randint(-(10**12), 10**12) for _ in range(n)]
+        q, full = power_sums_read_by_the_pass(monkeypatch, g), newton_power_sums(signed(g))
         assert len(q) == n + 1
         assert q[:2] == full[:2] and q[2::2] == full[2::2]
 
     def test_read_power_sums_match_newton_over_mpoly(self, monkeypatch):
-        c = [MPoly.variable(i) for i in range(1, 11)]
-        a = [MPoly({(): 1})] + [ci if i % 2 else -ci for i, ci in enumerate(c, 1)]
-        q, full = power_sums_read_by_the_pass(monkeypatch, a), newton_power_sums(a)
+        g = [MPoly({(): 1})] + [MPoly.variable(i) for i in range(1, 11)]
+        q, full = power_sums_read_by_the_pass(monkeypatch, g), newton_power_sums(signed(g))
         assert [p.terms for p in q[:2] + q[2::2]] == [p.terms for p in full[:2] + full[2::2]]
 
     def test_recurrence_does_not_read_odd_power_sums(self):
@@ -721,8 +748,7 @@ class TestToddStepTable:
 
     def test_polynomials_match_per_call_oracle(self):
         c = [MPoly.variable(i) for i in range(1, 17)]
-        signed = [ci if i % 2 else -ci for i, ci in enumerate(c, 1)]
-        oracle = todd_pass_per_call([MPoly({(): 1})] + signed)
+        oracle = todd_pass_per_call(signed([MPoly({(): 1})] + c))
         assert [p.terms for p in todd_polynomials(16)] == [p.terms for p in oracle]
 
     def test_warm_table_does_not_hide_a_broken_denominator_table(self, monkeypatch):

@@ -8,12 +8,16 @@ the tracer's tables without installing it.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from coxsums import IntPolynomial, TruncatedSeries, verify
+import coxsums
+from coxsums import IntPolynomial, TruncatedSeries, cli, verify
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -63,3 +67,48 @@ def test_counter_attributes_resolve(tracing):
     assert tracer.counts["series.mul.coeff_products"] == 6
     assert tracer.counts["series.max_coeff_bits"] > 0
     assert tracer.counts["intpoly.mul.coeff_products"] == 16
+
+
+def test_importing_the_cli_loads_verify():
+    # The benchmark child wraps coxsums.verify.build_tasks after importing
+    # only coxsums.cli, so that import must load verify too.
+    env = dict(os.environ, PYTHONPATH=str(Path(coxsums.__file__).resolve().parent.parent))
+    code = "import sys, coxsums.cli; print('coxsums.verify' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "True\n"
+
+
+def test_traced_verify_gives_every_metric_and_restores_every_name(tracing, capsys):
+    owners = {
+        id(module): module
+        for name, module in list(sys.modules.items())
+        if name == "coxsums" or name.startswith("coxsums.")
+    }
+    for _, module_name, path in tracing.TRACED:
+        if "." in path:
+            owner = resolve(module_name, path.rpartition(".")[0])
+            owners[id(owner)] = owner
+    before = [(owner, dict(vars(owner))) for owner in owners.values()]
+    tracer = tracing.Tracer("tier-1")
+    tracer.install()
+    try:
+        rebound = [
+            (owner, key, value)
+            for owner, names in before
+            for key, value in names.items()
+            if vars(owner).get(key) is not value
+        ]
+        code = cli.main(["verify", "--max-rank", "2", "--max-m", "3", "--n-max", "2"])
+        metrics = tracer.metrics(1.0)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    want = {name for name, _, _ in tracing.per_layer_names()} - {"trace.overhead_s"}
+    assert set(metrics) == want
+    assert metrics["cli.main.calls"] == 1 and metrics["verify.gamma.checks"] > 0
+    traced = {path.rpartition(".")[2] for _, _, path in tracing.TRACED}
+    assert {key for _, key, _ in rebound} == traced | {"build_tasks"}
+    assert all(vars(owner).get(key) is value for owner, key, value in rebound)

@@ -46,14 +46,19 @@ from coxsums.verify import (
 )
 from coxsums.mpoly import MPoly
 from coxsums.todd import (
-    _scaled_todd_pass,
     _scaled_todd_passes,
     _todd_tables,
     gamma_series,
     p_factor,
     todd_values,
 )
-from oracles import alternating_sum, batched, cancelled_by_counter, check_t_examples
+from oracles import (
+    alternating_sum,
+    batched,
+    cancelled_by_counter,
+    check_t_examples,
+    scaled_todd_pass,
+)
 
 
 def corrupt(ps, **changes):
@@ -480,7 +485,7 @@ class TestToddSymmetry:
     def test_fails_with_corrupt_todd_values(self):
 
         def skewed(pairs):  # Td_2 += 1
-            t, u = _scaled_todd_pass(pairs)
+            t, u = scaled_todd_pass(pairs)
             if len(pairs) >= 2:
                 t[2] += _todd_tables(2)[2] * u**2
             return t, u
@@ -506,7 +511,7 @@ class TestToddSymmetry:
         # a == b, and when k < min(a, b)) both routes pass.
 
         def sometimes(pairs):  # Td_k += 1 where c_1 > 1/2; T_k stays an integer
-            t, u = _scaled_todd_pass(pairs)
+            t, u = scaled_todd_pass(pairs)
             if pairs and F(*pairs[0]) > F(1, 2):
                 t[k] += _todd_tables(k)[k] * u**k
             return t, u
@@ -545,7 +550,7 @@ class TestToddSymmetry:
 
         def recording(pairs):
             seen.append(pairs)
-            return _scaled_todd_pass(pairs)
+            return scaled_todd_pass(pairs)
 
         for total in range(9):
             for a in range(total + 1):
@@ -593,7 +598,7 @@ class TestToddSymmetry:
         def evaluate(points):
             results = []
             for trial, point in enumerate(points):
-                t, u = _scaled_todd_pass(point)
+                t, u = scaled_todd_pass(point)
                 if trial == mismatch_at:
                     t[2] += _todd_tables(2)[2] * u**2
                 results.append((t, 1 if trial == unscaled_at else u))
@@ -625,7 +630,7 @@ class TestToddSymmetry:
         from coxsums.verify import run_tasks
 
         def unscaled(pairs):  # the right T, but u = 1 instead of the scale
-            return _scaled_todd_pass(pairs)[0], 1
+            return scaled_todd_pass(pairs)[0], 1
 
         rng = Random("0:1:1")
         assert (rng.randint(-100, 100), rng.randint(1, 100)) == (93, 76)  # sample 0's c_1
@@ -1052,7 +1057,7 @@ class TestSharedSweep:
 
         def record(pairs):
             seen.append([F(x, y) for x, y in pairs])
-            return _scaled_todd_pass(pairs)
+            return scaled_todd_pass(pairs)
 
         real = verify_module.check_todd_symmetry
         todd_fn = batched(record)
