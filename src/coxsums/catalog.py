@@ -47,7 +47,7 @@ from itertools import chain, islice, repeat
 from operator import gt, lt, sub
 from typing import NamedTuple
 
-from .errors import ParseError, ProfileMismatch, RangeError
+from .errors import InternalMismatch, ParseError, ProfileMismatch, RangeError
 
 PROFILES = ("standard", "redefined", "h2-original")
 
@@ -402,7 +402,7 @@ def parameters(
 
     alpha2 = 2 if r == 1 else 2 * (_second_exponent(t) - 1)
     if alpha2 not in v_minus:
-        raise AssertionError(f"internal table error for {t.name}")
+        raise InternalMismatch(f"internal table error for {t.name}")
     # d, alpha and the pinned beta are entries of V-, and share its Fractions.
     vm = tuple(map(_half, v_minus))
     i = v_minus.index(alpha2)

@@ -38,4 +38,4 @@ class WrongFamily(CoxError):
 
 
 class InternalMismatch(CoxError):
-    """Two internal computation routes disagreed (logic bug guard)."""
+    """Two internal computation routes, or two table entries, disagreed (logic bug guard)."""

@@ -32,13 +32,13 @@ Hirzebruch's Todd denominators M_k = prod_p p**(k // (p-1)), which make
 M_k Td_k an integer polynomial.  The pass takes the gamma_i u**i as they
 are (no caller signs them): the Todd power sums of coxsums.powersums at
 u = s; todd_values, which has only a series' Fractions, at the greedy
-weighted scale u of coxsums.series (which its pow shares).  The pass's
-integer weights M_j j lambda_j and carries M_k / (M_j M_{k-j}) are built
-once, as their table grows with n (each carry row from the one before
-it, through the small ratios M_k / M_{k-1}), and each of those divisions
-is checked then; the division that gives M_k Td_k is checked on every
-call.  So a table that breaks this integrality raises InternalMismatch
-instead of giving a value.
+weighted scale u of coxsums.series (which its pow shares).  The M_k and
+what is built from them (the pass's integer weights M_j j lambda_j and
+carries M_k / (M_j M_{k-j}), each carry row from the one before it through
+the small ratios M_k / M_{k-1}; Faulhaber's weight rows; the polynomials
+M_k Td_k) live in one table object, _ToddTable, each part grown with n and
+each division checked when built; the division that gives M_k Td_k is
+checked on every call.  So a table that breaks this raises InternalMismatch.
 The pass is generic over the coefficient ring: run over MPoly with c_i in
 place of gamma_i, it gives the integer polynomials M_k Td_k themselves,
 and run over point vectors (_PointVector, one int per point) it gives the
@@ -135,21 +135,26 @@ def gamma_series(params: ParameterSet, p: int, order: int) -> TruncatedSeries:
     return TruncatedSeries([Fraction(x, s**k) for k, x in enumerate(f)], order=order)
 
 
-# M_0, M_1, ...: Hirzebruch's Todd denominators; M_k Td_k has integer coefficients.
-_TODD_DENOMINATORS = [1]
-# The Todd recurrence's integer constants over the j with lambda_j != 0
-# (j = 1, then the even j): the weights W_j = M_j j lambda_j, and for each k
-# a row of carries M_k / (M_j M_{k-j}) over those j <= k; then the numerators
-# and denominators of the reduced ratios R_i = M_i / M_{i-1} (0 at i = 0) the
-# carries are built from.  They hold for the denominator list they were built
-# from, the first item; a different _TODD_DENOMINATORS list starts them afresh.
-_TODD_STEPS: tuple[list[int], list[int], list[list[int]], list[int], list[int]] = (
-    _TODD_DENOMINATORS,
-    [],
-    [[]],
-    [0],
-    [0],
-)
+class _ToddTable:
+    """Hirzebruch's Todd denominators m = [M_0, M_1, ...] and all built from them:
+    the Todd weights W_j = M_j j lambda_j over the j with lambda_j != 0 (j = 1,
+    then the even j), for each k the row of carries M_k / (M_j M_{k-j}) over
+    those j <= k, the reduced ratios R_i = M_i / M_{i-1} as up / down (0 at
+    i = 0), Faulhaber's rows by n, and T_k = M_k Td_k in Z[c_1..c_k].  Each
+    part only grows; a different denominator list is a different table."""
+
+    __slots__ = ("m", "weights", "carries", "up", "down", "faulhaber", "polynomials")
+
+    def __init__(self, m: list[int]):
+        self.m = m
+        self.weights: list[int] = []
+        self.carries: list[list[int]] = [[]]
+        self.up, self.down = [0], [0]
+        self.faulhaber: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+        self.polynomials = [MPoly({(): 1})]
+
+
+_TABLE = _ToddTable([1])
 
 
 def _todd_tables(n: int) -> list[int]:
@@ -159,7 +164,7 @@ def _todd_tables(n: int) -> list[int]:
     Staudt-Clausen, the denominator of B_k for even k.  A table already
     built to n is returned as it is, without reading the Bernoulli table.
     """
-    m = _TODD_DENOMINATORS
+    m = _TABLE.m
     if len(m) > n:
         return m
     b = _bernoulli_numbers(n)
@@ -183,11 +188,9 @@ def _todd_steps(n: int) -> tuple[list[int], list[list[int]]]:
     carries of k; a remainder raises InternalMismatch and leaves the row
     unbuilt.  A table already built to n is returned as it is.
     """
-    global _TODD_STEPS
+    table = _TABLE
     m = _todd_tables(n)
-    if _TODD_STEPS[0] is not m:
-        _TODD_STEPS = (m, [], [[]], [0], [0])
-    _, weights, carries, up, down = _TODD_STEPS
+    weights, carries, up, down = table.weights, table.carries, table.up, table.down
     if len(carries) > n:
         return weights, carries
     b = _bernoulli_numbers(n)
@@ -341,15 +344,11 @@ def todd_values(series: TruncatedSeries, n_max: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(tk, m[k] * u**k) for k, tk in enumerate(t))
 
 
-# T_0, T_1, ...: T_k = M_k Td_k in Z[c_1..c_k]; rebuilt longer when asked for more.
-_TODD_POLYNOMIALS = [MPoly({(): 1})]
-
-
 def todd_polynomials(n: int) -> tuple[MPoly, ...]:
     """M_0 Td_0 .. M_n Td_n as integer polynomials in the gamma coefficients c_i."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    table = _TODD_POLYNOMIALS
+    table = _TABLE.polynomials  # rebuilt longer when asked for more
     if n >= len(table):
         table[:] = _todd_pass([MPoly({(): 1})] + [MPoly.variable(i) for i in range(1, n + 1)])
     return tuple(table[: n + 1])
@@ -400,24 +399,12 @@ def bernoulli_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(comb(n, k) * numbers[n - k] for k in range(n + 1))
 
 
-# Faulhaber's integer weights, one row per n asked for; they hold for the
-# denominator list they were built from, the first item, and a different
-# _TODD_DENOMINATORS list starts them afresh.
-_FAULHABER_ROWS: tuple[list[int], dict[int, tuple[int, list[tuple[int, int]]]]] = (
-    _TODD_DENOMINATORS,
-    {},
-)
-
-
 def _faulhaber_row(n: int) -> tuple[int, list[tuple[int, int]]]:
     """M_n (n+1) and the pairs (n+1-k, C(n+1, k) B_k M_n / den(B_k)) for k = 0, 1
     and the even k <= n, B_1 taken as +1/2; each division is checked once,
     when the row is built."""
-    global _FAULHABER_ROWS
+    rows = _TABLE.faulhaber
     m = _todd_tables(n)
-    if _FAULHABER_ROWS[0] is not m:
-        _FAULHABER_ROWS = (m, {})
-    rows = _FAULHABER_ROWS[1]
     if n not in rows:
         b = _bernoulli_numbers(n)
         row = []

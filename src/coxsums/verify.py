@@ -24,9 +24,11 @@ fixed catalog order, from one table that maps each suite name to its
 checks.  It builds one parameter table per call: ``profile_parameters``
 once per type of the sweep, shared by the five per-profile suites, with
 each type's default set (``parameters(t)``) taken from the same entries
-for methods, gamma34, kostant and specializations.  ``run_tasks``
-executes the tasks in order, and a check that raises becomes a failed
-report.
+for methods, gamma34, kostant and specializations.  A type whose
+parameter sets cannot be built (a table fault) gets checks that raise
+that exception.  ``run_tasks`` executes the tasks in order, and a check
+that raises becomes a failed report, so such a fault fails the type's
+checks and the sweep goes on.
 """
 
 from __future__ import annotations
@@ -645,6 +647,9 @@ def check_s4_nonuniversality() -> CheckReport:
 
 Spec = tuple[str, Callable[[], CheckReport]]
 Task = tuple[str, str, Callable[[], CheckReport]]
+# (profile, parameter set) per profile of a type, or the one entry (None, the
+# exception) when its sets cannot be built.
+Profiles = tuple[tuple[str | None, ParameterSet | Exception], ...]
 
 
 class _Sweep:
@@ -654,24 +659,41 @@ class _Sweep:
 
     def __init__(self, types: Sequence[CoxeterType], n_max: int, seed: int):
         self.types, self.n_max, self.seed = types, n_max, seed
-        self._profiles: dict[CoxeterType, tuple[tuple[str, ParameterSet], ...]] = {}
+        self._profiles: dict[CoxeterType, Profiles] = {}
 
-    def profiles(self, t: CoxeterType) -> tuple[tuple[str, ParameterSet], ...]:
-        """profile_parameters(t), looked up when first asked for."""
+    def profiles(self, t: CoxeterType) -> Profiles:
+        """profile_parameters(t), looked up when first asked for.  A table fault
+        that they raise is kept, and _task turns it into checks that raise it:
+        the fault fails t's checks in run_tasks, and the sweep goes on."""
         if t not in self._profiles:
-            self._profiles[t] = profile_parameters(t)
+            try:
+                self._profiles[t] = profile_parameters(t)
+            except Exception as e:
+                self._profiles[t] = ((None, e),)
         return self._profiles[t]
 
-    def default(self, t: CoxeterType) -> ParameterSet:
+    def default(self, t: CoxeterType) -> ParameterSet | Exception:
         """parameters(t) from the same table: the first entry, standard for
         every named family (H2 included) and redefined for the I2 types, each
         of which has only that one."""
         return self.profiles(t)[0][1]
 
 
+def _raise(error: Exception) -> CheckReport:
+    raise error
+
+
+def _task(check: Callable[..., CheckReport], *args, params: ParameterSet | Exception):
+    """check(*args, params=params) as a task, or, where params is the exception
+    that building the parameter sets raised, a task that raises it."""
+    if isinstance(params, Exception):
+        return partial(_raise, params)
+    return partial(check, *args, params=params)
+
+
 def _per_profile(sweep: _Sweep, check: Callable[..., CheckReport]) -> list[Spec]:
     return [
-        (_profile_subject(t, prof), partial(check, t, prof, ps))
+        (_profile_subject(t, prof), _task(check, t, prof, params=ps))
         for t in sweep.types
         for prof, ps in sweep.profiles(t)
     ]
@@ -687,7 +709,7 @@ def _specialization_specs(sweep: _Sweep) -> list[Spec]:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return [
-        (t.name, partial(check_gamma_specializations, t, n_max, params=sweep.default(t)))
+        (t.name, _task(check_gamma_specializations, t, n_max, params=sweep.default(t)))
         for t in sweep.types
         if t.family in ("A", "C")
     ]
@@ -698,7 +720,7 @@ def _methods_specs(sweep: _Sweep) -> list[Spec]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     specs = [
-        (t.name, partial(check_methods, t, n_max, params=sweep.default(t)))
+        (t.name, _task(check_methods, t, n_max, params=sweep.default(t)))
         for t in sweep.types
     ]
     return specs + [("A9 vs D6 (S4 not universal in h, gamma)", check_s4_nonuniversality)]
@@ -722,14 +744,14 @@ _SUITES: dict[str, Callable[[_Sweep], list[Spec]]] = {
         for a in range(total + 1)
     ],
     "kostant": lambda sweep: [
-        (t.name, partial(check_de_kostant, t, params=sweep.default(t)))
+        (t.name, _task(check_de_kostant, t, params=sweep.default(t)))
         for t in sweep.types
         if t.family in ("D", "E")
     ],
     "t-transform": _t_transform_specs,
     "specializations": _specialization_specs,
     "gamma34": lambda sweep: [
-        (f"{t.name} (p={p})", partial(check_gamma34, t, p, params=sweep.default(t)))
+        (f"{t.name} (p={p})", _task(check_gamma34, t, p, params=sweep.default(t)))
         for t in sweep.types
         for p in (1, 2)
     ],

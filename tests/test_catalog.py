@@ -27,7 +27,7 @@ from coxsums.catalog import (
     gamma_invariant,
     profile_parameters,
 )
-from coxsums.errors import ParseError, ProfileMismatch, RangeError
+from coxsums.errors import InternalMismatch, ParseError, ProfileMismatch, RangeError
 
 
 class TestParse:
@@ -437,7 +437,7 @@ def fraction_parameters(t, profile=None, beta=None):
     v_plus = [4 * d - 4 + d * nu, h - d - (d - 1) * nu]
     alpha = F(1) if r == 1 else F(exponents(t).values[1] - 1)
     if alpha not in v_minus:
-        raise AssertionError(f"internal table error for {t.name}")
+        raise InternalMismatch(f"internal table error for {t.name}")
     pinned_beta = _oracle_remove_one(v_minus, alpha)[0]
     key = f"{t.family}{t.index}" if t.family == "H" else t.family
     if beta is not None:

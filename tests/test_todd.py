@@ -522,7 +522,7 @@ class TestToddIntegerPass:
         table = [
             hirzebruch_denominator(k) // dropped ** (k // (dropped - 1)) for k in range(n + 1)
         ]
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
         g = gamma_series(parameters(parse_type("E8")), 1, n)
         with pytest.raises(InternalMismatch) as caught:
             todd_values(g, n)
@@ -537,7 +537,7 @@ class TestToddIntegerPass:
         # M_1 M_3 no longer divides M_4; lambda_3 = 0, so no weight notices.
         table = [hirzebruch_denominator(k) for k in range(13)]
         table[3] *= 11
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
         g = gamma_series(parameters(parse_type("E8")), 1, 12)
         message = r"^Todd pass: M_4 / \(M_1 M_3\) is not an integer$"
         with pytest.raises(InternalMismatch, match=message):
@@ -617,10 +617,10 @@ class TestScaledToddPasses:
         points = [
             [(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)] for _ in range(5)
         ]
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
         with pytest.raises(InternalMismatch) as single:
             scaled_todd_pass(points[0])
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", list(table))
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
         with pytest.raises(InternalMismatch) as batched:
             _scaled_todd_passes(points)
         assert str(batched.value) == str(single.value) == message
@@ -723,7 +723,7 @@ class TestToddStepTable:
     def test_recurrence_matches_per_call_oracle(self, monkeypatch):
         # A fresh denominator list starts the table empty; n = 5 then reads
         # rows built for n = 60, and n = 150 grows the table past them.
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", [1])
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable([1]))
         rng = Random(14)  # power sums of virtual integer roots, six kept and two removed
         for n in (60, 5, 150, 0, 1, 7):
             roots = [rng.randint(-50, 50) for _ in range(6)]
@@ -732,14 +732,14 @@ class TestToddStepTable:
                 sum(x**k for x in roots) - sum(x**k for x in dropped) for k in range(1, n + 1)
             ]
             assert _todd_recurrence(q) == todd_recurrence_per_call(q), n
-        assert len(todd_module._TODD_STEPS[2]) == 151
+        assert len(todd_module._TABLE.carries) == 151
 
     def test_carry_rows_match_the_per_call_divisions(self, monkeypatch):
         # Rows built from the ratios M_k / M_{k-1}, grown in two steps.
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", [1])
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable([1]))
         _todd_steps(40)
         weights, carries = _todd_steps(200)
-        m = todd_module._TODD_DENOMINATORS
+        m = todd_module._TABLE.m
         for k in range(1, 201):
             js = (1, *range(2, k + 1, 2))
             assert carries[k] == [m[k] // (m[j] * m[k - j]) for j in js], k
@@ -756,7 +756,7 @@ class TestToddStepTable:
         todd_values(g, 60)
         table = [hirzebruch_denominator(k) for k in range(13)]
         table[3] *= 11
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
         message = r"^Todd pass: M_4 / \(M_1 M_3\) is not an integer$"
         with pytest.raises(InternalMismatch, match=message):
             todd_values(g, 12)
@@ -770,7 +770,7 @@ class TestToddStepTable:
             assert len(_todd_tables(n)) > n
             assert len(_todd_steps(n)[1]) > n
         assert reads == []
-        _todd_tables(len(todd_module._TODD_DENOMINATORS))  # one past the table
+        _todd_tables(len(todd_module._TABLE.m))  # one past the table
         assert len(reads) == 1
 
     def test_restored_table_restores_values(self, monkeypatch):
@@ -779,7 +779,7 @@ class TestToddStepTable:
         # M_k 2**k passes every check and leaves Td_k unchanged, but its weights
         # differ from the true table's by 2**j.
         scaled = [hirzebruch_denominator(k) * 2**k for k in range(61)]
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", scaled)
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(scaled))
         assert todd_values(g, 60) == warm
         monkeypatch.undo()
         assert todd_values(g, 60) == warm
@@ -814,11 +814,11 @@ class TestToddPolynomials:
         assert [p.terms for p in todd_polynomials(5)] == [p.terms for p in printed]
 
     def test_rebuilt_table_is_the_same(self, monkeypatch):
-        monkeypatch.setattr(todd_module, "_TODD_POLYNOMIALS", [MPoly({(): 1})])
+        monkeypatch.setattr(todd_module._TABLE, "polynomials", [MPoly({(): 1})])
         short = todd_polynomials(4)
         assert todd_polynomials(9)[:5] == short
         assert todd_polynomials(2) == short[:3]
-        assert len(todd_module._TODD_POLYNOMIALS) == 10
+        assert len(todd_module._TABLE.polynomials) == 10
 
     def test_weighted_homogeneous(self):
         # Td_k(c_i u**i) = u**k Td_k(c): every monomial of T_k has weight k.
@@ -827,10 +827,20 @@ class TestToddPolynomials:
 
     def test_denominator_table_missing_a_prime_raises(self, monkeypatch):
         table = [hirzebruch_denominator(k) // 3 ** (k // 2) for k in range(9)]
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", table)
-        monkeypatch.setattr(todd_module, "_TODD_POLYNOMIALS", [MPoly({(): 1})])
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
         with pytest.raises(InternalMismatch):
             todd_polynomials(8)
+
+    def test_warm_polynomials_do_not_hide_a_broken_denominator_table(self, monkeypatch):
+        warm = todd_polynomials(8)
+        table = [hirzebruch_denominator(k) for k in range(13)]
+        table[3] *= 11  # M_1 M_3 no longer divides M_4
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
+        message = r"^Todd pass: M_4 / \(M_1 M_3\) is not an integer$"
+        with pytest.raises(InternalMismatch, match=message):
+            todd_polynomials(8)
+        monkeypatch.undo()
+        assert todd_polynomials(8) == warm
 
     def test_negative_degree(self):
         with pytest.raises(ValueError):
@@ -918,11 +928,11 @@ class TestBernoulliFaulhaber:
         # A fresh denominator list, long enough not to read the Bernoulli table,
         # so the weight rows are built again from the patched numbers.
         _todd_tables(30)
-        fresh = list(todd_module._TODD_DENOMINATORS)
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", fresh)
+        fresh = list(todd_module._TABLE.m)
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(fresh))
         monkeypatch.setattr(todd_module, "_bernoulli_numbers", odd_ones_wrong)
         assert [faulhaber_sum(n, sums) for n in range(31)] == want
-        assert sorted(todd_module._FAULHABER_ROWS[1]) == list(range(31))
+        assert sorted(todd_module._TABLE.faulhaber) == list(range(31))
 
     def test_faulhaber_rows_restart_on_a_new_denominator_table(self, monkeypatch):
         rng = Random(27)
@@ -932,11 +942,12 @@ class TestBernoulliFaulhaber:
         # M_k 2**k passes every check and leaves each sum unchanged, but every
         # weight of row n is 2**n times the true table's.
         scaled = [hirzebruch_denominator(k) * 2**k for k in range(41)]
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", scaled)
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(scaled))
         assert [faulhaber_sum(n, sums) for n in range(41)] == want
-        assert todd_module._FAULHABER_ROWS[0] is scaled
+        assert todd_module._TABLE.faulhaber[4][0] == scaled[4] * 5  # built from scaled
         # A table that breaks divisibility, after rows were built: same message.
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", [2**k for k in range(5)])
+        powers = todd_module._ToddTable([2**k for k in range(5)])
+        monkeypatch.setattr(todd_module, "_TABLE", powers)
         message = r"^Faulhaber sum n=4: den\(B_2\) does not divide M_4$"
         with pytest.raises(InternalMismatch, match=message):
             faulhaber(4, 10)
@@ -947,7 +958,8 @@ class TestBernoulliFaulhaber:
         # M_k = 2**k: den(B_2) = 6 does not divide M_4 = 16, and a floored
         # quotient would give 25250 for faulhaber(4, 10), whose value is 25333.
         assert faulhaber(4, 10) == sum(i**4 for i in range(1, 11)) == 25333
-        monkeypatch.setattr(todd_module, "_TODD_DENOMINATORS", [2**k for k in range(5)])
+        powers = todd_module._ToddTable([2**k for k in range(5)])
+        monkeypatch.setattr(todd_module, "_TABLE", powers)
         message = r"^Faulhaber sum n=4: den\(B_2\) does not divide M_4$"
         with pytest.raises(InternalMismatch, match=message):
             faulhaber(4, 10)

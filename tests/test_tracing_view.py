@@ -3,9 +3,12 @@
 perfbench/tracing.py names the functions it wraps by module and attribute
 path; a refactor that renames one of them breaks the benchmark, which its
 own suite (python3 -m pytest perfbench) notices only slowly.  This reads
-the tracer's tables without installing it.
+the tracer's tables without installing it.  It also reads the check counts
+that perfbench/child.py pins for the verify-default workload, without
+importing that file.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -19,7 +22,8 @@ import pytest
 import coxsums
 from coxsums import IntPolynomial, TruncatedSeries, cli, verify
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -112,3 +116,26 @@ def test_traced_verify_gives_every_metric_and_restores_every_name(tracing, capsy
     traced = {path.rpartition(".")[2] for _, _, path in tracing.TRACED}
     assert {key for _, key, _ in rebound} == traced | {"build_tasks"}
     assert all(vars(owner).get(key) is value for owner, key, value in rebound)
+
+
+def pinned_sizes():
+    """perfbench/child.py's SIZES, read as a literal from the file's source."""
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SIZES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/child.py has no SIZES")
+
+
+@pytest.mark.parametrize("size", ["full", "tiny"])
+def test_verify_builds_the_check_count_the_benchmark_pins(size):
+    # The verify-default workload fails every op whose suites report another count.
+    pin = pinned_sizes()[size]
+    args = cli._build_parser().parse_args(["verify", *pin["verify_flags"]])
+    built = len(verify.build_tasks(args.max_rank, args.max_m, args.n_max, 42))
+    assert built == pin["verify_checks"], (
+        f"{' '.join(['cox verify', *pin['verify_flags']])} builds {built} checks, but "
+        f"perfbench/child.py SIZES[{size!r}]['verify_checks'] pins "
+        f"{pin['verify_checks']}: a change of the default checks lands with a "
+        f"benchmark change that updates the pin"
+    )
