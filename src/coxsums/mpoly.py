@@ -100,6 +100,12 @@ class MPoly:
 
     __hash__ = None
 
+    def __repr__(self) -> str:
+        """MPoly({...}) over the terms in the order of __str__, so a polynomial has
+        one repr however it was built, and eval gives it back."""
+        terms = {e: self.terms[e] for e in sorted(self.terms, reverse=True)}
+        return f"MPoly({terms!r})"
+
     def __str__(self) -> str:
         """Terms by decreasing exponent tuple, e.g. '-c1**4 + 4*c1**2*c2 - c4'."""
         if not self.terms:

@@ -19,6 +19,14 @@ a denominator of 7 bits redrawn while >= 100, plus 1.  These are the
 values CPython 3.11's ``randint(-100, 100)`` and ``randint(1, 100)``
 give, but they are defined here, not by ``randrange`` internals.
 
+The methods suite runs the Todd route once per type, at p = 1, against the
+direct and closed sums.  The p-factor f = ((1+pt)/(1-pt))**(1/p) has an odd
+log, so f(t) f(-t) = 1: f adds 2 to g_1 and leaves gamma(t) gamma(-t) as it
+is, the only two things the Todd pass reads.  So for p = 2 and 3 the suite
+checks exactly that of f's integers (``_p_freeness``), which with the
+pass's contract proves the Todd values at p equal those at p = 1 for every
+type, and keeps the checked divisions of f's recurrence.
+
 ``build_tasks`` lays out every sub-check of the selected suites in a
 fixed catalog order, from one table that maps each suite name to its
 checks.  It builds one parameter table per call: ``profile_parameters``
@@ -28,7 +36,9 @@ for methods, gamma34, kostant and specializations.  A type whose
 parameter sets cannot be built (a table fault) gets checks that raise
 that exception.  ``run_tasks`` executes the tasks in order, and a check
 that raises becomes a failed report, so such a fault fails the type's
-checks and the sweep goes on.
+checks and the sweep goes on.  The p-freeness of each p reads no type, so a
+sweep computes it once, in the first methods check, and hands the result,
+or the exception it raised, to the rest.
 """
 
 from __future__ import annotations
@@ -570,16 +580,55 @@ def check_gamma34(
 # -- cross-method power sums ------------------------------------------------
 
 
+def _p_freeness(p: int, n_max: int) -> str | None:
+    """None when the p-factor f at p is p-free to degree n_max, else a witness.
+
+    With F_k = f_k s**k from todd._quotient_integers at s = odd(p), it checks
+    F_0 = 1, F_1 = 2 s and, at every even k with 2 <= k <= n_max,
+    sum_i (-1)**i F_i F_{k-i} = 0, so f(t) f(-t) = 1 to degree n_max (at odd
+    k the terms cancel in pairs).  The Todd pass reads only g_1 and the
+    coefficients of gamma(t) gamma(-t) to degree n_max; such an f adds 2 to
+    g_1 and leaves gamma(t) gamma(-t) as it is at every p, so the Todd values
+    at p equal those at p = 1.  A remainder in the recurrence of
+    _quotient_integers raises InternalMismatch.
+    """
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    s = p // (p & -p)  # odd(p)
+    f = _todd._quotient_integers(2 * s, (p * s) ** 2, n_max)
+    for k, want in enumerate((1, 2 * s)[: n_max + 1]):
+        if f[k] != want:
+            return f"p={p}, k={k}: F_{k} = {f[k]} != {want}"
+    signed = [-x if i % 2 else x for i, x in enumerate(f[: n_max // 2 + 1])]  # (-1)**i F_i
+    for k in range(2, n_max + 1, 2):
+        m = k // 2  # the terms i and k - i are equal
+        total = 2 * sum(map(mul, signed[:m], f[k:m:-1])) + signed[m] * f[m]
+        if total:
+            return f"p={p}, k={k}: sum_i (-1)**i F_i F_(k-i) = {total} != 0"
+    return None
+
+
 def check_methods(
     t: CoxeterType,
     n_max: int = 12,
     ps_values: tuple[int, ...] = (1, 2, 3),
     exps: ExponentList | None = None,
     params: ParameterSet | None = None,
+    p_freeness: Callable[[int, int], str | None] | None = None,
 ) -> CheckReport:
-    """Todd, closed and direct power sums agree at every n <= n_max; heights too."""
+    """Todd, closed and direct power sums agree at every n <= n_max; heights too.
+
+    The Todd route runs once, at p = 1, and is compared with the direct sums.
+    Every other p of ps_values is covered by p_freeness(p, n_max), by default
+    _p_freeness: None proves that the Todd values at p equal those at p = 1
+    at every n <= n_max, for every type; a witness fails the check.  A sweep
+    hands in its own, which computes each result once for all its types.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if any(p < 1 for p in ps_values):
+        raise ValueError("p must be >= 1")
+    free = p_freeness if p_freeness is not None else _p_freeness
     resolved = _resolve(t, None, params)
     el = _exps(t, exps)
     sums = _powersums.exponent_power_sums(el, n_max)
@@ -587,20 +636,22 @@ def check_methods(
     heights = _powersums.dual_heightsums(dual_partition(el), max(n_max, 1))
     closed = _powersums.closed_power_sums(resolved, n_max + 1)
     degrees = range(n_max + 1)
-    todd = {p: _powersums._todd_quotients(t, n_max, p, resolved, degrees) for p in ps_values}
+    todd = _powersums._todd_quotients(t, n_max, 1, resolved, degrees)
     failures = []
     for n in degrees:
         direct = sums[n]
-        for p in ps_values:
-            x, d = todd[p][n]
-            if x != direct * d:
-                failures.append(f"n={n}, p={p}: todd {Fraction(x, d)} != direct {direct}")
-                break
-        if failures:
+        x, d = todd[n]
+        if x != direct * d:
+            failures.append(f"n={n}, p=1: todd {Fraction(x, d)} != direct {direct}")
             break
         if closed[n] != direct:
             failures.append(f"n={n}: closed {closed[n]} != direct {direct}")
             break
+    for p in ps_values:
+        if p != 1 and not failures:
+            witness = free(p, n_max)
+            if witness:
+                failures.append(witness)
     # After every S_n: the height sum of degree n reads S_{n+1}.
     for n in degrees:
         if failures:
@@ -660,6 +711,7 @@ class _Sweep:
     def __init__(self, types: Sequence[CoxeterType], n_max: int, seed: int):
         self.types, self.n_max, self.seed = types, n_max, seed
         self._profiles: dict[CoxeterType, Profiles] = {}
+        self._p_freeness: dict[tuple[int, int], str | None | Exception] = {}
 
     def profiles(self, t: CoxeterType) -> Profiles:
         """profile_parameters(t), looked up when first asked for.  A table fault
@@ -678,17 +730,35 @@ class _Sweep:
         of which has only that one."""
         return self.profiles(t)[0][1]
 
+    def p_freeness(self, p: int, n_max: int) -> str | None:
+        """_p_freeness(p, n_max), computed when a methods check first asks for
+        it and shared by the rest, as it reads no type.  An exception that it
+        raises is kept and raised again on each ask, so each such check fails
+        with it in run_tasks."""
+        key = (p, n_max)
+        if key not in self._p_freeness:
+            try:
+                self._p_freeness[key] = _p_freeness(p, n_max)
+            except Exception as e:
+                self._p_freeness[key] = e
+        found = self._p_freeness[key]
+        if isinstance(found, Exception):
+            raise found
+        return found
+
 
 def _raise(error: Exception) -> CheckReport:
     raise error
 
 
-def _task(check: Callable[..., CheckReport], *args, params: ParameterSet | Exception):
-    """check(*args, params=params) as a task, or, where params is the exception
-    that building the parameter sets raised, a task that raises it."""
+def _task(
+    check: Callable[..., CheckReport], *args, params: ParameterSet | Exception, **kwargs
+):
+    """check(*args, params=params, **kwargs) as a task, or, where params is the
+    exception that building the parameter sets raised, a task that raises it."""
     if isinstance(params, Exception):
         return partial(_raise, params)
-    return partial(check, *args, params=params)
+    return partial(check, *args, params=params, **kwargs)
 
 
 def _per_profile(sweep: _Sweep, check: Callable[..., CheckReport]) -> list[Spec]:
@@ -720,7 +790,12 @@ def _methods_specs(sweep: _Sweep) -> list[Spec]:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     specs = [
-        (t.name, _task(check_methods, t, n_max, params=sweep.default(t)))
+        (
+            t.name,
+            _task(
+                check_methods, t, n_max, params=sweep.default(t), p_freeness=sweep.p_freeness
+            ),
+        )
         for t in sweep.types
     ]
     return specs + [("A9 vs D6 (S4 not universal in h, gamma)", check_s4_nonuniversality)]

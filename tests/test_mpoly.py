@@ -83,3 +83,21 @@ class TestStr:
     )
     def test_rendering(self, poly, text):
         assert str(poly) == text
+
+
+class TestRepr:
+    def test_repr_lists_the_terms_in_str_order(self):
+        p = c2 - c1**2 + 3
+        assert repr(p) == "MPoly({(2,): -1, (0, 1): 1, (): 3})"
+        assert eval(repr(p)) == p
+        assert repr(MPoly()) == "MPoly({})"
+
+    def test_independent_builds_of_the_todd_polynomials_have_one_repr(self, monkeypatch):
+        import coxsums.todd as todd_module
+
+        texts = []
+        for _ in range(2):
+            monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable([1]))
+            texts.append(repr(todd_module.todd_polynomials(12)))
+        assert texts[0] == texts[1]
+        assert all("object at" not in text for text in texts)

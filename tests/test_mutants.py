@@ -8,15 +8,20 @@ least one check whose report names a changed type.  The sweep runs in
 process over every suite but todd-symm, which reads no table, on a catalog
 that still holds every exceptional type; a few mutants go through cli.main
 for the exit code and the printed lines.
+
+One more mutant lives outside the tables: a p-factor whose log is not odd
+must fail every per-type methods check, which runs the Todd route at p = 1
+only and covers p = 2 and 3 by the p-factor's p-freeness.
 """
 
 import sys
 
 import pytest
 
-from coxsums import cli, parse_type
+import coxsums.todd as todd_module
+from coxsums import cli, parse_type, powersum_todd_upto
 from coxsums.errors import ParseError
-from coxsums.verify import SUITE_NAMES, build_tasks, run_tasks
+from coxsums.verify import SUITE_NAMES, build_tasks, check_methods, run_tasks
 
 catalog_module = sys.modules["coxsums.catalog"]
 
@@ -191,3 +196,28 @@ def test_other_commands_exit_one_on_a_table_fault(monkeypatch, capsys, argv):
     code = cli.main(argv)
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", "error: internal table error for E8\n")
+
+
+def test_a_p_factor_whose_log_is_not_odd_fails_every_methods_check(monkeypatch):
+    """1 added to the last F at p = 3 breaks f(t) f(-t) = 1 at k = n_max = 12:
+    every per-type methods check fails with a witness naming p and k, and no
+    other check fails.  At n_max = 11 the changed F_11 is read by no Todd
+    value, and the check passes."""
+    real = todd_module._quotient_integers
+
+    def shifted_at_p3(a, b2, order):
+        f = real(a, b2, order)
+        if (a, b2) == (6, 81):  # p = 3, s = 3
+            f[-1] += 1
+        return f
+
+    monkeypatch.setattr(todd_module, "_quotient_integers", shifted_at_p3)
+    failed = [report for report in run_tasks(build_tasks()) if not report.passed]
+    assert [(report.suite, subject_type(report)) for report in failed] == [
+        ("methods", t) for t in catalog_module.catalog(12, 30)
+    ]
+    witness = "p=3, k=12: sum_i (-1)**i F_i F_(k-i) = 2 != 0"
+    assert all(report.witness == witness for report in failed)
+    e8 = parse_type("E8")
+    assert powersum_todd_upto(e8, 11, 3) == powersum_todd_upto(e8, 11, 1)
+    assert check_methods(e8, 11).passed

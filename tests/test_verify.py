@@ -9,6 +9,8 @@ from math import comb, factorial, prod
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxsums import (
     CoxeterType,
@@ -998,6 +1000,75 @@ class TestMethodsSuite:
             report = check_methods(parse_type(label), n_max=0)
             assert report.passed, (label, report.witness)
 
+    def test_runs_one_todd_pass_per_type_and_one_p_freeness_per_p(self, monkeypatch):
+        import coxsums.powersums as powersums_module
+
+        real_quotients, real_freeness = powersums_module._todd_quotients, verify_module._p_freeness
+        passes, built = [], []
+
+        def counted_quotients(t, n, p, params, degrees):
+            passes.append(p)
+            return real_quotients(t, n, p, params, degrees)
+
+        def counted_freeness(p, n_max):
+            built.append((p, n_max))
+            return real_freeness(p, n_max)
+
+        monkeypatch.setattr(powersums_module, "_todd_quotients", counted_quotients)
+        monkeypatch.setattr(verify_module, "_p_freeness", counted_freeness)
+        reports = verify_module.run_tasks(verify_module.build_tasks(suites=["methods"]))
+        assert len(reports) == 65 and all(r.passed for r in reports)
+        assert passes == [1] * 64
+        assert built == [(2, 12), (3, 12)]
+        passes.clear()
+        built.clear()
+        report = check_methods(parse_type("E8"), 12)
+        assert report.passed, report.witness
+        assert passes == [1] and built == [(2, 12), (3, 12)]
+
+    def test_a_raising_p_freeness_is_kept_and_fails_every_type(self, monkeypatch):
+        """The sweep computes the p-freeness at p = 3 once; the exception it raises
+        fails each per-type check, and A9 vs D6 still passes."""
+        import coxsums.todd as todd_module
+
+        real, calls = todd_module._quotient_integers, []
+
+        def remainder_at_p3(a, b2, order):
+            if (a, b2) == (6, 81):  # p = 3, s = 3
+                calls.append(order)
+                raise InternalMismatch("p-factor: F_2 is not an integer")
+            return real(a, b2, order)
+
+        monkeypatch.setattr(todd_module, "_quotient_integers", remainder_at_p3)
+        reports = verify_module.run_tasks(verify_module.build_tasks(suites=["methods"]))
+        per_type, (s4,) = reports[:-1], reports[-1:]
+        assert len(per_type) == 64 and s4.passed
+        witness = "raised InternalMismatch('p-factor: F_2 is not an integer')"
+        assert all(not r.passed and r.witness == witness for r in per_type)
+        assert calls == [12]
+
+    def test_p_freeness_witness_names_p_and_k(self):
+        assert verify_module._p_freeness(1, 12) is None
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            verify_module._p_freeness(0, 12)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            check_methods(parse_type("E8"), 4, ps_values=(1, 0))
+        # A p-factor that fails: its witness text comes back as the check's.
+        report = check_methods(
+            parse_type("A2"), 4, p_freeness=lambda p, n_max: f"p={p}, k=4: made up"
+        )
+        assert report.witness == "p=2, k=4: made up"
+
+
+# Any p that cox powersum --p admits leaves the Todd route as it is at p = 1.
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(1, 10**6), n=st.integers(0, 40))
+def test_the_p_factor_is_p_free_at_any_p(p, n):
+    assert verify_module._p_freeness(p, n) is None
+    for label in ("E8", "H4", "I2(7)", "C5"):
+        t = parse_type(label)
+        assert powersum_todd_upto(t, n, p) == powersum_todd_upto(t, n, 1), label
+
 
 class TestRunAll:
     def test_smoke_sweep_passes(self):
@@ -1110,7 +1181,7 @@ class TestSharedSweep:
         seen = {}
 
         def recorder(name):
-            def record(t, *args, params=None):
+            def record(t, *args, params=None, **kwargs):
                 seen.setdefault(name, {})[t] = params
                 return CheckReport(name, t.name, True)
 
