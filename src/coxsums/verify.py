@@ -647,6 +647,7 @@ def check_methods(
         if closed[n] != direct:
             failures.append(f"n={n}: closed {closed[n]} != direct {direct}")
             break
+    # Every other p: the Todd values at p are those at p = 1 when f is p-free.
     for p in ps_values:
         if p != 1 and not failures:
             witness = free(p, n_max)
@@ -789,13 +790,9 @@ def _methods_specs(sweep: _Sweep) -> list[Spec]:
     n_max = sweep.n_max
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    free = sweep.p_freeness
     specs = [
-        (
-            t.name,
-            _task(
-                check_methods, t, n_max, params=sweep.default(t), p_freeness=sweep.p_freeness
-            ),
-        )
+        (t.name, _task(check_methods, t, n_max, params=sweep.default(t), p_freeness=free))
         for t in sweep.types
     ]
     return specs + [("A9 vs D6 (S4 not universal in h, gamma)", check_s4_nonuniversality)]

@@ -1047,7 +1047,7 @@ class TestMethodsSuite:
         assert all(not r.passed and r.witness == witness for r in per_type)
         assert calls == [12]
 
-    def test_p_freeness_witness_names_p_and_k(self):
+    def test_p_freeness_checks_p_and_passes_its_witness_on(self):
         assert verify_module._p_freeness(1, 12) is None
         with pytest.raises(ValueError, match="p must be >= 1"):
             verify_module._p_freeness(0, 12)
@@ -1060,7 +1060,8 @@ class TestMethodsSuite:
         assert report.witness == "p=2, k=4: made up"
 
 
-# Any p that cox powersum --p admits leaves the Todd route as it is at p = 1.
+# p up to 10**6, all of which cox powersum --p admits at n <= 40: the Todd
+# route is as it is at p = 1.
 @settings(max_examples=100, deadline=None)
 @given(p=st.integers(1, 10**6), n=st.integers(0, 40))
 def test_the_p_factor_is_p_free_at_any_p(p, n):
