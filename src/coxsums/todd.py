@@ -23,11 +23,12 @@ step also takes the P_k directly (the closed route of coxsums.powersums).
 The inner loops run on integers, and each returned coefficient becomes a
 Fraction once.  The gamma integers are F_k = gamma_k s**k at s = w odd(p),
 odd(p) being p without its factors of 2 and w the common denominator of
-V+ and V- once their common entries cancel; p_factor takes w = 1.  No k!
-enters: the p-factor's recurrence divides exactly by k+1 at any such s
-(proved at _quotient_integers), and each factor of V+ or V- is one pass
-at s.  Td_k uses weighted homogeneity, Td_k(gamma_i * u**i) =
-u**k Td_k(gamma), for an integer u that clears every gamma_i, and
+V+ and V- once their common entries cancel; p_factor takes w = 1, and
+both get the p-factor's integers from _p_factor_integers.  No k! enters:
+the p-factor's recurrence divides exactly by k+1 at any such s (proved at
+_quotient_integers), and each factor of V+ or V- is one pass at s.  Td_k
+uses weighted homogeneity, Td_k(gamma_i * u**i) = u**k Td_k(gamma), for
+an integer u that clears every gamma_i, and
 Hirzebruch's Todd denominators M_k = prod_p p**(k // (p-1)), which make
 M_k Td_k an integer polynomial.  The pass takes the gamma_i u**i as they
 are (no caller signs them): the Todd power sums of coxsums.powersums at
@@ -78,11 +79,16 @@ _CACHE_SIZE = 512
 @lru_cache(maxsize=_CACHE_SIZE)
 def p_factor(p: int, order: int) -> TruncatedSeries:
     """Expansion of ((1+p*t)/(1-p*t))**(1/p), from the p-factor integers at s = odd(p)."""
+    f, s = _p_factor_integers(p, order)
+    return TruncatedSeries([Fraction(x, s**k) for k, x in enumerate(f)], order=order)
+
+
+def _p_factor_integers(p: int, order: int, w: int = 1) -> tuple[list[int], int]:
+    """F_0 .. F_order of the p-factor and s = w odd(p), f_k = F_k / s**k."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    s = p // (p & -p)  # odd(p)
-    f = _quotient_integers(2 * s, (p * s) ** 2, order)
-    return TruncatedSeries([Fraction(x, s**k) for k, x in enumerate(f)], order=order)
+    s = w * (p // (p & -p))
+    return _quotient_integers(2 * s, (p * s) ** 2, order), s
 
 
 def _quotient_integers(a: int, b2: int, order: int) -> list[int]:
@@ -112,11 +118,8 @@ def _quotient_integers(a: int, b2: int, order: int) -> list[int]:
 def _gamma_integers(params: ParameterSet, p: int, order: int) -> tuple[list[int], int]:
     """F_0 .. F_order and s = w odd(p), gamma_k = F_k / s**k, w the common
     denominator of V+ and V- after coxsums.catalog.cancelled."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
     plus, minus = cancelled(params)
-    s = lcm(*(v.denominator for v in plus + minus)) * (p // (p & -p))
-    f = _quotient_integers(2 * s, (p * s) ** 2, order)
+    f, s = _p_factor_integers(p, order, lcm(*(v.denominator for v in plus + minus)))
     for v in plus:  # times 1/(1 - v*t)
         vs = v.numerator * (s // v.denominator)
         for k in range(1, order + 1):
@@ -223,28 +226,38 @@ def _todd_steps(n: int) -> tuple[list[int], list[list[int]]]:
     return weights, carries
 
 
+def _reflection_product(g: Sequence) -> list:
+    """c_1 .. c_(n//2), the t**(2m) coefficients of g(t) g(-t) (its odd ones are 0),
+    from g_0 = 1 and g_1 .. g_n.
+
+    c_m = sum_i (-1)**i g_i g_{2m-i}, whose terms i and 2m - i are equal, so
+    c_m = 2 (g_2m + sum_{0<i<m} (-1)**i g_i g_{2m-i}) + (-1)**m g_m**2.  The
+    sign (-1)**i is applied here, to the g_i with i <= n/2, and nowhere else.
+    """
+    h = (len(g) - 1) // 2
+    s = [-x if i % 2 else x for i, x in enumerate(g[: h + 1])]  # (-1)**i g_i
+    return [
+        2 * (g[2 * m] + sum(map(mul, s[1:m], g[2 * m - 1 : m : -1]))) + s[m] * g[m]
+        for m in range(1, h + 1)
+    ]
+
+
 def _todd_pass(g: Sequence) -> list:
     """T_0 .. T_n, T_k = M_k Td_k(gamma), from g_0 = 1 and g_i = gamma_i.
 
     The recurrence reads only P_1 = g_1 and the even P_2m, so only those are
     formed: gamma(t) gamma(-t) = prod(1 - x_j**2 t**2) has the coefficients
-    c_m = sum_i (-1)**i g_i g_{2m-i} in t**2, and Newton's identity over
-    them gives P_2m = -(m c_m + sum_{i<m} c_i P_{2m-2i}): about n**2/4
-    products, half of Newton's identity over every P_k.  The sign (-1)**i
-    is applied here, to the g_i with i <= n/2, and nowhere else.  The g_i
-    may lie in any ring where ints act by multiplication, with negation and
-    divmod by an int: ints; MPoly, for the polynomials themselves; or point
-    vectors (_PointVector), for many points in one pass.
+    c_m of _reflection_product in t**2, and Newton's identity over them gives
+    P_2m = -(m c_m + sum_{i<m} c_i P_{2m-2i}): about n**2/4 products, half of
+    Newton's identity over every P_k.  The g_i may lie in any ring where ints
+    act by multiplication, with negation and divmod by an int: ints; MPoly,
+    for the polynomials themselves; or point vectors (_PointVector), for
+    many points in one pass.
     """
-    n = len(g) - 1
-    s = [-x if i % 2 else x for i, x in enumerate(g[: n // 2 + 1])]  # (-1)**i g_i
-    q = list(g[:2]) + [0] * (n - 1)  # T_0 = g_0, P_1 = g_1; the odd P_k (k >= 3) stay 0
-    c = []  # c_1, c_2, ...
-    for m in range(1, n // 2 + 1):
-        k = 2 * m
-        cm = 2 * (g[k] + sum(map(mul, s[1:m], g[k - 1 : m : -1]))) + s[m] * g[m]
-        c.append(cm)
-        q[k] = -sum(map(mul, c[: m - 1], q[k - 2 : 0 : -2]), m * cm)
+    c = _reflection_product(g)
+    q = list(g[:2]) + [0] * (len(g) - 2)  # T_0 = g_0, P_1 = g_1; the odd P_k (k >= 3) stay 0
+    for m, cm in enumerate(c, 1):
+        q[2 * m] = -sum(map(mul, c[: m - 1], q[2 * m - 2 : 0 : -2]), m * cm)
     return _todd_recurrence(q)
 
 

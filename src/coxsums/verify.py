@@ -23,9 +23,10 @@ The methods suite runs the Todd route once per type, at p = 1, against the
 direct and closed sums.  The p-factor f = ((1+pt)/(1-pt))**(1/p) has an odd
 log, so f(t) f(-t) = 1: f adds 2 to g_1 and leaves gamma(t) gamma(-t) as it
 is, the only two things the Todd pass reads.  So for p = 2 and 3 the suite
-checks exactly that of f's integers (``_p_freeness``), which with the
-pass's contract proves the Todd values at p equal those at p = 1 for every
-type, and keeps the checked divisions of f's recurrence.
+checks exactly that of f's integers (``_p_freeness``), through the pass's
+own step for gamma(t) gamma(-t) (``todd._reflection_product``), which with
+the pass's contract proves the Todd values at p equal those at p = 1 for
+every type, and keeps the checked divisions of f's recurrence.
 
 ``build_tasks`` lays out every sub-check of the selected suites in a
 fixed catalog order, from one table that maps each suite name to its
@@ -38,7 +39,8 @@ that exception.  ``run_tasks`` executes the tasks in order, and a check
 that raises becomes a failed report, so such a fault fails the type's
 checks and the sweep goes on.  The p-freeness of each p reads no type, so a
 sweep computes it once, in the first methods check, and hands the result,
-or the exception it raised, to the rest.
+or the exception it raised, to the rest; the sweep keeps both tables in
+one memo (``_Sweep.once``).
 """
 
 from __future__ import annotations
@@ -583,35 +585,28 @@ def check_gamma34(
 def _p_freeness(p: int, n_max: int) -> str | None:
     """None when the p-factor f at p is p-free to degree n_max, else a witness.
 
-    With F_k = f_k s**k from todd._quotient_integers at s = odd(p), it checks
-    F_0 = 1, F_1 = 2 s and, at every even k with 2 <= k <= n_max,
-    sum_i (-1)**i F_i F_{k-i} = 0, so f(t) f(-t) = 1 to degree n_max (at odd
-    k the terms cancel in pairs).  The Todd pass reads only g_1 and the
-    coefficients of gamma(t) gamma(-t) to degree n_max; such an f adds 2 to
-    g_1 and leaves gamma(t) gamma(-t) as it is at every p, so the Todd values
-    at p equal those at p = 1.  A remainder in the recurrence of
-    _quotient_integers raises InternalMismatch.
+    Over F_k = f_k s**k from todd._p_factor_integers, it checks F_0 = 1,
+    F_1 = 2 s and that todd._reflection_product, the step of the Todd pass
+    that reads gamma(t) gamma(-t), gives 0 at every even k with
+    2 <= k <= n_max, so f(t) f(-t) = 1 to degree n_max.  The Todd pass reads
+    only g_1 and those coefficients; such an f adds 2 to g_1 and leaves
+    gamma(t) gamma(-t) as it is at every p, so the Todd values at p equal
+    those at p = 1.  A remainder in the p-factor's recurrence raises
+    InternalMismatch.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    s = p // (p & -p)  # odd(p)
-    f = _todd._quotient_integers(2 * s, (p * s) ** 2, n_max)
+    f, s = _todd._p_factor_integers(p, n_max)
     for k, want in enumerate((1, 2 * s)[: n_max + 1]):
         if f[k] != want:
             return f"p={p}, k={k}: F_{k} = {f[k]} != {want}"
-    signed = [-x if i % 2 else x for i, x in enumerate(f[: n_max // 2 + 1])]  # (-1)**i F_i
-    for k in range(2, n_max + 1, 2):
-        m = k // 2  # the terms i and k - i are equal
-        total = 2 * sum(map(mul, signed[:m], f[k:m:-1])) + signed[m] * f[m]
+    for m, total in enumerate(_todd._reflection_product(f), 1):
         if total:
-            return f"p={p}, k={k}: sum_i (-1)**i F_i F_(k-i) = {total} != 0"
+            return f"p={p}, k={2 * m}: sum_i (-1)**i F_i F_(k-i) = {total} != 0"
     return None
 
 
 def check_methods(
     t: CoxeterType,
     n_max: int = 12,
-    ps_values: tuple[int, ...] = (1, 2, 3),
     exps: ExponentList | None = None,
     params: ParameterSet | None = None,
     p_freeness: Callable[[int, int], str | None] | None = None,
@@ -619,15 +614,13 @@ def check_methods(
     """Todd, closed and direct power sums agree at every n <= n_max; heights too.
 
     The Todd route runs once, at p = 1, and is compared with the direct sums.
-    Every other p of ps_values is covered by p_freeness(p, n_max), by default
-    _p_freeness: None proves that the Todd values at p equal those at p = 1
-    at every n <= n_max, for every type; a witness fails the check.  A sweep
-    hands in its own, which computes each result once for all its types.
+    p = 2 and 3 are covered by p_freeness(p, n_max), by default _p_freeness:
+    None proves that the Todd values at p equal those at p = 1 at every
+    n <= n_max, for every type; a witness fails the check.  A sweep hands in
+    its own, which computes each result once for all its types.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if any(p < 1 for p in ps_values):
-        raise ValueError("p must be >= 1")
     free = p_freeness if p_freeness is not None else _p_freeness
     resolved = _resolve(t, None, params)
     el = _exps(t, exps)
@@ -647,12 +640,9 @@ def check_methods(
         if closed[n] != direct:
             failures.append(f"n={n}: closed {closed[n]} != direct {direct}")
             break
-    # Every other p: the Todd values at p are those at p = 1 when f is p-free.
-    for p in ps_values:
-        if p != 1 and not failures:
-            witness = free(p, n_max)
-            if witness:
-                failures.append(witness)
+    for p in (2, 3):  # the Todd values at p are those at p = 1 when f is p-free
+        if not failures and (witness := free(p, n_max)):
+            failures.append(witness)
     # After every S_n: the height sum of degree n reads S_{n+1}.
     for n in degrees:
         if failures:
@@ -706,46 +696,42 @@ Profiles = tuple[tuple[str | None, ParameterSet | Exception], ...]
 
 class _Sweep:
     """What the suite builders of one build_tasks call read: the catalog types,
-    n_max, the seed, and each type's parameter sets, built once on first use
-    and shared by every suite."""
+    n_max, the seed, and one memo of what is built once on first use and
+    shared: each type's parameter sets and each p's p-freeness."""
 
     def __init__(self, types: Sequence[CoxeterType], n_max: int, seed: int):
         self.types, self.n_max, self.seed = types, n_max, seed
-        self._profiles: dict[CoxeterType, Profiles] = {}
-        self._p_freeness: dict[tuple[int, int], str | None | Exception] = {}
+        self._built: dict[tuple, object] = {}
+
+    def once(self, build: Callable, *args):
+        """build(*args), computed when first asked for and kept for the rest of
+        the sweep.  An exception that it raises is kept and raised again on
+        each ask, so each check that asks fails with it in run_tasks."""
+        key = (build, *args)
+        if key not in self._built:
+            try:
+                self._built[key] = build(*args)
+            except Exception as e:
+                self._built[key] = e
+        found = self._built[key]
+        if isinstance(found, Exception):
+            raise found
+        return found
 
     def profiles(self, t: CoxeterType) -> Profiles:
-        """profile_parameters(t), looked up when first asked for.  A table fault
-        that they raise is kept, and _task turns it into checks that raise it:
-        the fault fails t's checks in run_tasks, and the sweep goes on."""
-        if t not in self._profiles:
-            try:
-                self._profiles[t] = profile_parameters(t)
-            except Exception as e:
-                self._profiles[t] = ((None, e),)
-        return self._profiles[t]
+        """profile_parameters(t), built once.  A table fault that they raise is
+        kept, and _task turns it into checks that raise it: the fault fails
+        t's checks in run_tasks, and the sweep goes on."""
+        try:
+            return self.once(profile_parameters, t)
+        except Exception as e:
+            return ((None, e),)
 
     def default(self, t: CoxeterType) -> ParameterSet | Exception:
         """parameters(t) from the same table: the first entry, standard for
         every named family (H2 included) and redefined for the I2 types, each
         of which has only that one."""
         return self.profiles(t)[0][1]
-
-    def p_freeness(self, p: int, n_max: int) -> str | None:
-        """_p_freeness(p, n_max), computed when a methods check first asks for
-        it and shared by the rest, as it reads no type.  An exception that it
-        raises is kept and raised again on each ask, so each such check fails
-        with it in run_tasks."""
-        key = (p, n_max)
-        if key not in self._p_freeness:
-            try:
-                self._p_freeness[key] = _p_freeness(p, n_max)
-            except Exception as e:
-                self._p_freeness[key] = e
-        found = self._p_freeness[key]
-        if isinstance(found, Exception):
-            raise found
-        return found
 
 
 def _raise(error: Exception) -> CheckReport:
@@ -790,7 +776,7 @@ def _methods_specs(sweep: _Sweep) -> list[Spec]:
     n_max = sweep.n_max
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    free = sweep.p_freeness
+    free = partial(sweep.once, _p_freeness)  # it reads no type: one result per p
     specs = [
         (t.name, _task(check_methods, t, n_max, params=sweep.default(t), p_freeness=free))
         for t in sweep.types

@@ -397,6 +397,17 @@ class TestParameters:
         with pytest.raises(ValueError):
             parameters(parse_type("A2"), beta=-1)
 
+    def test_beta_is_free_exactly_where_the_table_leaves_it(self):
+        """The table leaves beta free for A, B/C, G2, H2, H3 and I2; every other
+        type refuses an override.  The families are written out here, not read
+        from _ARBITRARY_BETA, so a change to that tuple fails this test."""
+        for t in catalog(8, 12):
+            outcome = _outcome(parameters, t, None, 3)
+            if t.family in ("A", "C", "G", "I2") or t.name in ("H2", "H3"):
+                assert not isinstance(outcome, Exception) and outcome.beta == 3, t.name
+            else:
+                assert repr(outcome) == repr(ValueError(f"beta is determined for type {t.name}"))
+
 
 def _oracle_d_nu(t, concrete):
     f, n = t.family, t.index

@@ -1,8 +1,10 @@
 """Golden CLI output: exit code, stderr and the sha256 of stdout per command line.
 
 The pins cover every output format of ``info``, ``exponents``, ``powersum``,
-``heights`` and ``table``, the order of their usage errors, and the report
-of ``verify`` on a small sweep and on the todd-symm suite at two seeds.  A change
+``heights`` and ``table``, the order of their usage errors, ``powersum`` at
+p = 2 and 3, and the report of ``verify`` on a small sweep, on the todd-symm
+suite at two seeds, and on the methods (n-max 1 and 40), gamma34 and
+t-transform suites.  A change
 that moves one byte of output breaks the pin; if the change is meant,
 re-record the line and say why.  To record a line, run this file:
 
@@ -303,6 +305,30 @@ GOLDEN = [
     (
         'info B3/D3', 2, 'error: D3 is outside the classification\n',
         EMPTY,
+    ),
+    (
+        'verify --suite methods --n-max 40', 0, '',
+        'b7aa62d37ff2545fabcf7f38acde16009180759d077a51add29ff26aeb0d980d',
+    ),
+    (
+        'verify --suite methods --n-max 1', 0, '',
+        'ffe62f05b06a3212afb5e201a997765d046c327731feda9c2890ae85dbb1c70f',
+    ),
+    (
+        'verify --suite gamma34 --max-rank 6 --max-m 10', 0, '',
+        '8e50de5f720641d56c11338c345065ab2a12410c78d4c2ab4fae4c05bd2040ed',
+    ),
+    (
+        'verify --suite t-transform', 0, '',
+        '8e01c7241ee8e629fc333c2de3bd399193e7c6a396728370bf0c56720cd5d5a4',
+    ),
+    (
+        'powersum E8 -n 30 --p 3 --method todd', 0, '',
+        '1f3a9f11c97afc59f6de397860fc0adf9bb693e6abcc9b2d96c20894ca72ae4d',
+    ),
+    (
+        'powersum H4 -n 30 --p 2 --format json', 0, '',
+        '7b5bbb794980b830e84769d8608596b14a4e5495368245ab0d7bd5b0f9de00ee',
     ),
 ]
 

@@ -9,9 +9,16 @@ process over every suite but todd-symm, which reads no table, on a catalog
 that still holds every exceptional type; a few mutants go through cli.main
 for the exit code and the printed lines.
 
-One more mutant lives outside the tables: a p-factor whose log is not odd
-must fail every per-type methods check, which runs the Todd route at p = 1
-only and covers p = 2 and 3 by the p-factor's p-freeness.
+The profile choice (catalog._profile_for) and the families whose beta is
+free (catalog._ARBITRARY_BETA) have mutants too.  Every verify check reads
+the sets of profile_parameters, which none of these mutants changes, so no
+verify check fails on them; each is paired with the catalog test that
+catches it.
+
+Two more mutants live outside the tables: a p-factor whose log is not odd,
+and a changed gamma(t) gamma(-t) step of the Todd pass.  Each must fail
+every per-type methods check, which runs the Todd route at p = 1 only and
+covers p = 2 and 3 by the p-factor's p-freeness.
 """
 
 import sys
@@ -19,8 +26,10 @@ import sys
 import pytest
 
 import coxsums.todd as todd_module
+import coxsums.verify as verify_module
+import test_catalog
 from coxsums import cli, parse_type, powersum_todd_upto
-from coxsums.errors import ParseError
+from coxsums.errors import ParseError, ProfileMismatch
 from coxsums.verify import SUITE_NAMES, build_tasks, check_methods, run_tasks
 
 catalog_module = sys.modules["coxsums.catalog"]
@@ -151,6 +160,83 @@ def test_family_mutant_fails_a_check_naming_the_family(monkeypatch, family, fiel
     )
 
 
+def fails(test):
+    """True when test fails: an assertion, a pytest.raises that saw nothing, or an error."""
+    try:
+        test()
+    except (Exception, pytest.fail.Exception):
+        return True
+    return False
+
+
+def is_even_i2(t):
+    return t.family == "I2" and t.index % 2 == 0
+
+
+# Mutant -> (the requests it changes, what they resolve to (None: refused), its catcher).
+PROFILE_MUTANTS = {
+    "H2.redefined=standard": (
+        lambda t, profile: t.name == "H2" and profile == "redefined",
+        "standard",
+        test_catalog.TestParameters().test_h2_profiles,
+    ),
+    "H2.default=redefined": (
+        lambda t, profile: t.name == "H2" and profile in (None, "h2-original"),
+        "redefined",
+        test_catalog.TestParameters().test_h2_profiles,
+    ),
+    "I2even.standard=refused": (
+        lambda t, profile: is_even_i2(t) and profile == "standard",
+        None,
+        test_catalog.TestApplicableProfiles().test_even_i2_single,
+    ),
+    "I2odd.standard=redefined": (
+        lambda t, profile: t.family == "I2" and t.index % 2 and profile == "standard",
+        "redefined",
+        test_catalog.TestParameters().test_standard_profile_rejected_for_odd_i2,
+    ),
+    "I2even.default=standard": (
+        lambda t, profile: is_even_i2(t) and profile is None,
+        "standard",
+        test_catalog.TestParameters().test_alpha_is_second_exponent_minus_one,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", PROFILE_MUTANTS)
+def test_profile_mutant_is_caught_by_its_catalog_test(monkeypatch, mutant):
+    changes, concrete, catcher = PROFILE_MUTANTS[mutant]
+    real = catalog_module._profile_for
+
+    def mutated(t, profile):
+        if not changes(t, profile):
+            return real(t, profile)
+        if concrete is None:
+            raise ProfileMismatch(f"{t.name} has no {profile} parameter row")
+        return concrete
+
+    assert not fails(catcher)
+    patch_everywhere(monkeypatch, "_profile_for", mutated)
+    assert fails(catcher)
+
+
+BETA_MUTANTS = [("-", key) for key in catalog_module._ARBITRARY_BETA] + [
+    ("+", key) for key in ("D", "E", "F", "H4")
+]
+
+
+@pytest.mark.parametrize(
+    "change, key", BETA_MUTANTS, ids=[change + key for change, key in BETA_MUTANTS]
+)
+def test_arbitrary_beta_mutant_is_caught_by_its_catalog_test(monkeypatch, change, key):
+    catcher = test_catalog.TestParameters().test_beta_is_free_exactly_where_the_table_leaves_it
+    real = catalog_module._ARBITRARY_BETA
+    mutated = tuple(k for k in real if k != key) if change == "-" else real + (key,)
+    assert not fails(catcher)
+    monkeypatch.setattr(catalog_module, "_ARBITRARY_BETA", mutated)
+    assert fails(catcher)
+
+
 HEADER = f"verify: suites=all max-rank={MAX_RANK} max-m={MAX_M} n-max=12 seed=42"
 
 
@@ -221,3 +307,23 @@ def test_a_p_factor_whose_log_is_not_odd_fails_every_methods_check(monkeypatch):
     e8 = parse_type("E8")
     assert powersum_todd_upto(e8, 11, 3) == powersum_todd_upto(e8, 11, 1)
     assert check_methods(e8, 11).passed
+
+
+def test_a_changed_reflection_product_fails_every_methods_check(monkeypatch):
+    """The Todd pass and the p-freeness read gamma(t) gamma(-t) through one
+    function: 1 added to its last c changes P_12 of every Todd pass, so every
+    per-type methods check fails at n = 12, and the p-freeness sees it too."""
+    real = todd_module._reflection_product
+
+    def shifted(g):
+        c = real(g)
+        c[-1] += 1
+        return c
+
+    monkeypatch.setattr(todd_module, "_reflection_product", shifted)
+    reports = run_tasks(build_tasks(suites=["methods"]))
+    failed = [report for report in reports if not report.passed]
+    assert [subject_type(report) for report in failed] == catalog_module.catalog(12, 30)
+    assert all(report.witness.startswith("n=12, p=1: todd ") for report in failed)
+    witness = "p=2, k=12: sum_i (-1)**i F_i F_(k-i) = 1 != 0"
+    assert verify_module._p_freeness(2, 12) == witness

@@ -27,6 +27,7 @@ from coxsums.catalog import cancelled
 from coxsums.errors import ConstantTermNotOne, InternalMismatch
 from coxsums.series import weighted_scale
 from coxsums import todd as todd_module
+from coxsums import verify as verify_module
 from coxsums.mpoly import MPoly
 from coxsums.todd import (
     _PointVector,
@@ -715,6 +716,56 @@ class TestToddPassPowerSums:
         changed[3::2] = [rng.randint(-(10**9), 10**9) for _ in changed[3::2]]
         assert changed != q
         assert _todd_recurrence(changed) == _todd_recurrence(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(10**12), 10**12), max_size=40))
+def test_property_reflection_product_is_the_even_part_of_g_times_g_reflected(gammas):
+    """c_1 .. c_(n//2) are the t**2, t**4, ... coefficients of the plain
+    convolution of g(t) and g(-t), whose odd coefficients are 0."""
+    g = [1] + gammas
+    reflected = [-x if i % 2 else x for i, x in enumerate(g)]
+    product = [sum(g[i] * reflected[k - i] for i in range(k + 1)) for k in range(len(g))]
+    assert todd_module._reflection_product(g) == product[2::2]
+    assert not any(product[1::2])
+
+
+class TestPFactorIntegers:
+    """One builder of the p-factor's integers, read by p_factor, the gamma
+    integers and the methods suite's p-freeness."""
+
+    @pytest.mark.parametrize("p, w", [(1, 1), (2, 1), (12, 1), (3, 2), (45, 6)])
+    def test_scale_is_w_times_odd_p(self, p, w):
+        f, s = todd_module._p_factor_integers(p, 20, w)
+        assert s == w * odd_part(p)
+        assert f == todd_module._quotient_integers(2 * s, (p * s) ** 2, 20)
+        assert [F(x, s**k) for k, x in enumerate(f)] == list(p_factor(p, 20).coefficients)
+
+    def test_every_reader_calls_it(self, monkeypatch):
+        real, calls = todd_module._p_factor_integers, []
+
+        def counting(p, order, w=1):
+            calls.append((p, order, w))
+            return real(p, order, w)
+
+        monkeypatch.setattr(todd_module, "_p_factor_integers", counting)
+        ps = parameters(parse_type("H3"))
+        plus, minus = cancelled(ps)
+        todd_module.p_factor.__wrapped__(3, 8)
+        todd_module._gamma_integers(ps, 2, 8)
+        verify_module._p_freeness(6, 8)
+        assert calls == [(3, 8, 1), (2, 8, lcm(*(v.denominator for v in plus + minus))), (6, 8, 1)]
+
+    @pytest.mark.parametrize("p", [0, -1, -4])
+    def test_every_reader_refuses_p_below_one(self, p):
+        readers = [
+            lambda: p_factor(p, 5),
+            lambda: todd_module._gamma_integers(parameters(parse_type("E8")), p, 5),
+            lambda: verify_module._p_freeness(p, 5),
+        ]
+        for reader in readers:
+            with pytest.raises(ValueError, match="^p must be >= 1$"):
+                reader()
 
 
 class TestToddStepTable:

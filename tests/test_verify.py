@@ -910,16 +910,20 @@ class TestMethodsSuite:
     @pytest.mark.parametrize("wrong", [lambda b2: b2 + 1, lambda b2: 2 * b2, lambda b2: -b2])
     def test_wrong_p_squared_term_is_caught(self, monkeypatch, wrong):
         """A wrong p**2 term in the p-factor recurrence raises InternalMismatch
-        from its checked division, so every Todd-route check fails with a witness."""
+        from its checked division: at p = 1 on the Todd route, at p = 2 and 3 in
+        the p-freeness; so every Todd-route check fails with a witness."""
         import coxsums.todd as todd_module
 
         real = todd_module._quotient_integers
         monkeypatch.setattr(
             todd_module, "_quotient_integers", lambda a, b2, order: real(a, wrong(b2), order)
         )
-        for p in (1, 2, 3):
-            with pytest.raises(InternalMismatch, match=r"^p-factor: F_\d+ is not an integer$"):
-                check_methods(parse_type("E8"), n_max=12, ps_values=(p,))
+        message = r"^p-factor: F_\d+ is not an integer$"
+        with pytest.raises(InternalMismatch, match=message):
+            check_methods(parse_type("E8"), n_max=12)
+        for p in (2, 3):
+            with pytest.raises(InternalMismatch, match=message):
+                verify_module._p_freeness(p, 12)
         tasks = verify_module.build_tasks(max_rank=3, max_m=8, n_max=6, suites=["methods"])
         reports = verify_module.run_tasks(tasks)
         todd_checks = [r for r in reports if "vs" not in r.subject]
@@ -1051,8 +1055,6 @@ class TestMethodsSuite:
         assert verify_module._p_freeness(1, 12) is None
         with pytest.raises(ValueError, match="p must be >= 1"):
             verify_module._p_freeness(0, 12)
-        with pytest.raises(ValueError, match="p must be >= 1"):
-            check_methods(parse_type("E8"), 4, ps_values=(1, 0))
         # A p-factor that fails: its witness text comes back as the check's.
         report = check_methods(
             parse_type("A2"), 4, p_freeness=lambda p, n_max: f"p={p}, k=4: made up"
