@@ -28,21 +28,21 @@ Scalar = Union[int, Fraction]
 def weighted_scale(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
     """A_1 .. A_n and u, A_i = x_i u**i, from x_i = y_i / d_i (d_i > 0) for i = 1..n.
 
-    The pairs need not be in lowest terms.  The integer u is grown greedily,
-    one x_i at a time, until every A_i is an integer.
+    The pairs may come from any iterable, a generator included, and need not
+    be in lowest terms.  The integer u is grown greedily, one x_i at a time:
+    where d = d_i / gcd(y_i, d_i) does not divide u**i, u gains the least
+    factor that makes it divide, d / gcd(d, u**i).  Then each
+    A_i = y_i u**i / d_i is an exact division.
     """
-    u, reduced = 1, []
+    pairs, u = list(pairs), 1
     for i, (y, d) in enumerate(pairs, 1):
-        g = gcd(y, d)
-        y, d = y // g, d // g
-        ui = u**i
-        if ui % d:
-            u *= d // gcd(d, ui)
-        reduced.append((y, d))
+        d //= gcd(y, d)
+        if d != 1 and (r := pow(u, i, d)):
+            u *= d // gcd(d, r)
     scaled, ui = [], 1
-    for y, d in reduced:
+    for y, d in pairs:
         ui *= u
-        scaled.append(y * (ui // d))
+        scaled.append(y * ui // d)
     return scaled, u
 
 

@@ -294,21 +294,23 @@ class _PointVector(tuple):
     An int acts on every component (int * v is a product, not tuple
     repetition), divmod by an int is taken componentwise, and a vector is
     true when any component is nonzero, so the pass's integrality checks
-    read it as they read an int.
+    read it as they read an int.  v * 1, 1 * v, v + 0 and 0 + v (the start
+    of sum) are v itself: the Todd carries and weights are often 1, and a
+    vector is never changed in place.
     """
 
     __slots__ = ()
 
     def __add__(self, other):
         if type(other) is int:
-            return _PointVector([x + other for x in self])
+            return _PointVector([x + other for x in self]) if other else self
         return _PointVector(map(add, self, other))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if type(other) is int:
-            return _PointVector([x * other for x in self])
+            return self if other == 1 else _PointVector([x * other for x in self])
         return _PointVector(map(mul, self, other))
 
     __rmul__ = __mul__

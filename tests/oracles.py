@@ -12,6 +12,8 @@ cancellation by Counter arithmetic, and each rendered cell through a
 Fraction.  scaled_todd_pass runs the Todd pass one point at a time, over
 ints, against the batch over point vectors; batched lifts a per-point
 Todd fake to the list-of-points todd_fn of check_todd_symmetry.
+weighted_scale_by_reduced_pairs is the greedy weighted scale as first
+written, every pair reduced and u tested by u**i % d.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -176,6 +178,27 @@ def scaled_todd_pass(gammas: Sequence[tuple[int, int]]) -> tuple[list[int], int]
     """
     scaled, u = weighted_scale(gammas)
     return _todd_pass([1] + scaled), u
+
+
+def weighted_scale_by_reduced_pairs(
+    pairs: Iterable[tuple[int, int]],
+) -> tuple[list[int], int]:
+    """A_1 .. A_n and u as weighted_scale gives them, from each x_i = y_i / d_i
+    reduced to lowest terms: wherever d_i does not divide u**i, u is
+    multiplied by d_i / gcd(d_i, u**i); then A_i = y_i (u**i / d_i)."""
+    u, reduced = 1, []
+    for i, (y, d) in enumerate(pairs, 1):
+        g = gcd(y, d)
+        y, d = y // g, d // g
+        ui = u**i
+        if ui % d:
+            u *= d // gcd(d, ui)
+        reduced.append((y, d))
+    scaled, ui = [], 1
+    for y, d in reduced:
+        ui *= u
+        scaled.append(y * (ui // d))
+    return scaled, u
 
 
 def batched(per_point):

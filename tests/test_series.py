@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from coxsums import TruncatedSeries
 from coxsums.errors import ConstantTermNotOne, NonzeroConstantTerm, ZeroConstantTerm
+from coxsums.series import weighted_scale
+from oracles import weighted_scale_by_reduced_pairs
 
 
 def naive_product(a, b, order):
@@ -246,3 +248,34 @@ def test_constructor_stores_exact_fractions():
     assert [type(c) for c in stored] == [F] * 4
     assert list(stored) == given_values
     assert [hash(c) for c in stored] == [hash(v) for v in given_values]
+
+
+# Denominators up to 10**6, prime powers among them; numerators of either sign and
+# 0; pairs not in lowest terms, some sharing a factor on purpose.
+_PRIME_POWERS = [q**k for q in (2, 3, 5, 7, 97, 997) for k in range(1, 20) if q**k <= 10**6]
+_numerators = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+_denominators = st.one_of(
+    st.integers(1, 10**6), st.sampled_from(_PRIME_POWERS), st.integers(1, 12)
+)
+_pairs = st.one_of(
+    st.tuples(_numerators, _denominators),
+    st.builds(
+        lambda g, y, d: (g * y, g * d), st.integers(2, 100), _numerators, st.integers(1, 10**4)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pairs, max_size=12), st.booleans())
+@example([], False)
+@example([(0, 7), (0, 1)], False)
+@example([(-3, 6), (4, 8), (5, 8), (1, 2**19)], True)
+@example([(9, 27), (1, 3), (2, 81), (-1, 3**12)], True)
+def test_property_weighted_scale_matches_greedy_oracle(pairs, one_shot):
+    """The same A and the same greedy u as the oracle, from a list or a
+    generator; and A_i = (y_i / d_i) u**i exactly."""
+    want = weighted_scale_by_reduced_pairs(pairs)
+    got = weighted_scale((pair for pair in pairs) if one_shot else pairs)
+    assert got == want
+    scaled, u = got
+    assert scaled == [F(y, d) * u**i for i, (y, d) in enumerate(pairs, 1)]

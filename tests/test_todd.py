@@ -567,6 +567,40 @@ class TestPointVector:
         assert total == (10, -10, 20) and type(total) is _PointVector
         assert sum(map(mul, [2, 3], vs[:2])) == (8, -8, 16)
 
+    def test_times_one_and_plus_zero_are_the_vector_itself(self):
+        v = _PointVector((1, -2, 3))
+        assert all(x is v for x in (v * 1, 1 * v, v + 0, 0 + v, sum([v])))
+
+    def test_other_int_operands_build_new_vectors(self):
+        v = _PointVector((1, -2, 3))
+        for got, want in ((v * -1, (-1, 2, -3)), (v * 0, (0, 0, 0)), (v + 3, (4, 1, 6))):
+            assert got == want and type(got) is _PointVector and got is not v
+
+    def test_todd_symm_builds_no_vector_by_one_or_zero(self, monkeypatch):
+        from coxsums.verify import build_tasks, run_tasks
+
+        identities, built = [], []
+
+        def counted(real, identity):
+            def operation(self, other):
+                result = real(self, other)
+                if type(other) is int and other == identity:
+                    (identities if result is self else built).append(other)
+                return result
+
+            return operation
+
+        times = counted(_PointVector.__mul__, 1)
+        plus = counted(_PointVector.__add__, 0)
+        for name, operation in (("__mul__", times), ("__rmul__", times)):
+            monkeypatch.setattr(_PointVector, name, operation)
+        for name, operation in (("__add__", plus), ("__radd__", plus)):
+            monkeypatch.setattr(_PointVector, name, operation)
+        reports = run_tasks(build_tasks(suites=["todd-symm"]))
+        assert len(reports) == 45 and all(r.passed for r in reports)
+        assert built == []
+        assert identities.count(1) > 400 and identities.count(0) > 300
+
     def test_divmod_is_componentwise_floor_division(self):
         v = _PointVector((7, -7, 6, 0))
         q, r = divmod(v, 3)

@@ -52,6 +52,7 @@ from coxsums.todd import (
     _todd_tables,
     gamma_series,
     p_factor,
+    todd_polynomials,
     todd_values,
 )
 from oracles import (
@@ -647,6 +648,95 @@ class TestToddSymmetry:
         )
 
 
+class TestToddSymmetryDifference:
+    """check_todd_symmetry tests one difference, the shorter row padded with
+    zeros; on rows of unequal length its witness is still the term-by-term one,
+    and a failure still prints both sides."""
+
+    PAIRS = [(0, 3), (3, 0), (1, 4), (4, 1), (2, 2)]
+
+    @staticmethod
+    def replayed(todd_fn, a, b, samples, seed):
+        """The report under todd_fn, and the witness of the Fraction route fed the
+        same T and u, one point at a time in the order the check drew them."""
+        seen = []
+
+        def recording(points):
+            results = todd_fn(points)
+            seen.extend(results)
+            return results
+
+        report = check_todd_symmetry(a, b, samples, seed, todd_fn=recording)
+        replay = iter(seen)
+        want = todd_symmetry_witness_by_fractions(a, b, samples, seed, lambda _: next(replay))
+        return report, want
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    @pytest.mark.parametrize(
+        "mismatch_at, unscaled_at", [(0, None), (3, None), (9, None), (4, 8), (None, None)]
+    )
+    def test_faulty_witness_matches_fraction_route(self, a, b, mismatch_at, unscaled_at):
+        # Td_2 is read with weight d_{n-2}, in the padded part of the shorter row.
+        faulty = TestToddSymmetry.faulty(mismatch_at, unscaled_at)
+        if a == b and unscaled_at is not None:  # no mismatch shows: the bad u raises
+            with pytest.raises(InternalMismatch, match=f"^sample {unscaled_at}: u = 1 "):
+                check_todd_symmetry(a, b, 10, 0, todd_fn=faulty)
+            return
+        report, want = self.replayed(faulty, a, b, 10, 0)
+        assert report.witness == want
+        assert report.passed == (want is None) == (a == b or mismatch_at is None)
+        if not report.passed:
+            assert want.startswith(f"sample {mismatch_at}, c = [")
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_an_uncleared_c1_before_a_mismatch_raises(self, a, b):
+        rng = Random(f"0:{a}:{b}")
+        for _ in range(5):
+            point = [(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(a + b)]
+        x, y = point[0]  # c_1 at trial 4, which u = 1 does not clear
+        assert x % y
+        with pytest.raises(InternalMismatch) as caught:
+            check_todd_symmetry(a, b, 10, 0, todd_fn=TestToddSymmetry.faulty(8, 4))
+        assert str(caught.value) == f"sample 4: u = 1 does not clear c_1 = {x}/{y}"
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_random_t_witness_matches_fraction_route(self, a, b):
+        rng = Random(f"difference:{a}:{b}")
+        for seed in range(5):
+            wrong = rng.randrange(20)
+
+            def random_t(points):  # any T from trial `wrong` on, with a u that clears c_1
+                results = []
+                for trial, pairs in enumerate(points):
+                    t, u = scaled_todd_pass(pairs)
+                    if trial >= wrong:
+                        t = [rng.randint(-(10**12), 10**12) for _ in t]
+                        u *= rng.randint(1, 9)
+                    results.append((t, u))
+                return results
+
+            report, want = self.replayed(random_t, a, b, 20, seed)
+            assert report.witness == want
+            assert report.passed == (want is None) == (a == b)
+            if not report.passed:
+                assert want.startswith(f"sample {wrong}, c = [")
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_tampered_polynomials_print_both_sides(self, monkeypatch, a, b):
+        from coxsums import todd as todd_module
+
+        n = a + b
+        table = [t + MPoly.variable(k) if k else t for k, t in enumerate(todd_polynomials(n))]
+        monkeypatch.setattr(todd_module, "todd_polynomials", lambda k: tuple(table[: k + 1]))
+        lhs, rhs = todd_sides_by_oracle(a, b, MPoly.variable(1), table)
+        report = check_todd_symmetry(a, b, 2, 0)
+        if a == b:
+            assert lhs == rhs and report.passed
+        else:
+            assert lhs != rhs
+            assert report.witness == f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"
+
+
 class TestKostant:
     @pytest.mark.parametrize("label", ["D4", "D5", "D9", "E6", "E7", "E8"])
     def test_passes(self, label):
@@ -1148,6 +1238,35 @@ class TestSharedSweep:
                     point = [F(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(total)]
                     want.append(point)
         assert seen == want
+
+    def test_asks_of_a_kept_exception_add_no_frames(self, monkeypatch):
+        """A build that raises is run once; every later ask raises the same
+        exception from its first traceback, so 50 asks leave as many frames as one."""
+        import traceback
+
+        builds = []
+
+        def broken(t):
+            builds.append(t)
+            raise InternalMismatch("table fault")
+
+        monkeypatch.setattr(verify_module, "profile_parameters", broken)
+        t = parse_type("A2")
+        sweep = verify_module._Sweep([t], 1, 0)
+
+        def frames_after(asks):
+            for _ in range(asks):
+                ((_, error),) = sweep.profiles(t)
+            return error, len(traceback.extract_tb(error.__traceback__))
+
+        first, one = frames_after(1)
+        again, fifty = frames_after(49)
+        assert again is first and fifty == one and builds == [t]
+        for _ in range(50):
+            with pytest.raises(InternalMismatch) as caught:
+                sweep.once(broken, t)
+        assert caught.value is first and builds == [t]
+        assert len(traceback.extract_tb(caught.value.__traceback__)) == one
 
     def test_default_sweep_builds_each_parameter_set_once(self, monkeypatch):
         import sys
