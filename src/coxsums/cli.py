@@ -586,8 +586,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_int_option, default=12)
     p.add_argument(
         "--seed", type=_int_option, default=None,
-        help="seed of the points where todd-symm checks the Todd values "
-        "(default: $COX_SEED, else 42)",
+        help="accepted, validated and echoed in the header; no default suite "
+        "reads it (default: $COX_SEED, else 42)",
     )
     p.add_argument(
         "--jobs", type=_int_option, default=1,

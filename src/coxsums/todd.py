@@ -41,11 +41,9 @@ M_k Td_k) live in one table object, _ToddTable, each part grown with n and
 each division checked when built; the division that gives M_k Td_k is
 checked on every call.  So a table that breaks this raises InternalMismatch.
 The pass is generic over the coefficient ring: run over MPoly with c_i in
-place of gamma_i, it gives the integer polynomials M_k Td_k themselves,
-and run over point vectors (_PointVector, one int per point) it gives the
-T_k of many points of one degree at once.  _scaled_todd_passes does that,
-each point with its own u, for the seeded points of a todd-symm check of
-coxsums.verify.
+place of gamma_i, it gives the integer polynomials M_k Td_k themselves.
+As it uses only ring operations and checked exact divisions by ints, its
+value over ints at any point is those polynomials evaluated there.
 
 Sign conventions, fixed once here: the Todd factor t/(1-exp(-t)) has
 linear coefficient +1/2 (lambda_1 = -B_1 = +1/2), while the Bernoulli
@@ -60,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
-from operator import add, mul, neg
+from operator import mul
 from typing import Sequence
 
 from .catalog import ParameterSet, cancelled
@@ -250,9 +248,8 @@ def _todd_pass(g: Sequence) -> list:
     c_m of _reflection_product in t**2, and Newton's identity over them gives
     P_2m = -(m c_m + sum_{i<m} c_i P_{2m-2i}): about n**2/4 products, half of
     Newton's identity over every P_k.  The g_i may lie in any ring where ints
-    act by multiplication, with negation and divmod by an int: ints; MPoly,
-    for the polynomials themselves; or point vectors (_PointVector), for
-    many points in one pass.
+    act by multiplication, with negation and divmod by an int: ints, or
+    MPoly for the polynomials themselves.
     """
     c = _reflection_product(g)
     q = list(g[:2]) + [0] * (len(g) - 2)  # T_0 = g_0, P_1 = g_1; the odd P_k (k >= 3) stay 0
@@ -286,62 +283,6 @@ def _todd_recurrence(q: Sequence) -> list:
             raise InternalMismatch(f"Todd pass: M_{k} Td_{k} is not an integer")
         t.append(tk)
     return t
-
-
-class _PointVector(tuple):
-    """One int per point, a ring under componentwise +, * and negation.
-
-    An int acts on every component (int * v is a product, not tuple
-    repetition), divmod by an int is taken componentwise, and a vector is
-    true when any component is nonzero, so the pass's integrality checks
-    read it as they read an int.  v * 1, 1 * v, v + 0 and 0 + v (the start
-    of sum) are v itself: the Todd carries and weights are often 1, and a
-    vector is never changed in place.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if type(other) is int:
-            return _PointVector([x + other for x in self]) if other else self
-        return _PointVector(map(add, self, other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if type(other) is int:
-            return self if other == 1 else _PointVector([x * other for x in self])
-        return _PointVector(map(mul, self, other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _PointVector(map(neg, self))
-
-    def __divmod__(self, k: int):
-        return _PointVector([x // k for x in self]), _PointVector([x % k for x in self])
-
-    def __bool__(self):
-        return any(self)
-
-
-def _scaled_todd_passes(
-    points: Sequence[Sequence[tuple[int, int]]],
-) -> list[tuple[list[int], int]]:
-    """(T, u) per point, T_k = M_k u**k Td_k, for points of one length n, each
-    its gamma_i = y_i / d_i (i = 1..n) as pairs, not necessarily in lowest terms.
-
-    u is the point's weighted scale of coxsums.series, which clears every
-    gamma_i u**i; one Todd pass over point vectors, whose k-th component
-    comes from the k-th point, gives every T.
-    """
-    if len({len(point) for point in points}) > 1:
-        raise ValueError("the points must all have the same length")
-    if not points:
-        return []
-    scaled, scales = zip(*map(weighted_scale, points))
-    g = [_PointVector([1] * len(points))] + [_PointVector(column) for column in zip(*scaled)]
-    return [(list(t), u) for t, u in zip(zip(*_todd_pass(g)), scales)]
 
 
 def todd_values(series: TruncatedSeries, n_max: int) -> tuple[Fraction, ...]:

@@ -7,18 +7,9 @@ exponent lists, evaluators) as optional arguments so tests can inject a
 corrupted constant and prove the suite is able to fail.
 
 The Todd-symmetry suite is an exact identity over Z[c_1..c_n], built
-from the integer polynomials M_k Td_k of ``coxsums.todd``; its seed
-only picks the rational points at which the integer Todd pass is
-checked, by the same difference of the two sides, scaled to integers
-by M_n u**n.  A check's points go through one Todd pass over the point
-vectors of ``coxsums.todd`` (``_scaled_todd_passes``), and the difference
-is evaluated once over the same vectors; both sides are formed only for
-a witness.  Each point is drawn by a rule of this module
-(``_seeded_point``) from ``Random(f"{seed}:{a}:{b}").getrandbits``: per
-coordinate, a numerator of 8 bits redrawn while >= 201, minus 100, then
-a denominator of 7 bits redrawn while >= 100, plus 1.  These are the
-values CPython 3.11's ``randint(-100, 100)`` and ``randint(1, 100)``
-give, but they are defined here, not by ``randrange`` internals.
+from the integer polynomials M_k Td_k of ``coxsums.todd``.  Evaluation
+at a point is a ring map that commutes with the Todd pass, so the
+identity then holds at every point, and no suite draws points.
 
 The methods suite runs the Todd route once per type, at p = 1, against the
 direct and closed sums.  The p-factor f = ((1+pt)/(1-pt))**(1/p) has an odd
@@ -52,7 +43,6 @@ from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
 from math import comb, factorial, lcm, prod
 from operator import mul
-from random import Random
 from typing import Callable, Iterator, Sequence
 
 from . import powersums as _powersums
@@ -68,7 +58,7 @@ from .catalog import (
     parameters,
     profile_parameters,
 )
-from .errors import ConstantTermNotOne, InternalMismatch, WrongFamily
+from .errors import ConstantTermNotOne, WrongFamily
 from .intpoly import IntPolynomial, one_minus_power_product
 from .mpoly import MPoly
 from .series import TruncatedSeries
@@ -256,112 +246,37 @@ def check_symmetry_identities(
     return _report("symmetry", t.name, failures)
 
 
-# -- Todd symmetry: an exact identity, and todd_fn at seeded points -------
+# -- Todd symmetry: an exact identity over Z[c_1..c_n] ----------------------
 
 
-def _seeded_point(rng: Random, n: int) -> list[tuple[int, int]]:
-    """n pairs (x, y) for x/y, -100 <= x <= 100 and 1 <= y <= 100, drawn in that order.
-
-    x is 8 random bits redrawn while >= 201, minus 100; y is 7 bits redrawn
-    while >= 100, plus 1.  This is the rejection rule of CPython 3.11's
-    randint(-100, 100) and randint(1, 100), so the points equal theirs,
-    without the randrange layers around each draw.
-    """
-    bits = rng.getrandbits
-    point = []
-    for _ in range(n):
-        x = bits(8)
-        while x >= 201:
-            x = bits(8)
-        y = bits(7)
-        while y >= 100:
-            y = bits(7)
-        point.append((x - 100, y + 1))
-    return point
-
-
-def check_todd_symmetry(
-    a: int,
-    b: int,
-    samples: int = 50,
-    seed: int = 42,
-    todd_fn: Callable[
-        [Sequence[Sequence[tuple[int, int]]]], Sequence[tuple[Sequence[int], int]]
-    ] | None = None,
-) -> CheckReport:
+def check_todd_symmetry(a: int, b: int) -> CheckReport:
     """Alternating binomial identity between c_1**j (a+b-j)! Td_{a+b-j} terms.
 
     With n = a+b and T_k = M_k Td_k, each side times M_n is the dot product
     of one integer row, (-1)**(x-j) C(x,j) (n-j)! M_n/M_{n-j} for j <= x
     (x = a, then b), with the terms c_1**j T_{n-j}.  The check dots the
     terms only with the difference of the rows, built once per check with
-    the shorter row padded by zeros; over Z that is 0 exactly when the
-    sides are equal.  Over Z[c_1..c_n], from todd_polynomials, this proves
-    the identity.  Then todd_fn, by default todd._scaled_todd_passes looked
-    up at call time, maps the list of seeded rational points
-    (_seeded_point), each a list of (numerator, denominator) pairs, to one
-    T and u per point with T_k = M_k u**k Td_k.  The difference at c_1 u
-    and T, taken once over the point vectors of coxsums.todd, is M_n u**n
-    times that at every point.  Both sides are formed only for a witness:
-    where a difference is not 0 or a u does not clear its c_1, the points
-    are read in order, and at each a u that does not clear c_1 raises
-    InternalMismatch, and otherwise the first unequal sides, as Fractions,
-    are the witness.
+    the shorter row padded by zeros; over Z[c_1..c_n], from
+    todd_polynomials, that is 0 exactly when the sides are equal, which
+    proves the identity.  Both sides are formed only for a witness.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    evaluate = todd_fn if todd_fn is not None else _todd._scaled_todd_passes
     n = a + b
-    subject = f"(a={a}, b={b})"
     m = _todd._todd_tables(n)
     row_a, row_b = (
         [s * factorial(n - j) * (m[n] // m[n - j]) for j, s in enumerate(_signed_binomials(x))]
         for x in (a, b)
     )
     difference = [x - y for x, y in zip_longest(row_a, row_b, fillvalue=0)]
-
-    def terms(c1, t):  # c_1**j T_{n-j} for j <= max(a, b)
-        powers = accumulate(repeat(c1, max(a, b)), mul, initial=1)
-        return [power * t[n - j] for j, power in enumerate(powers)]
-
-    def sides(products):
-        return sum(map(mul, row_a, products)), sum(map(mul, row_b, products))
-
-    polynomial_terms = terms(MPoly.variable(1), _todd.todd_polynomials(n))
-    if sum(map(mul, difference, polynomial_terms)):
-        lhs, rhs = sides(polynomial_terms)
-        return _report(
-            "todd-symm", subject, [f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"]
-        )
-    rng = Random(f"{seed}:{a}:{b}")
-    points = [_seeded_point(rng, n) for _ in range(samples)]
-    results = evaluate(points)
-    if len(results) != samples:
-        raise InternalMismatch(f"todd_fn gave {len(results)} results for {samples} points")
-    c1s = [point[0] if point else (0, 1) for point in points]
-    cleared = [divmod(x * u, y) for (x, y), (_, u) in zip(c1s, results)]
-    vector = _todd._PointVector
-    point_terms = terms(
-        vector(c1u for c1u, _ in cleared), [vector(tk) for tk in zip(*(t for t, _ in results))]
-    )
-    if not any(rest for _, rest in cleared) and not sum(map(mul, difference, point_terms)):
-        return _report("todd-symm", subject, [])
+    t = _todd.todd_polynomials(n)
+    powers = accumulate(repeat(MPoly.variable(1), max(a, b)), mul, initial=1)
+    terms = [power * t[n - j] for j, power in enumerate(powers)]  # c_1**j T_{n-j}
     failures = []
-    for trial, ((x, y), (_, u), (_, rest), left, right) in enumerate(
-        zip(c1s, results, cleared, *sides(point_terms))
-    ):
-        if rest:
-            raise InternalMismatch(f"sample {trial}: u = {u} does not clear c_1 = {x}/{y}")
-        if left != right:
-            whole = m[n] * u**n
-            failures.append(
-                f"sample {trial}, c = {[Fraction(*c) for c in points[trial]]}: "
-                f"{Fraction(left, whole)} != {Fraction(right, whole)}"
-            )
-            break
-    return _report("todd-symm", subject, failures)
+    if sum(map(mul, difference, terms)):
+        lhs, rhs = sum(map(mul, row_a, terms)), sum(map(mul, row_b, terms))
+        failures.append(f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}")
+    return _report("todd-symm", f"(a={a}, b={b})", failures)
 
 
 # -- D/E parameters in Kostant form ---------------------------------------
@@ -626,7 +541,9 @@ def check_methods(
     p = 2 and 3 are covered by p_freeness(p, n_max), by default _p_freeness:
     None proves that the Todd values at p equal those at p = 1 at every
     n <= n_max, for every type; a witness fails the check.  A sweep hands in
-    its own, which computes each result once for all its types.
+    its own, which computes each result once for all its types.  The height
+    sums run the functions of cox heights: faulhaber_sum over the closed
+    sums against dual_heightsums at each n, and dual_heightsum at n_max.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -635,7 +552,8 @@ def check_methods(
     el = _exps(t, exps)
     sums = _powersums.exponent_power_sums(el, n_max)
     # The simply-laced check reads the height sum of degree 1.
-    heights = _powersums.dual_heightsums(dual_partition(el), max(n_max, 1))
+    dual = dual_partition(el)
+    heights = _powersums.dual_heightsums(dual, max(n_max, 1))
     closed = _powersums.closed_power_sums(resolved, n_max + 1)
     degrees = range(n_max + 1)
     todd = _powersums._todd_quotients(t, n_max, 1, resolved, degrees)
@@ -656,10 +574,15 @@ def check_methods(
     for n in degrees:
         if failures:
             break
-        d, row = _todd._faulhaber_row(n)  # Faulhaber's sum x / d
-        x = sum(weight * closed[i] for i, weight in row)
-        if x != heights[n] * d:
-            failures.append(f"heights n={n}: closed {Fraction(x, d)} != direct {heights[n]}")
+        value = _todd.faulhaber_sum(n, closed)
+        if value != heights[n]:
+            failures.append(f"heights n={n}: closed {value} != direct {heights[n]}")
+    if not failures:  # the single-degree sum that cox heights runs
+        single = _powersums.dual_heightsum(dual, n_max)
+        if single != heights[n_max]:
+            failures.append(
+                f"heights n={n_max}: dual_heightsum {single} != dual_heightsums {heights[n_max]}"
+            )
     if not failures and t.family in ("A", "D", "E"):
         # Simply-laced: gamma = h**2 forces the classical height-sum form.
         h, r = t.coxeter_number, t.rank
@@ -705,11 +628,11 @@ Profiles = tuple[tuple[str | None, ParameterSet | Exception], ...]
 
 class _Sweep:
     """What the suite builders of one build_tasks call read: the catalog types,
-    n_max, the seed, and one memo of what is built once on first use and
-    shared: each type's parameter sets and each p's p-freeness."""
+    n_max, and one memo of what is built once on first use and shared: each
+    type's parameter sets and each p's p-freeness."""
 
-    def __init__(self, types: Sequence[CoxeterType], n_max: int, seed: int):
-        self.types, self.n_max, self.seed = types, n_max, seed
+    def __init__(self, types: Sequence[CoxeterType], n_max: int):
+        self.types, self.n_max = types, n_max
         self._built: dict[tuple, tuple] = {}  # key -> (value, None) or (exception, traceback)
 
     def once(self, build: Callable, *args):
@@ -807,7 +730,7 @@ _SUITES: dict[str, Callable[[_Sweep], list[Spec]]] = {
         (t.name, partial(check_symmetry_identities, t, 4, 4)) for t in sweep.types
     ],
     "todd-symm": lambda sweep: [
-        (f"(a={a}, b={total - a})", partial(check_todd_symmetry, a, total - a, 50, sweep.seed))
+        (f"(a={a}, b={total - a})", partial(check_todd_symmetry, a, total - a))
         for total in range(9)
         for a in range(total + 1)
     ],
@@ -841,12 +764,13 @@ def build_tasks(
     Every suite that reads parameter sets gets them from one table local to
     this call: profile_parameters once per type, the default set taken from
     its entries.  Arguments a suite cannot run with raise here, before any
-    check runs."""
+    check runs.  seed is accepted and read by no default suite: every check
+    is exact, so the tasks do not depend on it."""
     selected = tuple(suites) if suites is not None else SUITE_NAMES
     for name in selected:
         if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    sweep = _Sweep(catalog(max_rank, max_m), n_max, seed)
+    sweep = _Sweep(catalog(max_rank, max_m), n_max)
     return [
         (suite, subject, check)
         for suite in SUITE_NAMES
@@ -873,5 +797,6 @@ def run_all(
     seed: int = 42,
     suites: Sequence[str] | None = None,
 ) -> list[CheckReport]:
-    """Run every selected suite sequentially; deterministic given the seed."""
+    """Run every selected suite sequentially; deterministic, whatever the seed
+    (which no default suite reads)."""
     return run_tasks(build_tasks(max_rank, max_m, n_max, seed, suites))

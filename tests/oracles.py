@@ -8,12 +8,11 @@ of the Todd factor against the Bernoulli table, the T-transform rows run
 one list at a time against the sweep, the alternating sums term by term
 against the coefficient rows of the two symmetry suites, the product of
 (1 - q**v) factors by repeated polynomial products, the V+/V-
-cancellation by Counter arithmetic, and each rendered cell through a
-Fraction.  scaled_todd_pass runs the Todd pass one point at a time, over
-ints, against the batch over point vectors; batched lifts a per-point
-Todd fake to the list-of-points todd_fn of check_todd_symmetry.
-weighted_scale_by_reduced_pairs is the greedy weighted scale as first
-written, every pair reduced and u tested by u**i % d.
+cancellation by Counter arithmetic, each rendered cell through a
+Fraction, and a Todd polynomial evaluated term by term at a point against
+the Todd pass there.  weighted_scale_by_reduced_pairs is the greedy
+weighted scale as first written, every pair reduced and u tested by
+u**i % d.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -29,8 +28,9 @@ from coxsums.catalog import ParameterSet
 from coxsums.cli import _check_output_bits
 from coxsums.errors import CoxError
 from coxsums.intpoly import IntPolynomial
-from coxsums.series import TruncatedSeries, weighted_scale
-from coxsums.todd import _bernoulli_numbers, _todd_pass, p_factor
+from coxsums.mpoly import MPoly
+from coxsums.series import TruncatedSeries
+from coxsums.todd import _bernoulli_numbers, p_factor
 from coxsums.verify import CheckReport, _default_t_rows, check_t_example
 
 Rational = Union[int, Fraction]
@@ -169,15 +169,13 @@ def alternating_sum(x: int, y, w: Sequence, n: int):
     return sum((-1) ** (x - j) * comb(x, j) * y**j * w[n - j] for j in range(x + 1))
 
 
-def scaled_todd_pass(gammas: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
-    """T_0 .. T_n and u, T_k = M_k u**k Td_k, from gamma_i = y_i / d_i for i = 1..n.
-
-    The pairs need not be in lowest terms.  u is the weighted scale of
-    coxsums.series, which makes every gamma_i u**i an integer; by weighted
-    homogeneity one Todd pass over those integers gives T_k.
-    """
-    scaled, u = weighted_scale(gammas)
-    return _todd_pass([1] + scaled), u
+def evaluated(poly: MPoly, point: Sequence):
+    """poly at c_i = point[i-1], term by term: the value that the Todd pass gives
+    at point when poly is one of todd_polynomials."""
+    return sum(
+        coefficient * prod(x**e for x, e in zip(point, exps))
+        for exps, coefficient in poly.terms.items()
+    )
 
 
 def weighted_scale_by_reduced_pairs(
@@ -199,12 +197,6 @@ def weighted_scale_by_reduced_pairs(
         ui *= u
         scaled.append(y * (ui // d))
     return scaled, u
-
-
-def batched(per_point):
-    """A todd_fn for check_todd_symmetry from a fake that maps one point's
-    (numerator, denominator) pairs to its T and u: one call per point, in order."""
-    return lambda points: [per_point(point) for point in points]
 
 
 def one_minus_power_product_by_mul(

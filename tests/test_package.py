@@ -82,6 +82,47 @@ def test_every_top_level_definition_is_reached():
     assert not unreached
 
 
+def read_names(node):
+    """Every name that a Name load or an attribute access (x.name) under node reads."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def private_definitions(tree):
+    """(name, node) for each module-level function, class or constant whose name
+    has one leading underscore."""
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            names = [statement.name]
+        elif isinstance(statement, ast.Assign):
+            names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+        elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+            names = [statement.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, statement
+
+
+def test_every_private_definition_is_read():
+    # No dead code: a private function, class or constant must be read in the
+    # package outside its own definition.  Tests, the benchmark and
+    # docstrings do not count.
+    trees = [(path.name, ast.parse(path.read_text())) for path in sorted(SOURCE.glob("*.py"))]
+    read = Counter(name for _, tree in trees for name in read_names(tree))
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees
+        for name, node in private_definitions(tree)
+        if read[name] == Counter(read_names(node))[name]
+    ]
+    assert not unread
+
+
 def test_every_imported_name_is_used():
     # __init__ imports names to export them; any other module that imports a
     # name must read it (a mention in a docstring does not count).

@@ -120,7 +120,7 @@ class TestTodd:
         def unused(*args, **kwargs):
             raise AssertionError("the Todd route reads the gamma integers at scale s")
 
-        for name in ("todd_values", "_scaled_todd_passes", "weighted_scale"):
+        for name in ("todd_values", "weighted_scale"):
             monkeypatch.setattr(todd_module, name, unused)
         monkeypatch.setattr(series_module, "weighted_scale", unused)
         e8 = parse_type("E8")

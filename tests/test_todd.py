@@ -3,7 +3,6 @@
 import dataclasses
 from fractions import Fraction as F
 from math import comb, factorial, lcm, prod
-from operator import mul
 from random import Random
 
 import pytest
@@ -30,9 +29,7 @@ from coxsums import todd as todd_module
 from coxsums import verify as verify_module
 from coxsums.mpoly import MPoly
 from coxsums.todd import (
-    _PointVector,
     _bernoulli_numbers,
-    _scaled_todd_passes,
     _todd_pass,
     _todd_recurrence,
     _todd_steps,
@@ -44,10 +41,10 @@ from oracles import (
     ConstraintViolated,
     _quotient_power,
     _todd_factor_log,
+    evaluated,
     gamma_by_factorials,
     gamma_series_xn,
     p_factor_general,
-    scaled_todd_pass,
     x_sequence,
 )
 
@@ -545,140 +542,10 @@ class TestToddIntegerPass:
             todd_values(g, 12)
 
 
-class TestPointVector:
-    """The ring of point vectors that the batched Todd pass runs over."""
-
-    def test_int_times_vector_is_componentwise(self):
-        v = _PointVector((1, -2, 3))
-        for product in (3 * v, v * 3):
-            assert product == (3, -6, 9) and type(product) is _PointVector
-        assert 0 * v == (0, 0, 0)
-
-    def test_vector_operations_are_componentwise(self):
-        v, w = _PointVector((1, -2, 3)), _PointVector((4, 5, -6))
-        assert v + w == (5, 3, -3) and v * w == (4, -10, -18)
-        assert v + 1 == 1 + v == (2, -1, 4)
-        assert -v == (-1, 2, -3)
-        assert all(type(x) is _PointVector for x in (v + w, v * w, v + 1, 1 + v, -v))
-
-    def test_sum_from_int_zero(self):
-        vs = [_PointVector((k, -k, 2 * k)) for k in range(1, 5)]
-        total = sum(vs)
-        assert total == (10, -10, 20) and type(total) is _PointVector
-        assert sum(map(mul, [2, 3], vs[:2])) == (8, -8, 16)
-
-    def test_times_one_and_plus_zero_are_the_vector_itself(self):
-        v = _PointVector((1, -2, 3))
-        assert all(x is v for x in (v * 1, 1 * v, v + 0, 0 + v, sum([v])))
-
-    def test_other_int_operands_build_new_vectors(self):
-        v = _PointVector((1, -2, 3))
-        for got, want in ((v * -1, (-1, 2, -3)), (v * 0, (0, 0, 0)), (v + 3, (4, 1, 6))):
-            assert got == want and type(got) is _PointVector and got is not v
-
-    def test_todd_symm_builds_no_vector_by_one_or_zero(self, monkeypatch):
-        from coxsums.verify import build_tasks, run_tasks
-
-        identities, built = [], []
-
-        def counted(real, identity):
-            def operation(self, other):
-                result = real(self, other)
-                if type(other) is int and other == identity:
-                    (identities if result is self else built).append(other)
-                return result
-
-            return operation
-
-        times = counted(_PointVector.__mul__, 1)
-        plus = counted(_PointVector.__add__, 0)
-        for name, operation in (("__mul__", times), ("__rmul__", times)):
-            monkeypatch.setattr(_PointVector, name, operation)
-        for name, operation in (("__add__", plus), ("__radd__", plus)):
-            monkeypatch.setattr(_PointVector, name, operation)
-        reports = run_tasks(build_tasks(suites=["todd-symm"]))
-        assert len(reports) == 45 and all(r.passed for r in reports)
-        assert built == []
-        assert identities.count(1) > 400 and identities.count(0) > 300
-
-    def test_divmod_is_componentwise_floor_division(self):
-        v = _PointVector((7, -7, 6, 0))
-        q, r = divmod(v, 3)
-        assert (q, r) == ((2, -3, 2, 0), (1, 2, 0, 0))
-        assert type(q) is _PointVector and type(r) is _PointVector
-
-    def test_truth_is_any_component_nonzero(self):
-        assert not _PointVector((0, 0, 0))
-        assert _PointVector((0, 0, 5)) and _PointVector((-1, 0))
-        assert not _PointVector(())
-        assert not divmod(_PointVector((6, -9)), 3)[1]
-        assert divmod(_PointVector((6, -8)), 3)[1]
-
-
-class TestScaledToddPasses:
-    def test_each_result_is_the_single_pass(self):
-        points = [[(1, 3), (-2, 25), (0, 1), (5, 2401)], [(0, 1)] * 4, [(-9, 8)] * 4]
-        assert _scaled_todd_passes(points) == [scaled_todd_pass(p) for p in points]
-
-    def test_degree_zero_and_no_points(self):
-        assert _scaled_todd_passes([[], []]) == [([1], 1), ([1], 1)]
-        assert _scaled_todd_passes([]) == []
-
-    def test_points_of_different_lengths_are_refused(self):
-        with pytest.raises(ValueError):
-            _scaled_todd_passes([[(1, 2)], [(1, 2), (3, 4)]])
-
-    @pytest.mark.parametrize(
-        "dropped, message",
-        [
-            (2, "Todd pass: M_1 1 lambda_1 is not an integer"),
-            (3, "Todd pass: M_2 2 lambda_2 is not an integer"),
-            (5, "Todd pass: M_4 4 lambda_4 is not an integer"),
-            (7, "Todd pass: M_6 6 lambda_6 is not an integer"),
-            (None, "Todd pass: M_4 / (M_1 M_3) is not an integer"),
-        ],
-        ids=["2", "3", "5", "7", "divisibility"],
-    )
-    def test_tampered_denominators_raise_the_single_pass_text(
-        self, monkeypatch, dropped, message
-    ):
-        n = 8
-        table = [hirzebruch_denominator(k) for k in range(n + 1)]
-        if dropped is None:
-            table[3] *= 11  # M_1 M_3 no longer divides M_4
-        else:
-            table = [m // dropped ** (k // (dropped - 1)) for k, m in enumerate(table)]
-        rng = Random(28)
-        points = [
-            [(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)] for _ in range(5)
-        ]
-        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
-        with pytest.raises(InternalMismatch) as single:
-            scaled_todd_pass(points[0])
-        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
-        with pytest.raises(InternalMismatch) as batched:
-            _scaled_todd_passes(points)
-        assert str(batched.value) == str(single.value) == message
-
-    def test_a_remainder_at_one_point_raises_the_single_pass_text(self, monkeypatch):
-        # Weights W_j + 1 break the division by k at some points only.
-        weights, carries = _todd_steps(6)
-        monkeypatch.setattr(
-            todd_module, "_todd_steps", lambda n: ([w + 1 for w in weights], carries)
-        )
-        good, bad = [(2, 1)] * 6, [(1, 1)] * 6
-        with pytest.raises(InternalMismatch) as single:
-            scaled_todd_pass(bad)
-        assert scaled_todd_pass(good)
-        with pytest.raises(InternalMismatch) as batched:
-            _scaled_todd_passes([good, good, bad, good])
-        assert str(batched.value) == str(single.value)
-
-
-batch_numerators = st.one_of(
+point_numerators = st.one_of(
     st.just(0), st.integers(min_value=-100, max_value=100), st.integers(-(10**6), 10**6)
 )
-batch_denominators = st.one_of(
+point_denominators = st.one_of(
     st.just(1),
     st.sampled_from([2, 3, 2**10, 3**9, 7**4, 10**6]),
     st.integers(min_value=1, max_value=10**6),
@@ -687,10 +554,16 @@ batch_denominators = st.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=12), st.data())
-def test_property_batched_todd_passes_match_single_passes(n, data):
-    point = st.lists(st.tuples(batch_numerators, batch_denominators), min_size=n, max_size=n)
-    points = data.draw(st.lists(point, min_size=1, max_size=60))
-    assert _scaled_todd_passes(points) == [scaled_todd_pass(p) for p in points]
+def test_property_integer_pass_is_the_polynomials_evaluated(n, data):
+    # Evaluation at an integer point is a ring map that commutes with the
+    # pass, so the identity todd-symm proves over Z[c_1..c_n] holds there.
+    pairs = data.draw(
+        st.lists(st.tuples(point_numerators, point_denominators), min_size=n, max_size=n)
+    )
+    scaled, u = weighted_scale(pairs)
+    assert all(a * d == y * u**i for i, (a, (y, d)) in enumerate(zip(scaled, pairs), 1))
+    polynomials = todd_polynomials(n)
+    assert _todd_pass([1] + scaled) == [evaluated(p, scaled) for p in polynomials]
 
 
 mpoly_gammas = st.lists(

@@ -4,8 +4,7 @@ import dataclasses
 import re
 import time
 from fractions import Fraction as F
-from functools import partial
-from math import comb, factorial, prod
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -19,6 +18,7 @@ from coxsums import (
     catalog,
     dual_partition,
     exponents,
+    heightsum_direct,
     parameters,
     parse_type,
     powersum_todd_upto,
@@ -48,7 +48,6 @@ from coxsums.verify import (
 )
 from coxsums.mpoly import MPoly
 from coxsums.todd import (
-    _scaled_todd_passes,
     _todd_tables,
     gamma_series,
     p_factor,
@@ -57,10 +56,9 @@ from coxsums.todd import (
 )
 from oracles import (
     alternating_sum,
-    batched,
     cancelled_by_counter,
     check_t_examples,
-    scaled_todd_pass,
+    evaluated,
 )
 
 
@@ -88,30 +86,6 @@ def specialization_witness_by_sums(t, n_max, ps):
         got = gamma_series(ps, p, n_max)[n]
         if got != want:
             return f"p={p}, n={n}: gamma_n = {got}, formula {want}"
-    return None
-
-
-def todd_symmetry_witness_by_fractions(a, b, samples, seed, todd_fn):
-    """The seeded-point part of check_todd_symmetry, term by term over Fractions.
-
-    todd_fn maps the drawn (numerator, denominator) pairs to T and u; its
-    values are read here as the Fractions Td_k = T_k / (M_k u**k)."""
-    n = a + b
-    m = _todd_tables(n)
-    rng = Random(f"{seed}:{a}:{b}")
-    for trial in range(samples):
-        pairs = [(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)]
-        cs = [F(x, y) for x, y in pairs]
-        t, u = todd_fn(pairs)
-        td = [F(tk, m[k] * u**k) for k, tk in enumerate(t)]
-        c1 = cs[0] if cs else F(0)
-        scaled = [factorial(k) * td[k] for k in range(n + 1)]
-        sides = [
-            sum((-1) ** (x - j) * comb(x, j) * c1**j * scaled[n - j] for j in range(x + 1))
-            for x in (a, b)
-        ]
-        if sides[0] != sides[1]:
-            return f"sample {trial}, c = {cs}: {sides[0]} != {sides[1]}"
     return None
 
 
@@ -401,35 +375,9 @@ class TestSymmetryIdentities:
 
 class TestToddSymmetryRows:
     """The sides of check_todd_symmetry against the oracle's alternating sums,
-    read from the witnesses of checks fed random T."""
+    read from the witnesses of checks fed random polynomials."""
 
     PAIRS = [(a, total - a) for total in range(9) for a in range(total + 1)]
-
-    @pytest.mark.parametrize("a, b", PAIRS)
-    def test_integer_sides_match_oracle(self, a, b):
-        n = a + b
-        rng = Random(f"ints:{a}:{b}")
-        for seed in range(5):  # five seeded points, so five c_1
-            seen = []
-
-            def random_t(pairs):  # any T, with a u that clears c_1
-                t = [rng.randint(-(10**12), 10**12) for _ in range(n + 1)]
-                u = (pairs[0][1] if pairs else 1) * rng.randint(1, 9)
-                seen.append((pairs, t, u))
-                return t, u
-
-            report = check_todd_symmetry(a, b, 1, seed, todd_fn=batched(random_t))
-            ((pairs, t, u),) = seen
-            x, y = pairs[0] if pairs else (0, 1)
-            lhs, rhs = todd_sides_by_oracle(a, b, x * u // y, t)
-            whole = _todd_tables(n)[n] * u**n
-            if lhs == rhs:
-                assert a == b and report.passed
-            else:
-                assert report.witness == (
-                    f"sample 0, c = {[F(*c) for c in pairs]}: "
-                    f"{F(lhs, whole)} != {F(rhs, whole)}"
-                )
 
     @pytest.mark.parametrize("a, b", PAIRS)
     def test_polynomial_sides_match_oracle(self, monkeypatch, a, b):
@@ -440,7 +388,7 @@ class TestToddSymmetryRows:
         t = [MPoly({(): 1})] + [random_polynomial(rng, n, k) for k in range(1, n + 1)]
         monkeypatch.setattr(todd_module, "todd_polynomials", lambda k: tuple(t[: k + 1]))
         lhs, rhs = todd_sides_by_oracle(a, b, MPoly.variable(1), t)
-        report = check_todd_symmetry(a, b, 2, 0)
+        report = check_todd_symmetry(a, b)
         if lhs == rhs:
             assert a == b and report.passed
         else:
@@ -451,14 +399,14 @@ class TestToddSymmetryRows:
     def test_rows_are_built_once_per_check(self, monkeypatch):
         counted = CountedComb()
         monkeypatch.setattr(verify_module, "comb", counted)
-        assert check_todd_symmetry(3, 5, 50).passed
+        assert check_todd_symmetry(3, 5).passed
         assert counted.calls <= 3 + 5 + 2  # rows of degree a and b
 
 
 class TestToddSymmetry:
     def test_trivial_pairs(self):
-        assert check_todd_symmetry(0, 0, samples=1).passed
-        assert check_todd_symmetry(2, 2, samples=3).passed
+        assert check_todd_symmetry(0, 0).passed
+        assert check_todd_symmetry(2, 2).passed
 
     def test_hand_checked_sample(self):
         # (a, b) = (1, 2) at c = (1, 1, 1): both sides equal 1/12.
@@ -474,62 +422,10 @@ class TestToddSymmetry:
         )
         assert lhs == rhs == F(1, 12)
 
-    def test_small_grid(self):
-        for total in range(5):
-            for a in range(total + 1):
-                report = check_todd_symmetry(a, total - a, samples=10, seed=11)
-                assert report.passed, report.witness
-
-    def test_deterministic_given_seed(self):
-        assert check_todd_symmetry(2, 3, 5, seed=3) == check_todd_symmetry(
-            2, 3, 5, seed=3
-        )
-
-    def test_fails_with_corrupt_todd_values(self):
-
-        def skewed(pairs):  # Td_2 += 1
-            t, u = scaled_todd_pass(pairs)
-            if len(pairs) >= 2:
-                t[2] += _todd_tables(2)[2] * u**2
-            return t, u
-
-        report = check_todd_symmetry(1, 2, samples=5, seed=1, todd_fn=batched(skewed))
-        assert not report.passed and report.witness == (
-            "sample 0, c = [Fraction(40, 7), Fraction(-39, 97), Fraction(83, 26)]: "
-            "4263830/99813 != 841670/99813"
-        )
-
-    @pytest.mark.parametrize(
-        "a, b, k",
-        [
-            (a, total - a, k)
-            for total in range(9)
-            for a in range(total + 1)
-            for k in range(total + 1)
-        ],
-    )
-    def test_corrupt_todd_witness_matches_fraction_route(self, a, b, k):
-        # todd_fn is wrong in Td_k only at some points, so the failing sample varies.
-        # The sides read Td_k with weight d_{a+b-k}: where that is 0 (always when
-        # a == b, and when k < min(a, b)) both routes pass.
-
-        def sometimes(pairs):  # Td_k += 1 where c_1 > 1/2; T_k stays an integer
-            t, u = scaled_todd_pass(pairs)
-            if pairs and F(*pairs[0]) > F(1, 2):
-                t[k] += _todd_tables(k)[k] * u**k
-            return t, u
-
-        report = check_todd_symmetry(a, b, samples=20, seed=4, todd_fn=batched(sometimes))
-        want = todd_symmetry_witness_by_fractions(a, b, 20, 4, sometimes)
-        assert report.witness == want
-        assert report.passed == (want is None)
-        if a == b:
-            assert report.passed
-
     def test_exact_identity_for_every_pair_up_to_twelve(self):
         for total in range(13):
             for a in range(total + 1):
-                report = check_todd_symmetry(a, total - a, samples=1, seed=0)
+                report = check_todd_symmetry(a, total - a)
                 assert report.passed, report.witness
 
     def test_fails_with_corrupt_todd_polynomial(self, monkeypatch):
@@ -539,7 +435,7 @@ class TestToddSymmetry:
         table = list(todd_module.todd_polynomials(3))
         table[2] = table[2] + MPoly.variable(2)
         monkeypatch.setattr(todd_module._TABLE, "polynomials", table)
-        report = check_todd_symmetry(1, 2, samples=5, seed=1)
+        report = check_todd_symmetry(1, 2)
         assert not report.passed
         assert report.witness == (
             "as polynomials in c_1..c_3, times M_3: "
@@ -547,179 +443,49 @@ class TestToddSymmetry:
         )
 
     def test_polynomials_match_todd_values_at_the_seeded_points(self):
+        # 50 points per (a, b) with a + b <= 8, from Random(f"42:{a}:{b}"): at
+        # each, todd_values is the polynomials evaluated there, so the exact
+        # identity holds at every one of the 2250.
         from coxsums.todd import todd_polynomials
 
-        seen = []
-
-        def recording(pairs):
-            seen.append(pairs)
-            return scaled_todd_pass(pairs)
-
-        for total in range(9):
-            for a in range(total + 1):
-                assert check_todd_symmetry(a, total - a, 50, 42, batched(recording)).passed
-        assert len(seen) == 45 * 50
         m = _todd_tables(8)
         polys = todd_polynomials(8)
-        for pairs in seen:
-            n = len(pairs)
-            c = [F(x, y) for x, y in pairs]
-            series = TruncatedSeries([1] + c)
-            symbolic = tuple(
-                sum(
-                    (v * prod(x**e for x, e in zip(c, exps)) for exps, v in p.terms.items()),
-                    F(0),
-                ) / m[k]
-                for k, p in enumerate(polys[: n + 1])
-            )
-            assert symbolic == todd_values(series, n)
+        points = 0
+        for total in range(9):
+            for a in range(total + 1):
+                rng = Random(f"42:{a}:{total - a}")
+                for _ in range(50):
+                    c = [F(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(total)]
+                    symbolic = tuple(
+                        F(evaluated(p, c)) / m[k] for k, p in enumerate(polys[: total + 1])
+                    )
+                    assert symbolic == todd_values(TruncatedSeries([1] + c), total)
+                    points += 1
+        assert points == 45 * 50
 
-    def test_points_run_the_integer_todd_pass_only(self, monkeypatch):
+    def test_runs_at_no_point(self, monkeypatch):
+        from coxsums import series as series_module
         from coxsums import todd as todd_module
         from coxsums.verify import build_tasks, run_tasks
 
         def unused(*args):
-            raise AssertionError("todd_values called")
+            raise AssertionError("todd-symm evaluates at a point")
 
-        calls = []
-
-        def counted(points):
-            calls.append(points)
-            return _scaled_todd_passes(points)
-
-        monkeypatch.setattr(todd_module, "todd_values", unused)
-        monkeypatch.setattr(todd_module, "_scaled_todd_passes", counted)
+        for module, name in (
+            (todd_module, "todd_values"),
+            (todd_module, "weighted_scale"),
+            (series_module, "weighted_scale"),
+        ):
+            monkeypatch.setattr(module, name, unused)
         reports = run_tasks(build_tasks(suites=["todd-symm"]))
         assert len(reports) == 45 and all(r.passed for r in reports)
-        assert len(calls) == 45
-        assert sum(map(len, calls)) == 45 * 50
-
-    @staticmethod
-    def faulty(mismatch_at, unscaled_at):
-        """A todd_fn with Td_2 += 1 at one trial and u = 1 at another."""
-
-        def evaluate(points):
-            results = []
-            for trial, point in enumerate(points):
-                t, u = scaled_todd_pass(point)
-                if trial == mismatch_at:
-                    t[2] += _todd_tables(2)[2] * u**2
-                results.append((t, 1 if trial == unscaled_at else u))
-            return results
-
-        return evaluate
-
-    def test_trials_are_read_in_order_a_mismatch_first(self):
-        # Seed 0, (a, b) = (1, 2): c_1 = 13/23 at trial 7, which u = 1 does not clear.
-        want = check_todd_symmetry(1, 2, 10, 0, todd_fn=self.faulty(3, None))
-        assert want.witness.startswith("sample 3, c = [Fraction(59, 53), ")
-        assert check_todd_symmetry(1, 2, 10, 0, todd_fn=self.faulty(3, 7)) == want
-
-    def test_trials_are_read_in_order_a_bad_scale_first(self):
-        # Seed 0, (a, b) = (1, 2): c_1 = 65/18 at trial 2.
-        assert not check_todd_symmetry(1, 2, 10, 0, todd_fn=self.faulty(5, None)).passed
-        with pytest.raises(InternalMismatch) as caught:
-            check_todd_symmetry(1, 2, 10, 0, todd_fn=self.faulty(5, 2))
-        assert str(caught.value) == "sample 2: u = 1 does not clear c_1 = 65/18"
-
-    def test_a_result_missing_for_a_point_raises(self):
-        def short(points):
-            return _scaled_todd_passes(points)[:-1]
-
-        with pytest.raises(InternalMismatch, match=r"^todd_fn gave 4 results for 5 points$"):
-            check_todd_symmetry(1, 2, 5, 0, todd_fn=short)
-
-    def test_a_scale_that_does_not_clear_c1_fails(self):
-        from coxsums.verify import run_tasks
-
-        def unscaled(pairs):  # the right T, but u = 1 instead of the scale
-            return scaled_todd_pass(pairs)[0], 1
-
-        rng = Random("0:1:1")
-        assert (rng.randint(-100, 100), rng.randint(1, 100)) == (93, 76)  # sample 0's c_1
-        # a == b: the sides agree at any c_1, so a floored c_1 u would pass.
-        check = partial(check_todd_symmetry, 1, 1, 5, 0, todd_fn=batched(unscaled))
-        with pytest.raises(InternalMismatch):
-            check()
-        [report] = run_tasks([("todd-symm", "(a=1, b=1)", check)])
-        assert not report.passed
-        assert report.witness == (
-            "raised InternalMismatch('sample 0: u = 1 does not clear c_1 = 93/76')"
-        )
 
 
 class TestToddSymmetryDifference:
     """check_todd_symmetry tests one difference, the shorter row padded with
-    zeros; on rows of unequal length its witness is still the term-by-term one,
-    and a failure still prints both sides."""
+    zeros; a failure still prints both sides."""
 
     PAIRS = [(0, 3), (3, 0), (1, 4), (4, 1), (2, 2)]
-
-    @staticmethod
-    def replayed(todd_fn, a, b, samples, seed):
-        """The report under todd_fn, and the witness of the Fraction route fed the
-        same T and u, one point at a time in the order the check drew them."""
-        seen = []
-
-        def recording(points):
-            results = todd_fn(points)
-            seen.extend(results)
-            return results
-
-        report = check_todd_symmetry(a, b, samples, seed, todd_fn=recording)
-        replay = iter(seen)
-        want = todd_symmetry_witness_by_fractions(a, b, samples, seed, lambda _: next(replay))
-        return report, want
-
-    @pytest.mark.parametrize("a, b", PAIRS)
-    @pytest.mark.parametrize(
-        "mismatch_at, unscaled_at", [(0, None), (3, None), (9, None), (4, 8), (None, None)]
-    )
-    def test_faulty_witness_matches_fraction_route(self, a, b, mismatch_at, unscaled_at):
-        # Td_2 is read with weight d_{n-2}, in the padded part of the shorter row.
-        faulty = TestToddSymmetry.faulty(mismatch_at, unscaled_at)
-        if a == b and unscaled_at is not None:  # no mismatch shows: the bad u raises
-            with pytest.raises(InternalMismatch, match=f"^sample {unscaled_at}: u = 1 "):
-                check_todd_symmetry(a, b, 10, 0, todd_fn=faulty)
-            return
-        report, want = self.replayed(faulty, a, b, 10, 0)
-        assert report.witness == want
-        assert report.passed == (want is None) == (a == b or mismatch_at is None)
-        if not report.passed:
-            assert want.startswith(f"sample {mismatch_at}, c = [")
-
-    @pytest.mark.parametrize("a, b", PAIRS)
-    def test_an_uncleared_c1_before_a_mismatch_raises(self, a, b):
-        rng = Random(f"0:{a}:{b}")
-        for _ in range(5):
-            point = [(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(a + b)]
-        x, y = point[0]  # c_1 at trial 4, which u = 1 does not clear
-        assert x % y
-        with pytest.raises(InternalMismatch) as caught:
-            check_todd_symmetry(a, b, 10, 0, todd_fn=TestToddSymmetry.faulty(8, 4))
-        assert str(caught.value) == f"sample 4: u = 1 does not clear c_1 = {x}/{y}"
-
-    @pytest.mark.parametrize("a, b", PAIRS)
-    def test_random_t_witness_matches_fraction_route(self, a, b):
-        rng = Random(f"difference:{a}:{b}")
-        for seed in range(5):
-            wrong = rng.randrange(20)
-
-            def random_t(points):  # any T from trial `wrong` on, with a u that clears c_1
-                results = []
-                for trial, pairs in enumerate(points):
-                    t, u = scaled_todd_pass(pairs)
-                    if trial >= wrong:
-                        t = [rng.randint(-(10**12), 10**12) for _ in t]
-                        u *= rng.randint(1, 9)
-                    results.append((t, u))
-                return results
-
-            report, want = self.replayed(random_t, a, b, 20, seed)
-            assert report.witness == want
-            assert report.passed == (want is None) == (a == b)
-            if not report.passed:
-                assert want.startswith(f"sample {wrong}, c = [")
 
     @pytest.mark.parametrize("a, b", PAIRS)
     def test_tampered_polynomials_print_both_sides(self, monkeypatch, a, b):
@@ -729,7 +495,7 @@ class TestToddSymmetryDifference:
         table = [t + MPoly.variable(k) if k else t for k, t in enumerate(todd_polynomials(n))]
         monkeypatch.setattr(todd_module, "todd_polynomials", lambda k: tuple(table[: k + 1]))
         lhs, rhs = todd_sides_by_oracle(a, b, MPoly.variable(1), table)
-        report = check_todd_symmetry(a, b, 2, 0)
+        report = check_todd_symmetry(a, b)
         if a == b:
             assert lhs == rhs and report.passed
         else:
@@ -982,6 +748,38 @@ class TestMethodsSuite:
         assert not report.passed
         assert report.witness == "gamma = 901 != h**2 = 900"
 
+    def test_reads_the_faulhaber_sum_that_cox_heights_runs(self, monkeypatch):
+        from coxsums import todd as todd_module
+        from coxsums.powersums import heightsum_closed
+        from coxsums.verify import build_tasks, run_tasks
+
+        real = todd_module.faulhaber_sum
+        monkeypatch.setattr(todd_module, "faulhaber_sum", lambda n, sums: real(n, sums) + 1)
+        e8 = parse_type("E8")
+        direct = heightsum_direct(e8, 0).value
+        assert heightsum_closed(e8, 0).value == direct + 1  # the command's value is wrong
+        report = check_methods(e8, n_max=12)
+        assert not report.passed
+        assert report.witness == f"heights n=0: closed {direct + 1} != direct {direct}"
+        reports = run_tasks(build_tasks(suites=["methods"]))
+        passed = [r.subject for r in reports if r.passed]
+        assert passed == ["A9 vs D6 (S4 not universal in h, gamma)"]
+
+    @pytest.mark.parametrize("n_max", [0, 1, 12])
+    def test_reads_the_single_degree_height_sum_at_n_max(self, monkeypatch, n_max):
+        from coxsums import powersums as powersums_module
+
+        real = powersums_module.dual_heightsum
+        monkeypatch.setattr(powersums_module, "dual_heightsum", lambda d, n: real(d, n) + 1)
+        e8 = parse_type("E8")
+        want = real(dual_partition(exponents(e8)), n_max)
+        assert heightsum_direct(e8, n_max).value == want + 1  # the command's value is wrong
+        report = check_methods(e8, n_max=n_max)
+        assert not report.passed
+        assert report.witness == (
+            f"heights n={n_max}: dual_heightsum {want + 1} != dual_heightsums {want}"
+        )
+
     def test_fails_with_corrupt_params_on_the_todd_route(self):
         bad = corrupt(parameters(parse_type("E8")), V_plus=(F(20), F(25)))
         report = check_methods(parse_type("E8"), n_max=6, params=bad)
@@ -1209,35 +1007,7 @@ class TestRunAll:
 
 
 class TestSharedSweep:
-    """build_tasks builds one parameter table per call and draws the todd-symm points
-    by the documented getrandbits rule."""
-
-    @pytest.mark.parametrize("seed", [0, 11, 42])
-    def test_todd_symm_points_are_the_randint_draws(self, monkeypatch, seed):
-        import coxsums.verify as verify_module
-        from coxsums.verify import build_tasks, run_tasks
-
-        seen = []
-
-        def record(pairs):
-            seen.append([F(x, y) for x, y in pairs])
-            return scaled_todd_pass(pairs)
-
-        real = verify_module.check_todd_symmetry
-        todd_fn = batched(record)
-        monkeypatch.setattr(
-            verify_module, "check_todd_symmetry", lambda *args: real(*args, todd_fn=todd_fn)
-        )
-        reports = run_tasks(build_tasks(seed=seed, suites=["todd-symm"]))
-        assert len(reports) == 45 and all(r.passed for r in reports)
-        want = []
-        for total in range(9):
-            for a in range(total + 1):
-                rng = Random(f"{seed}:{a}:{total - a}")
-                for _ in range(50):
-                    point = [F(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(total)]
-                    want.append(point)
-        assert seen == want
+    """build_tasks builds one parameter table per call."""
 
     def test_asks_of_a_kept_exception_add_no_frames(self, monkeypatch):
         """A build that raises is run once; every later ask raises the same
@@ -1252,7 +1022,7 @@ class TestSharedSweep:
 
         monkeypatch.setattr(verify_module, "profile_parameters", broken)
         t = parse_type("A2")
-        sweep = verify_module._Sweep([t], 1, 0)
+        sweep = verify_module._Sweep([t], 1)
 
         def frames_after(asks):
             for _ in range(asks):
@@ -1337,6 +1107,6 @@ class TestSharedSweep:
     def test_default_is_parameters_over_the_wide_catalog(self):
         # Only H2 has two profile entries; every I2 type has its redefined one alone.
         types = catalog(120, 600)
-        sweep = verify_module._Sweep(types, 1, 0)
+        sweep = verify_module._Sweep(types, 1)
         assert len(types) == 958
         assert [sweep.default(t) for t in types] == [parameters(t) for t in types]
