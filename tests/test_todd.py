@@ -800,6 +800,53 @@ class TestToddPolynomials:
         monkeypatch.undo()
         assert todd_polynomials(8) == warm
 
+    @pytest.mark.parametrize(
+        "dropped, message",
+        [
+            (2, "Todd pass: M_1 1 lambda_1 is not an integer"),
+            (3, "Todd pass: M_2 2 lambda_2 is not an integer"),
+            (5, "Todd pass: M_4 4 lambda_4 is not an integer"),
+            (7, "Todd pass: M_6 6 lambda_6 is not an integer"),
+            (None, "Todd pass: M_4 / (M_1 M_3) is not an integer"),
+        ],
+        ids=["2", "3", "5", "7", "divisibility"],
+    )
+    def test_tampered_denominators_raise_the_integer_pass_text(
+        self, monkeypatch, dropped, message
+    ):
+        # The polynomials are the pass run over MPoly, so a broken table raises
+        # there with the text the pass over ints raises at a point.
+        n = 8
+        table = [hirzebruch_denominator(k) for k in range(n + 1)]
+        if dropped is None:
+            table[3] *= 11  # M_1 M_3 no longer divides M_4
+        else:
+            table = [m // dropped ** (k // (dropped - 1)) for k, m in enumerate(table)]
+        rng = Random(28)
+        scaled, _ = weighted_scale([(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)])
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
+        with pytest.raises(InternalMismatch) as at_a_point:
+            _todd_pass([1] + scaled)
+        monkeypatch.setattr(todd_module, "_TABLE", todd_module._ToddTable(table))
+        with pytest.raises(InternalMismatch) as over_polynomials:
+            todd_polynomials(n)
+        assert str(over_polynomials.value) == str(at_a_point.value) == message
+
+    def test_a_remainder_at_some_points_raises_over_the_polynomials(self, monkeypatch):
+        # Weights W_j + 1 break the division by k at some points only; over MPoly the
+        # division is checked coefficient by coefficient, so the polynomials raise.
+        weights, carries = _todd_steps(6)
+        monkeypatch.setattr(
+            todd_module, "_todd_steps", lambda n: ([w + 1 for w in weights], carries)
+        )
+        monkeypatch.setattr(todd_module._TABLE, "polynomials", [MPoly({(): 1})])
+        assert _todd_pass([1] + [2] * 6)
+        with pytest.raises(InternalMismatch) as at_a_point:
+            _todd_pass([1] + [1] * 6)
+        with pytest.raises(InternalMismatch) as over_polynomials:
+            todd_polynomials(6)
+        assert str(over_polynomials.value) == str(at_a_point.value)
+
     def test_negative_degree(self):
         with pytest.raises(ValueError):
             todd_polynomials(-1)

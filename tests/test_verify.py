@@ -47,7 +47,9 @@ from coxsums.verify import (
     _gamma_specializations,
 )
 from coxsums.mpoly import MPoly
+from coxsums.series import weighted_scale
 from coxsums.todd import (
+    _todd_pass,
     _todd_tables,
     gamma_series,
     p_factor,
@@ -108,6 +110,30 @@ def todd_sides_by_oracle(a, b, c1, t):
     m = _todd_tables(n)
     w = [factorial(k) * (m[n] // m[k]) * tk for k, tk in enumerate(t)]
     return alternating_sum(a, c1, w, n), alternating_sum(b, c1, w, n)
+
+
+def todd_symmetry_witness_by_fractions(a, b, t):
+    """The witness of check_todd_symmetry from T_0 .. T_n in Z[c_1..c_n], term by
+    term over Fractions: Td_k = T_k / M_k, each side summed from c_1**j (n-j)!
+    Td_{n-j} as a dict from exponent tuple to Fraction, then times M_n."""
+    n = a + b
+    m = _todd_tables(n)
+    sides = []
+    for x in (a, b):
+        side = {}
+        for j in range(x + 1):
+            weight = (-1) ** (x - j) * comb(x, j) * factorial(n - j)
+            for e, c in t[n - j].terms.items():
+                if j:  # times c_1**j
+                    e = (e[0] + j,) + e[1:] if e else (j,)
+                side[e] = side.get(e, 0) + weight * F(c, m[n - j])
+        scaled = {e: v * m[n] for e, v in side.items()}
+        assert all(v.denominator == 1 for v in scaled.values())
+        sides.append(MPoly({e: int(v) for e, v in scaled.items()}))
+    lhs, rhs = sides
+    if lhs == rhs:
+        return None
+    return f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"
 
 
 def random_polynomial(rng, n, k):
@@ -396,6 +422,38 @@ class TestToddSymmetryRows:
                 f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"
             )
 
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_integer_sides_match_oracle(self, monkeypatch, a, b):
+        from coxsums import todd as todd_module
+
+        n = a + b
+        rng = Random(f"ints:{a}:{b}")
+        for _ in range(5):  # any integer T, so each side is a polynomial in c_1 alone
+            t = [MPoly({(): rng.randint(-(10**12), 10**12)}) for _ in range(n + 1)]
+            monkeypatch.setattr(todd_module, "todd_polynomials", lambda k, t=t: tuple(t[: k + 1]))
+            lhs, rhs = todd_sides_by_oracle(a, b, MPoly.variable(1), t)
+            report = check_todd_symmetry(a, b)
+            if lhs == rhs:
+                assert a == b and report.passed
+            else:
+                assert report.witness == (
+                    f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"
+                )
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_integer_pass_sides_agree_at_the_seeded_points(self, a, b):
+        # The check no longer evaluates at points; here the integer Todd pass at
+        # each of the 50 seed-42 points of (a, b), weighted-scaled, gives equal
+        # sides (both u**n M_n times the Fraction sides), as the identity proved
+        # over Z[c_1..c_n] says it must.
+        n = a + b
+        rng = Random(f"42:{a}:{b}")
+        for _ in range(50):
+            pairs = [(rng.randint(-100, 100), rng.randint(1, 100)) for _ in range(n)]
+            scaled, _ = weighted_scale(pairs)
+            lhs, rhs = todd_sides_by_oracle(a, b, scaled[0] if n else 0, _todd_pass([1] + scaled))
+            assert lhs == rhs
+
     def test_rows_are_built_once_per_check(self, monkeypatch):
         counted = CountedComb()
         monkeypatch.setattr(verify_module, "comb", counted)
@@ -421,6 +479,31 @@ class TestToddSymmetry:
             for j in range(3)
         )
         assert lhs == rhs == F(1, 12)
+
+    @pytest.mark.parametrize(
+        "a, b, k",
+        [
+            (a, total - a, k)
+            for total in range(9)
+            for a in range(total + 1)
+            for k in range(total + 1)
+        ],
+    )
+    def test_corrupt_todd_witness_matches_fraction_route(self, monkeypatch, a, b, k):
+        # Td_k + c_k (Td_0 + 1). The sides read Td_k with weight d_j, j = a+b-k, the
+        # difference of the rows at j: 0 when a == b, when j > max(a, b) (k < min(a, b)),
+        # and at j = 0 when a - b is even; only there does the check pass.
+        from coxsums import todd as todd_module
+
+        n = a + b
+        table = list(todd_polynomials(n))
+        table[k] = table[k] + _todd_tables(n)[k] * (MPoly.variable(k) if k else 1)
+        monkeypatch.setattr(todd_module, "todd_polynomials", lambda j: tuple(table[: j + 1]))
+        report = check_todd_symmetry(a, b)
+        want = todd_symmetry_witness_by_fractions(a, b, table)
+        assert report.witness == want
+        assert report.passed == (want is None)
+        assert report.passed == (a == b or k < min(a, b) or (k == n and (a - b) % 2 == 0))
 
     def test_exact_identity_for_every_pair_up_to_twelve(self):
         for total in range(13):
@@ -501,6 +584,46 @@ class TestToddSymmetryDifference:
         else:
             assert lhs != rhs
             assert report.witness == f"as polynomials in c_1..c_{n}, times M_{n}: {lhs} != {rhs}"
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    @pytest.mark.parametrize(
+        "degrees",
+        [(2,), (0, 3), (1, 2), (0, 1, 2, 3), ()],
+        ids=["2", "0-3", "1-2", "0-1-2-3", "none"],
+    )
+    def test_faulty_witness_matches_fraction_route(self, monkeypatch, a, b, degrees):
+        # Td_k - c_1**k at each k of degrees; for k > min(a, b) the shorter row reads
+        # Td_k in its padded part.
+        from coxsums import todd as todd_module
+
+        n = a + b
+        m = _todd_tables(n)
+        table = list(todd_polynomials(n))
+        for k in degrees:
+            table[k] = table[k] - m[k] * MPoly.variable(1) ** k
+        monkeypatch.setattr(todd_module, "todd_polynomials", lambda j: tuple(table[: j + 1]))
+        report = check_todd_symmetry(a, b)
+        want = todd_symmetry_witness_by_fractions(a, b, table)
+        assert report.witness == want
+        assert report.passed == (want is None) == (a == b or not degrees)
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_random_t_witness_matches_fraction_route(self, monkeypatch, a, b):
+        from coxsums import todd as todd_module
+
+        n = a + b
+        real = todd_polynomials(n)
+        rng = Random(f"difference:{a}:{b}")
+        for _ in range(5):
+            wrong = rng.randint(1, n)  # any T_k from k = wrong on
+            table = list(real[:wrong]) + [random_polynomial(rng, n, k) for k in range(wrong, n + 1)]
+            monkeypatch.setattr(
+                todd_module, "todd_polynomials", lambda j, table=table: tuple(table[: j + 1])
+            )
+            report = check_todd_symmetry(a, b)
+            want = todd_symmetry_witness_by_fractions(a, b, table)
+            assert report.witness == want
+            assert report.passed == (want is None) == (a == b)
 
 
 class TestKostant:
@@ -1008,6 +1131,15 @@ class TestRunAll:
 
 class TestSharedSweep:
     """build_tasks builds one parameter table per call."""
+
+    @pytest.mark.parametrize("seed", [0, 11, 42])
+    def test_reports_do_not_depend_on_the_seed(self, seed):
+        # build_tasks takes a seed that no default suite reads.
+        from coxsums.verify import build_tasks, run_tasks
+
+        reports = run_tasks(build_tasks(seed=seed))
+        assert reports == run_tasks(build_tasks(seed=seed + 1))
+        assert len(reports) == 666 and all(r.passed for r in reports)
 
     def test_asks_of_a_kept_exception_add_no_frames(self, monkeypatch):
         """A build that raises is run once; every later ask raises the same
